@@ -1,9 +1,9 @@
 """Command-line front end: evolution runs, strategy comparisons, exports.
 
-Exit codes: 0 success, 1 configuration or check failure, 2 unreadable or
-malformed data (dataset files, genome files).  All primary outputs are
-deterministic for a given flag set; wall-clock times live only in
-run_meta.json.
+Exit codes: 0 success, 1 configuration, check or evaluation failure, 2
+unreadable or malformed data (dataset files, genome files).  All primary
+outputs are deterministic for a given flag set; wall-clock times live
+only in run_meta.json.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from evoarch import data as datamod
 from evoarch import engine
 from evoarch.engine import ConfigError, EvolutionConfig
-from evoarch.fitness import SurrogateEvaluator, TrainedEvaluator, evaluate_surrogate
+from evoarch.fitness import EvaluationError, TrainedEvaluator, evaluate_surrogate
 from evoarch.genome import InvalidGenome, ParseError, ShapeError, deserialize, to_dot, validate
 from evoarch.trainer import TrainPlan, gradient_check_suite
 
@@ -93,15 +93,10 @@ def build_parser():
     return parser
 
 
-def _load_split(args):
-    data_dir = datamod.resolve_data_dir(None)
-    return datamod.load_dataset(args.dataset, data_dir, subset_n=args.subset, seed=args.seed)
-
-
 def _trained_pieces(args):
-    split = _load_split(args)
-    plan = TrainPlan.desk_scale(args.iters)
-    return split, plan
+    data_dir = datamod.resolve_data_dir(None)
+    split = datamod.load_dataset(args.dataset, data_dir, subset_n=args.subset, seed=args.seed)
+    return split, TrainPlan.desk_scale(args.iters)
 
 
 def _read_genome(path):
@@ -115,12 +110,17 @@ def _read_genome(path):
     return genome
 
 
-def cmd_evolve(args):
+def _run_config(args):
+    """Checked EvolutionConfig and evaluator for evolve and compare-selection.
+
+    Trained fitness loads the dataset split, and the genomes take their
+    input shape and class count from it.
+    """
     split = plan = None
-    input_shape, num_classes = (3, 32, 32), 10
+    dims = {}
     if args.fitness == "trained":
         split, plan = _trained_pieces(args)
-        input_shape, num_classes = split.input_shape, split.num_classes
+        dims = {"input_shape": split.input_shape, "num_classes": split.num_classes}
     config = EvolutionConfig(
         population_size=args.population,
         k=args.k,
@@ -128,12 +128,15 @@ def cmd_evolve(args):
         max_generations=args.generations,
         seed=args.seed,
         evaluator=args.fitness,
-        input_shape=input_shape,
-        num_classes=num_classes,
         workers=args.workers,
+        **dims,
     )
     config.check()
-    evaluator = engine.make_evaluator(config, split, plan)
+    return config, engine.make_evaluator(config, split, plan)
+
+
+def cmd_evolve(args):
+    config, evaluator = _run_config(args)
     out_dir = args.out_dir or f"runs/evolve-{args.fitness}-s{args.seed}"
     result = engine.run(config, out_dir=out_dir, evaluator=evaluator)
     print(f"generations {result.generations}")
@@ -143,18 +146,11 @@ def cmd_evolve(args):
 
 
 def cmd_compare(args):
-    config = EvolutionConfig(
-        population_size=args.population,
-        k=args.k,
-        distance_threshold=args.threshold,
-        max_generations=args.generations,
-        seed=args.seed,
-        evaluator=args.fitness,
-        workers=args.workers,
-    )
-    config.check()
     if args.k_sweep and args.strategies:
         raise ConfigError("--k-sweep and --strategies are mutually exclusive")
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be positive")
+    config, evaluator = _run_config(args)
     if args.k_sweep:
         try:
             ks = [int(v) for v in args.k_sweep.split(",") if v]
@@ -164,13 +160,7 @@ def cmd_compare(args):
     else:
         names = [s.strip() for s in (args.strategies or DEFAULT_STRATEGIES).split(",") if s.strip()]
         specs = engine.default_specs(names, config)
-    if args.seeds < 1:
-        raise ConfigError("--seeds must be positive")
 
-    evaluator = None
-    if args.fitness == "trained":
-        split, plan = _trained_pieces(args)
-        evaluator = TrainedEvaluator(split, plan)
     result = engine.compare_strategies(config, specs, args.seeds, evaluator=evaluator)
     table = engine.comparison_csv_text(result)
     sys.stdout.write(table)
@@ -235,6 +225,10 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except EvaluationError as err:
+        ind, cause = err.failures[0]
+        print(f"error: {len(err.failures)} evaluation(s) failed; individual {ind}: {cause!r}", file=sys.stderr)
         return 1
     except (datamod.DataError, ParseError, ShapeError, InvalidGenome) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -142,13 +142,19 @@ def global_contrast_normalize(images):
     return out.reshape(images.shape).astype(np.float32)
 
 
-def pad_and_random_crop(image, pad, rng):
-    """Zero-pad each spatial side by pad, then crop back at a random offset."""
-    c, h, w = image.shape
-    padded = np.pad(image, ((0, 0), (pad, pad), (pad, pad)))
-    oy = int(rng.integers(0, 2 * pad + 1))
-    ox = int(rng.integers(0, 2 * pad + 1))
-    return padded[:, oy : oy + h, ox : ox + w]
+def pad_and_random_crop(x, pad, rng):
+    """Zero-pad each image of an (n, c, h, w) batch, then crop back at random.
+
+    One (n, 2) draw gives every image its own (row, column) offset.
+    """
+    n, _, h, w = x.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.empty_like(x)
+    offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
+    for s in range(n):
+        oy, ox = offs[s]
+        out[s] = padded[s, :, oy : oy + h, ox : ox + w]
+    return out
 
 
 def split_train_val(images, labels, fraction=0.1, seed=0, subset_n=None):

@@ -127,10 +127,6 @@ class Genome:
             and self.preds == other.preds
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __repr__(self):
         return f"Genome({len(self.nodes)} nodes, in={self.input_shape}, classes={self.num_classes})"
 
@@ -144,12 +140,6 @@ class Genome:
 
     def next_id(self):
         return max(self.nodes) + 1
-
-    def input_id(self):
-        for i, n in self.nodes.items():
-            if n.kind == INPUT:
-                return i
-        raise InvalidGenome("no input node")
 
     def head_id(self):
         for i, n in self.nodes.items():

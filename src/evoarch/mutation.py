@@ -20,9 +20,11 @@ from evoarch.genome import (
     CONV,
     DROPOUT,
     FC,
+    FILTER_MENU,
     GLOBALPOOL,
     MAXPOOL,
     SKIP,
+    STRIDE_MENU,
     TRUNK_KINDS,
     Node,
     ShapeError,
@@ -67,8 +69,6 @@ GROWTH_KINDS = frozenset(
 )
 
 CHANNEL_MENU = (8, 16, 32, 48, 64, 96, 128)
-FILTER_MENU = (1, 3, 5)
-STRIDE_MENU = (1, 2)
 FC_UNITS_MENU = (50, 100, 150, 200)
 
 MAX_REPAIR_FIXES = 8

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from evoarch.data import pad_and_random_crop
 from evoarch.genome import (
     CONCAT,
     CONV,
@@ -36,7 +37,6 @@ from evoarch.genome import (
 
 BN_EPS = 1e-5
 BN_RUNNING_KEEP = 0.9  # running <- 0.9 * running + 0.1 * batch
-_COL_BUDGET = 16_000_000  # elements per im2col chunk, keeps peaks near 128 MB
 
 
 class DivergedTraining(Exception):
@@ -106,9 +106,6 @@ class ModelState:
     velocity: dict
     dtype: object = np.float32
 
-    def copy_shallow(self):
-        return ModelState(dict(self.params), dict(self.buffers), dict(self.velocity), self.dtype)
-
 
 def init_model(genome, rng, dtype=np.float32):
     """He-normal weights, zero biases, unit batchnorm, zero momentum.
@@ -145,62 +142,45 @@ def init_model(genome, rng, dtype=np.float32):
 
 
 # ---------------------------------------------------------------------------
-# convolution kernels (batch-chunked im2col)
+# convolution kernels: one GEMM per filter tap over channel-major views
 
 
-def _conv_out_side(side, f, stride, pad):
-    return (side + 2 * pad - f) // stride + 1
+def _tap(di, dj, stride, oh, ow):
+    """Index of the (di, dj) filter tap's input window in a (C, N, H, W) array."""
+    return np.s_[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
 
 
-def _chunk_sizes(n, per_sample_cols):
-    step = max(1, _COL_BUDGET // max(1, per_sample_cols))
-    return [(s, min(s + step, n)) for s in range(0, n, step)]
-
-
-def _im2col(x, f, stride, pad):
-    """(n, OH*OW, Cin*f*f) patch matrix for a batch chunk."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (f, f), axis=(2, 3))[:, :, ::stride, ::stride]
-    n, cin, oh, ow = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, cin * f * f), oh, ow
+def _padded_channel_major(x, pad):
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))).transpose(1, 0, 2, 3)
 
 
 def _conv_forward(x, W, b, stride, pad):
-    n, cin, h, w = x.shape
-    cout, _, f, _ = W.shape
-    oh = _conv_out_side(h, f, stride, pad)
-    ow = _conv_out_side(w, f, stride, pad)
-    w_rows = W.reshape(cout, -1)
-    out = np.empty((n, cout, oh, ow), x.dtype)
-    for s, e in _chunk_sizes(n, oh * ow * cin * f * f):
-        cols, _, _ = _im2col(x[s:e], f, stride, pad)
-        z = cols @ w_rows.T + b
-        out[s:e] = z.transpose(0, 2, 1).reshape(e - s, cout, oh, ow)
-    return out
+    cout, cin, f, _ = W.shape
+    xp = _padded_channel_major(x, pad)
+    n, oh, ow = x.shape[0], (xp.shape[2] - f) // stride + 1, (xp.shape[3] - f) // stride + 1
+    out = np.zeros((cout, n * oh * ow), x.dtype)
+    for di in range(f):
+        for dj in range(f):
+            out += W[:, :, di, dj] @ xp[_tap(di, dj, stride, oh, ow)].reshape(cin, -1)
+    out += b[:, None]
+    return out.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3)
 
 
 def _conv_backward(x, W, stride, pad, dz):
-    n, cin, h, w = x.shape
-    cout, _, f, _ = W.shape
-    _, _, oh, ow = dz.shape
-    w_rows = W.reshape(cout, -1)
-    dW = np.zeros_like(w_rows)
-    db = dz.sum(axis=(0, 2, 3))
-    dxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), x.dtype)
-    for s, e in _chunk_sizes(n, oh * ow * cin * f * f):
-        cols, _, _ = _im2col(x[s:e], f, stride, pad)
-        dz_flat = dz[s:e].reshape(e - s, cout, oh * ow).transpose(0, 2, 1)
-        dW += np.tensordot(dz_flat, cols, axes=([0, 1], [0, 1]))
-        dcols = dz_flat @ w_rows
-        patches = dcols.reshape(e - s, oh, ow, cin, f, f).transpose(0, 3, 1, 2, 4, 5)
-        for di in range(f):
-            for dj in range(f):
-                dxp[s:e, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride] += patches[
-                    :, :, :, :, di, dj
-                ]
-    dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
-    return dW.reshape(W.shape), db, dx
+    cout, cin, f, _ = W.shape
+    n, _, oh, ow = dz.shape
+    h, w = x.shape[2:]
+    xp = _padded_channel_major(x, pad)
+    dz_rows = dz.transpose(1, 0, 2, 3).reshape(cout, -1)
+    dW = np.empty_like(W)
+    dxp = np.zeros(xp.shape, x.dtype)
+    for di in range(f):
+        for dj in range(f):
+            tap = _tap(di, dj, stride, oh, ow)
+            dW[:, :, di, dj] = dz_rows @ xp[tap].reshape(cin, -1).T
+            dxp[tap] += (W[:, :, di, dj].T @ dz_rows).reshape(cin, n, oh, ow)
+    dx = dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
+    return dW, dz.sum(axis=(0, 2, 3)), dx
 
 
 def _pool_forward(x, kernel, stride):
@@ -411,17 +391,6 @@ def _commit_bn_stats(model, batch_stats):
     return ModelState(model.params, buffers, model.velocity, model.dtype)
 
 
-def _pad_crop_batch(x, pad, rng):
-    n, c, h, w = x.shape
-    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.empty_like(x)
-    offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
-    for s in range(n):
-        oy, ox = offs[s]
-        out[s] = padded[s, :, oy : oy + h, ox : ox + w]
-    return out
-
-
 def accuracy(model, genome, x, labels, batch_size=256):
     """Fraction of correct argmax predictions, evaluated in eval mode."""
     hits = 0
@@ -431,7 +400,7 @@ def accuracy(model, genome, x, labels, batch_size=256):
     return hits / len(x)
 
 
-def train(genome, split, plan, curve_path=None, dtype=np.float32):
+def train(genome, split, plan, dtype=np.float32):
     """SGD over shuffled minibatch epochs; returns (model, val accuracy).
 
     Raises DivergedTraining as soon as the minibatch loss goes non-finite.
@@ -447,7 +416,6 @@ def train(genome, split, plan, curve_path=None, dtype=np.float32):
     bs = min(plan.batch_size, n)
     perm = shuffle_rng.permutation(n)
     cursor = 0
-    curve = [] if curve_path else None
 
     for t in range(plan.max_iters):
         if cursor + bs > n:
@@ -458,7 +426,7 @@ def train(genome, split, plan, curve_path=None, dtype=np.float32):
         bx = split.train_x[idx]
         by = split.train_y[idx]
         if getattr(split, "augment", "none") == "pad_crop4":
-            bx = _pad_crop_batch(bx, 4, aug_rng)
+            bx = pad_and_random_crop(bx, 4, aug_rng)
         lr = lr_at(t, plan)
         # overflow on the way to a non-finite loss is the divergence path,
         # detected and raised below, so the fp warnings are suppressed
@@ -468,13 +436,7 @@ def train(genome, split, plan, curve_path=None, dtype=np.float32):
                 raise DivergedTraining(f"non-finite loss at iteration {t}")
             model = sgd_step(model, grads, lr, plan)
         model = _commit_bn_stats(model, stats)
-        if curve is not None:
-            curve.append(f"{t},{lr:.10g},{float(loss):.6f}")
 
-    if curve_path:
-        with open(curve_path, "w") as fh:
-            fh.write("iteration,lr,loss\n")
-            fh.write("\n".join(curve) + ("\n" if curve else ""))
     with np.errstate(over="ignore", invalid="ignore"):
         return model, accuracy(model, genome, split.val_x, split.val_y)
 

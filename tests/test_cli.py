@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import evoarch.cli as cli
+from evoarch.fitness import TrainedEvaluator
 from evoarch.genome import new_seed_genome, serialize
 from evoarch.mutation import apply_mutation
+from helpers import build_mnist_dir
 
 
 def one_conv_genome_file(tmp_path):
@@ -111,6 +113,32 @@ def test_compare_rejects_zero_seeds(tmp_path):
     code = cli.main(["compare-selection", "--k-sweep", "1", "--seeds", "0",
                      "--generations", "3", "--out-dir", str(tmp_path / "x")])
     assert code == 1
+
+
+def test_compare_trained_mnist(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
+    out = tmp_path / "cmp"
+    code = cli.main(["compare-selection", "--fitness", "trained", "--dataset", "mnist",
+                     "--iters", "1", "--generations", "1", "--seeds", "1",
+                     "--out-dir", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = (out / "comparison.csv").read_text().splitlines()
+    assert len(rows) == 5  # header plus the four default strategies
+
+
+def test_evaluation_failure_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
+
+    def broken(self, genome, seed):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(TrainedEvaluator, "evaluate", broken)
+    code = cli.main(["evolve", "--fitness", "trained", "--iters", "1",
+                     "--generations", "1", "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 10 evaluation(s) failed;") and "boom" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # ---------------------------------------------------- export and evaluate

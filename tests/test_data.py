@@ -22,13 +22,14 @@ from helpers import build_cifar_dir, build_mnist_dir, write_cifar_batch, write_i
 
 
 class FixedOffsets:
-    """rng stub handing out scripted crop offsets."""
+    """rng stub giving every image of a batch the same (row, column) crop offset."""
 
-    def __init__(self, *values):
-        self.values = list(values)
+    def __init__(self, oy, ox):
+        self.offset = (oy, ox)
 
-    def integers(self, lo, hi):
-        return self.values.pop(0)
+    def integers(self, lo, hi, size):
+        assert size[1] == 2
+        return np.tile(self.offset, (size[0], 1))
 
 
 # ------------------------------------------------------------------- mnist
@@ -159,25 +160,26 @@ def test_gcn_idempotent():
 
 def test_crop_center_offset_is_identity():
     rng = np.random.default_rng(3)
-    img = rng.uniform(size=(3, 32, 32)).astype(np.float32)
-    out = pad_and_random_crop(img, 4, FixedOffsets(4, 4))
-    assert np.array_equal(out, img)
+    batch = rng.uniform(size=(2, 3, 32, 32)).astype(np.float32)
+    out = pad_and_random_crop(batch, 4, FixedOffsets(4, 4))
+    assert np.array_equal(out, batch)
 
 
 def test_crop_top_left_zero_margins():
-    img = np.ones((1, 8, 8), np.float32)
-    out = pad_and_random_crop(img, 4, FixedOffsets(0, 0))
-    assert out.shape == (1, 8, 8)
-    assert not out[:, :4, :].any()
-    assert not out[:, :, :4].any()
-    assert (out[:, 4:, 4:] == 1).all()
+    batch = np.ones((2, 1, 8, 8), np.float32)
+    out = pad_and_random_crop(batch, 4, FixedOffsets(0, 0))
+    assert out.shape == (2, 1, 8, 8)
+    assert not out[:, :, :4, :].any()
+    assert not out[:, :, :, :4].any()
+    assert (out[:, :, 4:, 4:] == 1).all()
 
 
 def test_crop_preserves_shape():
     rng = np.random.default_rng(4)
-    img = rng.uniform(size=(3, 17, 9)).astype(np.float32)
+    batch = rng.uniform(size=(5, 3, 17, 9)).astype(np.float32)
     for _ in range(20):
-        assert pad_and_random_crop(img, 4, rng).shape == img.shape
+        out = pad_and_random_crop(batch, 4, rng)
+        assert out.shape == batch.shape and out.dtype == batch.dtype
 
 
 # ------------------------------------------------------------------- split

@@ -22,6 +22,8 @@ from evoarch.trainer import (
     DivergedTraining,
     ModelState,
     TrainPlan,
+    _conv_backward,
+    _conv_forward,
     accuracy,
     forward,
     gradient_check,
@@ -243,6 +245,49 @@ def test_duplicated_batch_keeps_mean_loss():
     l1, _ = loss_and_grads(model, g, x, y)
     l2, _ = loss_and_grads(model, g, np.concatenate([x, x]), np.concatenate([y, y]))
     assert math.isclose(l1, l2, rel_tol=1e-9)
+
+
+# ------------------------------------------------------------ convolution
+
+def direct_conv(x, W, b, stride, pad, dz):
+    """Output and (dW, db, dx) straight from the definition, one window at a time."""
+    n, cin, h, w = x.shape
+    cout, _, f, _ = W.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh, ow = (h + 2 * pad - f) // stride + 1, (w + 2 * pad - f) // stride + 1
+    out = np.zeros((n, cout, oh, ow))
+    dW = np.zeros(W.shape)
+    dxp = np.zeros(xp.shape)
+    for s in range(n):
+        for i in range(oh):
+            for j in range(ow):
+                rows = slice(i * stride, i * stride + f)
+                cols = slice(j * stride, j * stride + f)
+                window = xp[s, :, rows, cols]
+                for o in range(cout):
+                    out[s, o, i, j] = b[o] + (W[o] * window).sum()
+                    dW[o] += dz[s, o, i, j] * window
+                    dxp[s, :, rows, cols] += dz[s, o, i, j] * W[o]
+    return out, dW, dz.sum(axis=(0, 2, 3)), dxp[:, :, pad : pad + h, pad : pad + w]
+
+
+@pytest.mark.parametrize("cin", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("f", [1, 3, 5])
+def test_conv_matches_direct_definition(f, stride, cin):
+    rng = np.random.default_rng(f * 10 + stride * 3 + cin)
+    pad = f // 2
+    x = rng.normal(size=(2, cin, 9, 7))
+    W = rng.normal(size=(4, cin, f, f))
+    b = rng.normal(size=4)
+    out = _conv_forward(x, W, b, stride, pad)
+    dz = rng.normal(size=out.shape)
+    want_out, *want_grads = direct_conv(x, W, b, stride, pad, dz)
+    assert out.shape == want_out.shape
+    np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+    for got, want in zip(_conv_backward(x, W, stride, pad, dz), want_grads):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 # --------------------------------------------------------------- gradients
