@@ -18,7 +18,6 @@ import numpy as np
 
 from evoarch.fitness import SurrogateEvaluator, TrainedEvaluator, evaluate_batch
 from evoarch.genome import (
-    Genome,
     Individual,
     deserialize,
     hamming_distance,
@@ -156,7 +155,8 @@ def step_generation(
     config,
     rng,
     generation=1,
-    evaluator=None,
+    *,
+    evaluator,
     best=None,
     mutation_log=None,
     selection_log=None,
@@ -169,8 +169,6 @@ def step_generation(
     improvement.
     """
     start = time.perf_counter()
-    if evaluator is None:
-        evaluator = make_evaluator(config)
     weights = (
         MutationWeights.early()
         if generation <= config.early_stage_generations
@@ -282,21 +280,15 @@ def run(config, out_dir=None, evaluator=None, resume_from=None, checkpoint_every
     logs = {"mutation": [], "selection": [], "fitness": []} if out_dir else None
     mlog, slog, flog = (logs[k] if logs else None for k in ("mutation", "selection", "fitness"))
 
-    if resume_from is not None:
-        state = checkpoint_load(resume_from)
-        config, population, rng = state.config, state.population, state.rng
-        stats, start_gen = state.stats, state.next_generation
-        best = stats[-1].best_individual
-    else:
-        rng = np.random.default_rng(config.seed)
-        if evaluator is None:
-            evaluator = make_evaluator(config)
-        population = init_population(config, evaluator, flog)
-        stats = [_initial_stats(population)]
-        best = stats[0].best_individual
-        start_gen = 1
+    state = checkpoint_load(resume_from) if resume_from is not None else None
+    config = state.config if state else config
     if evaluator is None:
         evaluator = make_evaluator(config)
+    if state is None:
+        population = init_population(config, evaluator, flog)
+        state = RunState(config, population, np.random.default_rng(config.seed), [_initial_stats(population)], 1)
+    population, rng, stats, start_gen = state.population, state.rng, state.stats, state.next_generation
+    best = stats[-1].best_individual
 
     wall_start = time.perf_counter()
     generations_run = start_gen - 1

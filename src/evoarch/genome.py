@@ -3,15 +3,19 @@
 A genome has exactly one input node (the unique source) and exactly one
 classifier head (the unique sink).  Interior nodes are convolutions,
 max-pools, skip joins, channel concatenations, global average pools,
-fully connected layers and dropout layers.  Genomes are immutable by
-convention: every edit builds a new Genome and leaves the old one alone.
+fully connected layers and dropout layers.  A genome's node and
+predecessor maps are read-only, so every edit builds a new Genome, and
+derived data (successors, topological order, shapes, canonical sequence,
+parameter count) is computed once per Genome object and stored on it.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 INPUT = "input"
 CONV = "conv"
@@ -61,7 +65,11 @@ STRIDE_MENU = (1, 2)
 
 
 class ShapeError(Exception):
-    """Tensor shapes along the graph are inconsistent or degenerate."""
+    """Tensor shapes along the graph are inconsistent or degenerate.
+
+    infer_shapes attaches `shapes`, the shapes of the nodes it finished
+    before the fault.
+    """
 
     def __init__(self, node_id, message):
         self.node_id = node_id
@@ -101,21 +109,23 @@ def dropout_node(ratio=0.5):
 
 
 class Genome:
-    """Immutable-by-convention layer DAG.
+    """Layer DAG with read-only structure and derived data computed once.
 
     nodes maps node id to Node; preds maps node id to a tuple of
     predecessor ids kept sorted ascending (the canonical order, which
-    also fixes concat channel order).  Node ids double as creation
-    order: new nodes always get max(ids) + 1.
+    also fixes concat channel order).  Both are read-only views of
+    private copies.  Node ids double as creation order: new nodes always
+    get max(ids) + 1.
     """
 
-    __slots__ = ("input_shape", "num_classes", "nodes", "preds")
+    __slots__ = ("input_shape", "num_classes", "nodes", "preds", "_memo")
 
     def __init__(self, input_shape, num_classes, nodes, preds):
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
-        self.nodes = nodes
-        self.preds = {i: tuple(sorted(p)) for i, p in preds.items()}
+        self.nodes = MappingProxyType(dict(nodes))
+        self.preds = MappingProxyType({i: tuple(sorted(p)) for i, p in preds.items()})
+        self._memo = {}
 
     def __eq__(self, other):
         if not isinstance(other, Genome):
@@ -130,13 +140,9 @@ class Genome:
     def __repr__(self):
         return f"Genome({len(self.nodes)} nodes, in={self.input_shape}, classes={self.num_classes})"
 
-    def successors(self):
-        """Map node id -> sorted tuple of consumer ids (duplicates kept)."""
-        succ = {i: [] for i in self.nodes}
-        for dst, ps in self.preds.items():
-            for src in ps:
-                succ[src].append(dst)
-        return {i: tuple(sorted(s)) for i, s in succ.items()}
+    def __reduce__(self):
+        # pickle and copy rebuild from the plain maps and leave the memo behind
+        return Genome, (self.input_shape, self.num_classes, dict(self.nodes), dict(self.preds))
 
     def next_id(self):
         return max(self.nodes) + 1
@@ -156,6 +162,35 @@ class Genome:
         )
 
 
+def _derived(fn):
+    """Store fn's first result on the genome and return it on later calls.
+
+    A raised error is not stored, so a faulty genome raises on every call.
+    Two threads racing on one genome at worst compute the same value twice.
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def derived(genome):
+        memo = genome._memo
+        if name not in memo:
+            memo[name] = fn(genome)
+        return memo[name]
+
+    return derived
+
+
+@_derived
+def successors(genome):
+    """Map node id -> sorted tuple of consumer ids (duplicates kept)."""
+    succ = {i: [] for i in genome.nodes}
+    for dst, ps in genome.preds.items():
+        for src in ps:
+            succ[src].append(dst)
+    return MappingProxyType({i: tuple(sorted(s)) for i, s in succ.items()})
+
+
+@_derived
 def topological_order(genome):
     """Node ids in topological order, ready set drained smallest id first.
 
@@ -165,7 +200,7 @@ def topological_order(genome):
     # a duplicated predecessor contributes one dependency, not two
     ready = [i for i, d in indeg.items() if d == 0]
     heapq.heapify(ready)
-    succ = genome.successors()
+    succ = successors(genome)
     order = []
     while ready:
         i = heapq.heappop(ready)
@@ -176,7 +211,7 @@ def topological_order(genome):
                 heapq.heappush(ready, j)
     if len(order) != len(genome.nodes):
         raise InvalidGenome("graph has a cycle")
-    return order
+    return tuple(order)
 
 
 def new_seed_genome(kind, input_shape=(3, 32, 32), num_classes=10):
@@ -257,16 +292,23 @@ def node_output_shape(genome, i, shapes):
     raise ShapeError(i, f"unknown kind {node.kind!r}")
 
 
+@_derived
 def infer_shapes(genome):
-    """Output shape of every node: (c, h, w) for trunk nodes, (n,) for flat.
+    """Read-only map of every node's output shape, in topological order:
+    (c, h, w) for trunk nodes, (n,) for flat.
 
     Raises ShapeError on inconsistent joins, non-positive spatial dims, or
-    spatial ops applied to flat vectors.
+    spatial ops applied to flat vectors; the error carries the shapes
+    computed before the fault.
     """
     shapes = {}
     for i in topological_order(genome):
-        shapes[i] = node_output_shape(genome, i, shapes)
-    return shapes
+        try:
+            shapes[i] = node_output_shape(genome, i, shapes)
+        except ShapeError as err:
+            err.shapes = MappingProxyType(shapes)
+            raise
+    return MappingProxyType(shapes)
 
 
 def _require_spatial(node_id, shape):
@@ -275,6 +317,7 @@ def _require_spatial(node_id, shape):
     return shape
 
 
+@_derived
 def canonical_node_sequence(genome):
     """Kind letters in topological order, ids breaking ties."""
     return "".join(KIND_LETTERS[genome.nodes[i].kind] for i in topological_order(genome))
@@ -293,12 +336,13 @@ def hamming_distance(a, b):
     return sequence_distance(canonical_node_sequence(a), canonical_node_sequence(b))
 
 
+@_derived
 def parameter_count(genome):
     """Trainable parameter total: convs carry batchnorm scale/shift, the
     head counts as a fully connected layer, joins and pools carry none."""
     shapes = infer_shapes(genome)
     total = 0
-    for i in topological_order(genome):
+    for i in shapes:
         node = genome.nodes[i]
         if node.kind == CONV:
             cin = shapes[genome.preds[i][0]][0]
@@ -339,7 +383,7 @@ def validate(genome):
 
     order = topological_order(genome)  # raises on cycles
 
-    succ = genome.successors()
+    succ = successors(genome)
     if succ[head]:
         raise InvalidGenome("head must be the unique sink")
     for i in nodes:

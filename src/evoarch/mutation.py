@@ -34,7 +34,6 @@ from evoarch.genome import (
     infer_shapes,
     is_valid,
     maxpool_node,
-    node_output_shape,
     topological_order,
 )
 
@@ -137,15 +136,20 @@ def _insert_on_edge(genome, src, dst, slot, node):
     return genome.replace(nodes, preds)
 
 
+def _move_consumers(preds, old, new):
+    """Point every consumer of old at new instead."""
+    for ps in preds.values():
+        for j, p in enumerate(ps):
+            if p == old:
+                ps[j] = new
+
+
 def _insert_after(genome, target, node):
     """Place node after target; every former consumer of target moves over."""
     nodes, preds = _edit_copy(genome)
     nid = genome.next_id()
     nodes[nid] = node
-    for ps in preds.values():
-        for j, p in enumerate(ps):
-            if p == target:
-                ps[j] = nid
+    _move_consumers(preds, target, nid)
     preds[nid] = [target]
     return genome.replace(nodes, preds)
 
@@ -155,10 +159,7 @@ def _insert_join(genome, top, bottom, node):
     nodes, preds = _edit_copy(genome)
     nid = genome.next_id()
     nodes[nid] = node
-    for ps in preds.values():
-        for j, p in enumerate(ps):
-            if p == bottom:
-                ps[j] = nid
+    _move_consumers(preds, bottom, nid)
     preds[nid] = [top, bottom]
     return genome.replace(nodes, preds)
 
@@ -168,10 +169,7 @@ def _splice_out(genome, target):
     nodes, preds = _edit_copy(genome)
     (parent,) = preds.pop(target)
     del nodes[target]
-    for ps in preds.values():
-        for j, p in enumerate(ps):
-            if p == target:
-                ps[j] = parent
+    _move_consumers(preds, target, parent)
     return genome.replace(nodes, preds)
 
 
@@ -180,10 +178,7 @@ def _remove_join(genome, target, restore_to):
     nodes, preds = _edit_copy(genome)
     del nodes[target]
     del preds[target]
-    for ps in preds.values():
-        for j, p in enumerate(ps):
-            if p == target:
-                ps[j] = restore_to
+    _move_consumers(preds, target, restore_to)
     return genome.replace(nodes, preds)
 
 
@@ -416,19 +411,6 @@ _OPERATORS = {
 # shape repair
 
 
-def _shapes_before_failure(genome):
-    """Per-node shapes computed until the first ShapeError, plus that error."""
-    shapes = {}
-    err = None
-    for i in topological_order(genome):
-        try:
-            shapes[i] = node_output_shape(genome, i, shapes)
-        except ShapeError as e:
-            err = e
-            break
-    return shapes, err
-
-
 def _bump_pad(genome, conv_id, bumps):
     if bumps.get(conv_id, 0) >= MAX_PAD_BUMP:
         return None
@@ -441,36 +423,31 @@ def _bump_pad(genome, conv_id, bumps):
 
 
 def repair(genome):
-    """Make shapes consistent with local fixes, or raise RepairFailure.
+    """Make shapes consistent with local fixes: (genome, fix count), or
+    raise RepairFailure.
 
     Fix order per fault: bump padding on the conv feeding the fault (up to
     two pixels per conv) to equalize spatial dims or revive a degenerate
     output, then insert a 1x1 conv on the smaller-channel branch of a skip.
     At most eight fixes per call.
     """
-    fixed, _ = repair_with_count(genome)
-    return fixed
-
-
-def repair_with_count(genome):
     bumps = {}
     fixes = 0
-    current = genome
     while True:
-        shapes, err = _shapes_before_failure(current)
-        if err is None:
-            return current, fixes
-        if fixes >= MAX_REPAIR_FIXES:
-            raise RepairFailure(f"fix budget exhausted: {err}")
-        nxt = _apply_fix(current, shapes, err, bumps)
-        if nxt is None:
-            raise RepairFailure(f"no applicable fix: {err}")
-        current = nxt
-        fixes += 1
+        try:
+            infer_shapes(genome)
+            return genome, fixes
+        except ShapeError as err:
+            if fixes >= MAX_REPAIR_FIXES:
+                raise RepairFailure(f"fix budget exhausted: {err}") from err
+            genome = _apply_fix(genome, err, bumps)
+            if genome is None:
+                raise RepairFailure(f"no applicable fix: {err}") from err
+            fixes += 1
 
 
-def _apply_fix(genome, shapes, err, bumps):
-    i = err.node_id
+def _apply_fix(genome, err, bumps):
+    i, shapes = err.node_id, err.shapes
     node = genome.nodes[i]
     msg = str(err)
     if "not positive" in msg:
@@ -517,7 +494,7 @@ def _apply_with_fixes(genome, kind, rng):
     if edited is None:
         return None, 0
     try:
-        return repair_with_count(edited)
+        return repair(edited)
     except RepairFailure:
         return None, 0
 

@@ -44,12 +44,12 @@ def aggressive_select(ranked, k, distance_threshold):
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    seqs = {ind.id: canonical_node_sequence(ind.genome) for ind in ranked}
     admitted = []
     for ind in ranked:
         if len(admitted) == k:
             break
-        if all(sequence_distance(seqs[ind.id], seqs[other.id]) > distance_threshold for other in admitted):
+        seq = canonical_node_sequence(ind.genome)
+        if all(sequence_distance(seq, canonical_node_sequence(o.genome)) > distance_threshold for o in admitted):
             admitted.append(ind)
     if len(admitted) < k:
         chosen = {ind.id for ind in admitted}

@@ -10,7 +10,6 @@ float64 is used for finite-difference verification.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -439,51 +438,6 @@ def train(genome, split, plan, dtype=np.float32):
 
     with np.errstate(over="ignore", invalid="ignore"):
         return model, accuracy(model, genome, split.val_x, split.val_y)
-
-
-# ---------------------------------------------------------------------------
-# model state checkpointing: raw little-endian float32 plus a JSON manifest
-
-
-def save_model(model, path_prefix):
-    """Write <prefix>.bin (concatenated float32 LE) and <prefix>.json."""
-    entries = []
-    blobs = []
-    offset = 0
-    for group_name in ("params", "buffers", "velocity"):
-        group = getattr(model, group_name)
-        for i in sorted(group):
-            for name in sorted(group[i]):
-                arr = np.ascontiguousarray(group[i][name], dtype="<f4")
-                entries.append(
-                    {
-                        "group": group_name,
-                        "node": i,
-                        "name": name,
-                        "shape": list(arr.shape),
-                        "offset": offset,
-                    }
-                )
-                blobs.append(arr.tobytes())
-                offset += arr.size
-    with open(f"{path_prefix}.bin", "wb") as fh:
-        fh.write(b"".join(blobs))
-    with open(f"{path_prefix}.json", "w") as fh:
-        json.dump({"dtype": "<f4", "total": offset, "entries": entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path_prefix):
-    """Rebuild a float32 ModelState from save_model output."""
-    with open(f"{path_prefix}.json") as fh:
-        manifest = json.load(fh)
-    raw = np.fromfile(f"{path_prefix}.bin", dtype="<f4")
-    state = {"params": {}, "buffers": {}, "velocity": {}}
-    for entry in manifest["entries"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        arr = raw[entry["offset"] : entry["offset"] + size].reshape(entry["shape"]).astype(np.float32)
-        state[entry["group"]].setdefault(entry["node"], {})[entry["name"]] = arr
-    return ModelState(state["params"], state["buffers"], state["velocity"], np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -193,6 +194,22 @@ def test_run_deterministic_stats_bytes(tmp_path):
     a = (tmp_path / "a" / "stats.csv").read_bytes()
     b = (tmp_path / "b" / "stats.csv").read_bytes()
     assert a == b
+
+
+# sha256 of the default seed-0 surrogate run's outputs: a change that only
+# makes the search faster must leave every one of these bytes alone
+SEED0_DIGESTS = {
+    "stats.csv": "2c02c68bb3c134642094f9138c39eb5e8986c8262738316a062186dd430c4d9c",
+    "best_genome.json": "b6334d6f03c9de97bb572c47290df463d567758a73aa7a7e6a3db2de76d62213",
+    "selection.jsonl": "66db1edeab5ff01a7ce2946cdfb2e656edd7c1fcb4705a1233283fc71375884a",
+    "mutation.jsonl": "4a2c060ff9ef066b81efc2e172b7cb7c8415c8c5f6b83cf54f61bb8473955598",
+}
+
+
+def test_seed0_run_bytes_pinned(tmp_path):
+    run(EvolutionConfig(seed=0), out_dir=str(tmp_path))
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SEED0_DIGESTS}
+    assert digests == SEED0_DIGESTS
 
 
 def test_stats_csv_has_no_wall_clock_column():

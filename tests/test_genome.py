@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 
 import numpy as np
@@ -254,8 +255,12 @@ def test_validate_cycle():
              3: Node(GLOBALPOOL), 4: Node(HEAD, {"classes": 10})}
     preds = {0: (), 1: (0, 2), 2: (1,), 3: (2,), 4: (3,)}
     g = Genome((3, 8, 8), 10, nodes, preds)
-    with pytest.raises(InvalidGenome):
-        topological_order(g)
+    for _ in range(2):  # a failure is never memoized, so every call raises
+        with pytest.raises(InvalidGenome):
+            topological_order(g)
+        with pytest.raises(InvalidGenome):
+            infer_shapes(g)
+        assert not is_valid(g)
 
 
 def test_validate_head_after_conv():
@@ -268,6 +273,58 @@ def test_is_valid_on_random_mutants():
     rng = np.random.default_rng(3)
     for _ in range(100):
         assert is_valid(random_genome(rng))
+
+
+# ------------------------------------------------------------ derived data
+
+def test_genome_maps_are_read_only():
+    g = new_seed_genome("global_pool")
+    with pytest.raises(TypeError):
+        g.nodes[1] = fc_node(100)
+    with pytest.raises(TypeError):
+        g.preds[1] = ()
+    with pytest.raises(TypeError):
+        infer_shapes(g)[1] = (1,)
+
+
+def test_genome_keeps_its_own_copies():
+    nodes = {0: Node(INPUT), 1: Node(GLOBALPOOL), 2: Node(HEAD, {"classes": 10})}
+    preds = {0: (), 1: (0,), 2: (1,)}
+    g = Genome((3, 32, 32), 10, nodes, preds)
+    order = topological_order(g)
+    nodes[3] = fc_node(100)
+    preds[2] = (3,)
+    assert 3 not in g.nodes and g.preds[2] == (1,)
+    assert topological_order(g) == order == (0, 1, 2)
+
+
+def test_shape_error_carries_shapes_before_fault():
+    g = skip_genome(32, 48, join=SKIP)
+    for _ in range(2):
+        with pytest.raises(ShapeError) as e:
+            infer_shapes(g)
+        assert e.value.node_id == 3
+        assert dict(e.value.shapes) == {0: (3, 32, 32), 1: (32, 32, 32), 2: (48, 32, 32)}
+
+
+def test_derived_data_computed_once_per_genome():
+    g = skip_genome()
+    assert topological_order(g) is topological_order(g)
+    assert infer_shapes(g) is infer_shapes(g)
+    assert canonical_node_sequence(g) is canonical_node_sequence(g)
+    # an equal but distinct genome derives its own, equal data
+    twin = g.replace()
+    assert twin == g and topological_order(twin) is not topological_order(g)
+    assert topological_order(twin) == topological_order(g)
+    assert parameter_count(twin) == parameter_count(g)
+
+
+def test_pickle_round_trip_leaves_memo_behind():
+    g = skip_genome()
+    order = topological_order(g)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy._memo == {}
+    assert topological_order(copy) == order
 
 
 # --------------------------------------------------------------- serialize

@@ -32,7 +32,6 @@ from evoarch.mutation import (
     apply_mutation,
     mutate_until_valid,
     repair,
-    repair_with_count,
     sample_mutation,
 )
 from helpers import random_genome
@@ -280,7 +279,7 @@ def join_mismatch(channels_a, channels_b):
 
 def test_repair_channel_mismatch_inserts_one_by_one_conv():
     g = join_mismatch(32, 48)
-    fixed, fixes = repair_with_count(g)
+    fixed, fixes = repair(g)
     validate(fixed)
     assert fixes == 1
     added = [n for i, n in fixed.nodes.items() if i not in g.nodes]
@@ -305,7 +304,7 @@ def test_repair_spatial_mismatch_bumps_pad():
     }
     preds = {0: (), 1: (0,), 2: (1,), 3: (0,), 4: (2, 3), 5: (4,), 6: (5,)}
     g = Genome((3, 32, 32), 10, nodes, preds)
-    fixed, fixes = repair_with_count(g)
+    fixed, fixes = repair(g)
     validate(fixed)
     assert fixes == 1
     assert len(fixed.nodes) == len(g.nodes)
@@ -315,10 +314,9 @@ def test_repair_spatial_mismatch_bumps_pad():
 
 def test_repair_valid_genome_is_fixed_point():
     g = fig_chain()
-    fixed, fixes = repair_with_count(g)
+    fixed, fixes = repair(g)
     assert fixes == 0
     assert fixed == g
-    assert repair(g) == g
 
 
 def test_repair_failure_when_unfixable():

@@ -20,7 +20,6 @@ from evoarch.genome import (
 )
 from evoarch.trainer import (
     DivergedTraining,
-    ModelState,
     TrainPlan,
     _conv_backward,
     _conv_forward,
@@ -28,11 +27,9 @@ from evoarch.trainer import (
     forward,
     gradient_check,
     init_model,
-    load_model,
     loss_and_grads,
     lr_at,
     relative_error,
-    save_model,
     sgd_step,
     softmax_cross_entropy,
     train,
@@ -435,21 +432,3 @@ def test_accuracy_zero_logits_predict_class_zero():
     x = np.zeros((6, 3, 32, 32), np.float32)
     labels = np.array([0, 0, 1, 2, 0, 3])
     assert accuracy(model, g, x, labels) == pytest.approx(3 / 6)
-
-
-# ------------------------------------------------------------ persistence
-
-def test_save_load_round_trip(tmp_path):
-    g = chain([conv_node(8), maxpool_node(), Node(GLOBALPOOL)], (3, 16, 16))
-    model = init_model(g, np.random.default_rng(26))
-    prefix = str(tmp_path / "model")
-    save_model(model, prefix)
-    loaded = load_model(prefix)
-    for group in ("params", "buffers", "velocity"):
-        a, b = getattr(model, group), getattr(loaded, group)
-        assert set(a) == set(b)
-        for i in a:
-            for name in a[i]:
-                assert np.array_equal(a[i][name], b[i][name])
-    x = np.random.default_rng(27).normal(size=(2, 3, 16, 16)).astype(np.float32)
-    assert np.array_equal(forward(model, g, x), forward(loaded, g, x))
