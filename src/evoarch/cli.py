@@ -94,8 +94,13 @@ def build_parser():
 
 
 def _trained_pieces(args):
+    if args.iters < 1:
+        raise ConfigError(f"--iters must be positive, got {args.iters}")
     data_dir = datamod.resolve_data_dir(None)
-    split = datamod.load_dataset(args.dataset, data_dir, subset_n=args.subset, seed=args.seed)
+    try:
+        split = datamod.load_dataset(args.dataset, data_dir, subset_n=args.subset, seed=args.seed)
+    except ValueError as err:  # too few records for a train/validation split
+        raise ConfigError(f"--subset {args.subset}: {err}") from err
     return split, TrainPlan.desk_scale(args.iters)
 
 

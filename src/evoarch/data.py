@@ -222,7 +222,8 @@ def load_dataset(name, data_dir, subset_n=None, seed=0, val_fraction=0.1):
         root = base if os.path.isdir(base) else data_dir
         train_x, train_y = load_cifar10([_find(root, f) for f in CIFAR_TRAIN_FILES])
         test_x, test_y = load_cifar10([_find(root, CIFAR_TEST_FILE)])
-        train_x = global_contrast_normalize(train_x)
+        # GCN is per image, so normalizing only the records kept changes no value
+        train_x = global_contrast_normalize(train_x[:subset_n])
         test_x = global_contrast_normalize(test_x)
         split = split_train_val(train_x, train_y, val_fraction, seed, subset_n)
         split.test_x, split.test_y = test_x, test_y

@@ -6,6 +6,9 @@ inverted scaling so evaluation is a no-op.  Gradients are reverse-mode
 through the DAG with multi-consumer outputs accumulating their
 consumers' gradients.  Float32 is the working dtype for search runs;
 float64 is used for finite-difference verification.
+Activations are NCHW; convolutions run one sample at a time so their
+buffers stay in cache and belong to one call (fitness worker threads train
+side by side), and batchnorm and ReLU work in place on the conv output.
 """
 
 from __future__ import annotations
@@ -26,11 +29,14 @@ from evoarch.genome import (
     INPUT,
     MAXPOOL,
     SKIP,
+    Genome,
+    Node,
     conv_node,
     dropout_node,
     fc_node,
     infer_shapes,
     maxpool_node,
+    new_seed_genome,
     topological_order,
 )
 
@@ -141,45 +147,58 @@ def init_model(genome, rng, dtype=np.float32):
 
 
 # ---------------------------------------------------------------------------
-# convolution kernels: one GEMM per filter tap over channel-major views
+# convolution kernels, one sample at a time: its f*f filter taps gathered
+# into a (c*f*f, oh*ow) matrix (0.9 MB at 32 channels, 3x3, 28x28), one GEMM
+# each for its output and its share of dW; dx is the stride-1 correlation
+# of the stride-dilated dz with the transposed, flipped filter
 
 
-def _tap(di, dj, stride, oh, ow):
-    """Index of the (di, dj) filter tap's input window in a (C, N, H, W) array."""
-    return np.s_[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
+def _taps(buf, f, stride):
+    """(c, f, f, oh, ow) window view of a (c, h, w) buffer, and an array to gather it into."""
+    win = sliding_window_view(buf, (f, f), axis=(1, 2))[:, ::stride, ::stride].transpose(0, 3, 4, 1, 2)
+    return win, np.empty(win.shape, buf.dtype)
 
 
-def _padded_channel_major(x, pad):
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))).transpose(1, 0, 2, 3)
+def _sample_taps(x, f, stride, pad):
+    """Each sample's (c*f*f, oh*ow) tap matrix in turn, gathered into one buffer."""
+    n, c, h, w = x.shape
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), x.dtype)
+    win, cols = _taps(xp, f, stride)
+    for s in range(n):
+        xp[:, pad : pad + h, pad : pad + w] = x[s]
+        cols[...] = win
+        yield cols.reshape(c * f * f, -1)
 
 
 def _conv_forward(x, W, b, stride, pad):
-    cout, cin, f, _ = W.shape
-    xp = _padded_channel_major(x, pad)
-    n, oh, ow = x.shape[0], (xp.shape[2] - f) // stride + 1, (xp.shape[3] - f) // stride + 1
-    out = np.zeros((cout, n * oh * ow), x.dtype)
-    for di in range(f):
-        for dj in range(f):
-            out += W[:, :, di, dj] @ xp[_tap(di, dj, stride, oh, ow)].reshape(cin, -1)
-    out += b[:, None]
-    return out.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3)
+    (n, _, h, w), (cout, _, f, _) = x.shape, W.shape
+    out = np.empty((n, cout, (h + 2 * pad - f) // stride + 1, (w + 2 * pad - f) // stride + 1), x.dtype)
+    for o, taps in zip(out.reshape(n, cout, -1), _sample_taps(x, f, stride, pad)):
+        np.matmul(W.reshape(cout, -1), taps, out=o)
+        o += b[:, None]
+    return out
 
 
-def _conv_backward(x, W, stride, pad, dz):
-    cout, cin, f, _ = W.shape
-    n, _, oh, ow = dz.shape
-    h, w = x.shape[2:]
-    xp = _padded_channel_major(x, pad)
-    dz_rows = dz.transpose(1, 0, 2, 3).reshape(cout, -1)
-    dW = np.empty_like(W)
-    dxp = np.zeros(xp.shape, x.dtype)
-    for di in range(f):
-        for dj in range(f):
-            tap = _tap(di, dj, stride, oh, ow)
-            dW[:, :, di, dj] = dz_rows @ xp[tap].reshape(cin, -1).T
-            dxp[tap] += (W[:, :, di, dj].T @ dz_rows).reshape(cin, n, oh, ow)
-    dx = dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
-    return dW, dz.sum(axis=(0, 2, 3)), dx
+def _conv_backward(x, W, stride, pad, dz, input_grad=True):
+    """(dW, db, dx); dx is None unless input_grad."""
+    (n, _, h, w), (cout, cin, f, _), (oh, ow) = x.shape, W.shape, dz.shape[2:]
+    dWt = np.zeros((cin * f * f, cout), x.dtype)
+    for dzs, taps in zip(dz.reshape(n, cout, -1), _sample_taps(x, f, stride, pad)):
+        dWt += taps @ dzs.T
+    dx = None
+    if input_grad:
+        # dz[s], stride-dilated, sits f-1 rows and columns into g; from row and column
+        # pad on, g is dz[s] padded by f-1-pad (cropped if negative), whose taps give dx[s]
+        g = np.zeros((cout, h + 2 * pad + f - 1, w + 2 * pad + f - 1), dz.dtype)
+        spots = g[:, f - 1 :: stride, f - 1 :: stride][:, :oh, :ow]
+        win, cols = _taps(g[:, pad : pad + h + f - 1, pad : pad + w + f - 1], f, 1)
+        Wflip = W.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(cin, -1)
+        dx = np.empty_like(x)
+        for dzs, dxs in zip(dz, dx.reshape(n, cin, -1)):
+            spots[...] = dzs
+            cols[...] = win
+            np.matmul(Wflip, cols.reshape(cout * f * f, -1), out=dxs)
+    return dWt.T.reshape(W.shape), dz.sum(axis=(0, 2, 3)), dx
 
 
 def _pool_forward(x, kernel, stride):
@@ -202,12 +221,6 @@ def _pool_backward(x, kernel, stride, am, dout):
     return dx
 
 
-def _bn_forward(z, gamma, beta, mean, var):
-    invstd = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (z - mean[:, None, None]) * invstd[:, None, None]
-    return gamma[:, None, None] * xhat + beta[:, None, None], xhat, invstd
-
-
 # ---------------------------------------------------------------------------
 # whole-graph forward and backward
 
@@ -225,17 +238,21 @@ def _forward_pass(model, genome, x, mode, dropout_rng):
             acts[i] = x
         elif node.kind == CONV:
             p = model.params[i]
+            # batchnorm and ReLU in place: z becomes xhat
             z = _conv_forward(ins[0], p["W"], p["b"], node.params["stride"], node.params["pad"])
             if mode == "train":
                 mu = z.mean(axis=(0, 2, 3))
-                var = z.var(axis=(0, 2, 3))
+                z -= mu[:, None, None]
+                var = np.einsum("nchw,nchw->c", z, z) / (z.size // len(mu))
                 batch_stats[i] = (mu, var)
             else:
                 mu, var = model.buffers[i]["mean"], model.buffers[i]["var"]
-            y, xhat, invstd = _bn_forward(z, p["gamma"], p["beta"], mu, var)
-            out = np.maximum(y, 0.0)
-            acts[i] = out
-            caches[i] = (ins[0], xhat, invstd, out)
+                z -= mu[:, None, None]
+            invstd = 1.0 / np.sqrt(var + BN_EPS)
+            z *= invstd[:, None, None]
+            out = z * p["gamma"][:, None, None]
+            acts[i] = np.maximum(np.add(out, p["beta"][:, None, None], out=out), 0.0, out=out)
+            caches[i] = (ins[0], z, invstd, out)
         elif node.kind == MAXPOOL:
             out, am = _pool_forward(ins[0], node.params["kernel"], node.params["stride"])
             acts[i] = out
@@ -269,16 +286,14 @@ def _forward_pass(model, genome, x, mode, dropout_rng):
 
 def forward(model, genome, x, mode="eval", dropout_seed=0):
     """Head logits for a batch; mode picks batchnorm/dropout behaviour."""
-    rng = np.random.default_rng(dropout_seed)
-    acts, _, _ = _forward_pass(model, genome, x, mode, rng)
+    acts, _, _ = _forward_pass(model, genome, x, mode, np.random.default_rng(dropout_seed))
     return acts[genome.head_id()]
 
 
 def softmax_cross_entropy(logits, labels):
     """Mean cross entropy and the logits gradient."""
     m = logits.max(axis=1, keepdims=True)
-    shifted = logits - m
-    lse = m[:, 0] + np.log(np.exp(shifted).sum(axis=1))
+    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
     n = logits.shape[0]
     loss = (lse - logits[np.arange(n), labels]).mean()
     probs = np.exp(logits - lse[:, None])
@@ -297,22 +312,25 @@ def _backward_pass(model, genome, caches, mode, dlogits):
             continue
         preds = genome.preds[i]
         if node.kind == CONV:
+            # dz = gamma*invstd*(dy - sum(dy)/m - xhat*sum(dy*xhat)/m), in place; uses up xhat
             x_in, xhat, invstd, out = caches[i]
             p = model.params[i]
-            dy = dout * (out > 0)
-            dgamma = (dy * xhat).sum(axis=(0, 2, 3))
-            dbeta = dy.sum(axis=(0, 2, 3))
-            dxhat = dy * p["gamma"][:, None, None]
+            dz = np.where(out > 0, dout, 0.0)
+            dbeta = dz.sum(axis=(0, 2, 3))
+            dgamma = np.einsum("nchw,nchw->c", dz, xhat)
             if mode == "train":
-                m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-                s1 = dxhat.sum(axis=(0, 2, 3))
-                s2 = (dxhat * xhat).sum(axis=(0, 2, 3))
-                dz = (invstd[:, None, None] / m) * (m * dxhat - s1[:, None, None] - xhat * s2[:, None, None])
-            else:
-                dz = dxhat * invstd[:, None, None]
-            dW, db, dx = _conv_backward(x_in, p["W"], node.params["stride"], node.params["pad"], dz)
+                m = dz.size // dz.shape[1]
+                xhat *= (dgamma / m)[:, None, None]
+                dz -= xhat
+                dz -= (dbeta / m)[:, None, None]
+            dz *= (p["gamma"] * invstd)[:, None, None]
+            from_input = genome.nodes[preds[0]].kind == INPUT
+            dW, db, dx = _conv_backward(
+                x_in, p["W"], node.params["stride"], node.params["pad"], dz, input_grad=not from_input
+            )
             grads[i] = {"W": dW, "b": db, "gamma": dgamma, "beta": dbeta}
-            _accumulate(douts, preds[0], dx)
+            if not from_input:
+                _accumulate(douts, preds[0], dx)
         elif node.kind == MAXPOOL:
             x_in, am = caches[i]
             dx = _pool_backward(x_in, node.params["kernel"], node.params["stride"], am, dout)
@@ -340,10 +358,7 @@ def _backward_pass(model, genome, caches, mode, dlogits):
 
 
 def _accumulate(douts, node_id, grad):
-    if node_id in douts:
-        douts[node_id] = douts[node_id] + grad
-    else:
-        douts[node_id] = grad
+    douts[node_id] = douts[node_id] + grad if node_id in douts else grad
 
 
 def _loss_grads_stats(model, genome, x, labels, mode, dropout_rng):
@@ -355,8 +370,7 @@ def _loss_grads_stats(model, genome, x, labels, mode, dropout_rng):
 
 def loss_and_grads(model, genome, x, labels, mode="train", dropout_seed=0):
     """Mean softmax cross entropy and gradients for every parameter."""
-    rng = np.random.default_rng(dropout_seed)
-    loss, grads, _ = _loss_grads_stats(model, genome, x, labels, mode, rng)
+    loss, grads, _ = _loss_grads_stats(model, genome, x, labels, mode, np.random.default_rng(dropout_seed))
     return loss, grads
 
 
@@ -366,9 +380,7 @@ def sgd_step(model, grads, lr, plan):
     for i, group in model.params.items():
         params[i], velocity[i] = {}, {}
         for name, w in group.items():
-            g = grads.get(i, {}).get(name)
-            if g is None:
-                g = np.zeros_like(w)
+            g = grads.get(i, {}).get(name, 0.0)
             if name not in ("gamma", "beta"):
                 g = g + plan.weight_decay * w
             v = plan.momentum * model.velocity[i][name] + g
@@ -404,12 +416,9 @@ def train(genome, split, plan, dtype=np.float32):
 
     Raises DivergedTraining as soon as the minibatch loss goes non-finite.
     """
-    root = np.random.SeedSequence(plan.seed)
-    init_seed, shuffle_seed, dropout_seed, aug_seed = root.spawn(4)
-    model = init_model(genome, np.random.default_rng(init_seed), dtype)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
-    dropout_rng = np.random.default_rng(dropout_seed)
-    aug_rng = np.random.default_rng(aug_seed)
+    seeds = np.random.SeedSequence(plan.seed).spawn(4)
+    init_rng, shuffle_rng, dropout_rng, aug_rng = map(np.random.default_rng, seeds)
+    model = init_model(genome, init_rng, dtype)
 
     n = len(split.train_x)
     bs = min(plan.batch_size, n)
@@ -464,9 +473,9 @@ def gradient_check(model, genome, x, labels, step=1e-4, mode="train", dropout_se
     """
     _, grads = loss_and_grads(model, genome, x, labels, mode, dropout_seed)
 
-    def loss_at():
-        l, _ = loss_and_grads(model, genome, x, labels, mode, dropout_seed)
-        return l
+    def loss_at(flat, pos, value):
+        flat[pos] = value
+        return loss_and_grads(model, genome, x, labels, mode, dropout_seed)[0]
 
     worst = 0.0
     for i in sorted(model.params):
@@ -479,14 +488,7 @@ def gradient_check(model, genome, x, labels, step=1e-4, mode="train", dropout_se
                 positions = sorted(sampler.choice(flat.size, size=max_per_tensor, replace=False))
             for pos in positions:
                 orig = flat[pos]
-                flat[pos] = orig + step
-                lp = loss_at()
-                flat[pos] = orig - step
-                lm = loss_at()
-                flat[pos] = orig + step / 2
-                lp_half = loss_at()
-                flat[pos] = orig - step / 2
-                lm_half = loss_at()
+                lp, lm, lp_half, lm_half = [loss_at(flat, pos, orig + d) for d in (step, -step, step / 2, -step / 2)]
                 flat[pos] = orig
                 fd = (lp - lm) / (2 * step)
                 fd_half = (lp_half - lm_half) / step
@@ -503,8 +505,7 @@ def gradient_check(model, genome, x, labels, step=1e-4, mode="train", dropout_se
 
 def smoothness_margin(model, genome, x, mode="train", dropout_seed=0):
     """Distance of the batch from the nearest ReLU kink or pooling tie."""
-    rng = np.random.default_rng(dropout_seed)
-    _, caches, _ = _forward_pass(model, genome, x, mode, rng)
+    _, caches, _ = _forward_pass(model, genome, x, mode, np.random.default_rng(dropout_seed))
     margin = np.inf
     for i, cache in caches.items():
         kind = genome.nodes[i].kind
@@ -530,8 +531,6 @@ def smoothness_margin(model, genome, x, mode="train", dropout_seed=0):
 
 def _chain_genome(middle, input_shape, num_classes):
     """input -> middle nodes in order -> head."""
-    from evoarch.genome import Genome, Node
-
     nodes = {0: Node(INPUT, {})}
     preds = {0: ()}
     for i, node in enumerate(middle, start=1):
@@ -545,8 +544,6 @@ def _chain_genome(middle, input_shape, num_classes):
 
 def _join_genome(kind, channels_b, input_shape, num_classes):
     """Two conv branches merged by a skip or concat node."""
-    from evoarch.genome import Genome, Node
-
     nodes = {
         0: Node(INPUT, {}),
         1: conv_node(3, 3, 1, 1),
@@ -560,8 +557,6 @@ def _join_genome(kind, channels_b, input_shape, num_classes):
 
 
 def _single_kind_cases(num_classes=4):
-    from evoarch.genome import Node, new_seed_genome
-
     shape = (2, 6, 6)
     gp = Node(GLOBALPOOL, {})
     return [
@@ -580,7 +575,6 @@ def _single_kind_cases(num_classes=4):
 
 def _composite_cases(count, seed, max_mutations=6):
     # imported here so the trainer stays usable without the search stack
-    from evoarch.genome import new_seed_genome
     from evoarch.mutation import ExhaustedRetries, MutationWeights, mutate_until_valid
 
     shape = (3, 8, 8)

@@ -141,6 +141,23 @@ def test_evaluation_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag,value", [("--iters", "-5"), ("--iters", "0"),
+                                        ("--subset", "0"), ("--subset", "1")])
+@pytest.mark.parametrize("command", ["eval-genome", "evolve", "compare-selection"])
+def test_bad_training_flags_exit_one(tmp_path, monkeypatch, capsys, command, flag, value):
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
+    argv = [command, "--fitness", "trained", "--dataset", "mnist", flag, value]
+    if command == "eval-genome":
+        argv.append(str(one_conv_genome_file(tmp_path)))
+    else:
+        argv += ["--generations", "1", "--out-dir", str(tmp_path / "out")]
+    code = cli.main(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------- export and evaluate
 
 def test_export_dot(tmp_path, capsys):

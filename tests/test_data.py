@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from evoarch import data
 from evoarch.data import (
     BadMagic,
     CountMismatch,
@@ -253,6 +254,26 @@ def test_load_dataset_cifar(tmp_path):
     assert split.augment == "pad_crop4"
     means = split.train_x.mean(axis=(1, 2, 3))
     assert np.abs(means).max() < 1e-5
+
+
+def test_load_dataset_cifar_subset_normalizes_kept_records(tmp_path, monkeypatch):
+    build_cifar_dir(tmp_path, per_batch=8, n_test=8)
+    raw_x, raw_y = load_cifar10(
+        [tmp_path / "cifar-10-batches-bin" / f"data_batch_{i}.bin" for i in range(1, 6)]
+    )
+    want = split_train_val(global_contrast_normalize(raw_x[:20]), raw_y[:20], 0.1, seed=3)
+    normalized = []
+
+    def spy(images):
+        normalized.append(len(images))
+        return global_contrast_normalize(images)
+
+    monkeypatch.setattr(data, "global_contrast_normalize", spy)
+    split = load_dataset("cifar10", str(tmp_path), subset_n=20, seed=3)
+    for name in ("train_x", "train_y", "val_x", "val_y"):
+        assert np.array_equal(getattr(split, name), getattr(want, name)), name
+    # the 20 records kept for the train/validation split, then the 8 test records
+    assert normalized == [20, 8]
 
 
 def test_load_dataset_missing_file(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -274,17 +276,20 @@ def direct_conv(x, W, b, stride, pad, dz):
 def test_conv_matches_direct_definition(f, stride, cin):
     rng = np.random.default_rng(f * 10 + stride * 3 + cin)
     pad = f // 2
-    x = rng.normal(size=(2, cin, 9, 7))
-    W = rng.normal(size=(4, cin, f, f))
-    b = rng.normal(size=4)
-    out = _conv_forward(x, W, b, stride, pad)
-    dz = rng.normal(size=out.shape)
-    want_out, *want_grads = direct_conv(x, W, b, stride, pad, dz)
-    assert out.shape == want_out.shape
-    np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
-    for got, want in zip(_conv_backward(x, W, stride, pad, dz), want_grads):
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    # on 8x8, side + 2 * pad - f is odd, so stride-2 windows stop one row
+    # and column short of the padded input's end
+    for side in ((9, 7), (8, 8)):
+        x = rng.normal(size=(2, cin, *side))
+        W = rng.normal(size=(4, cin, f, f))
+        b = rng.normal(size=4)
+        out = _conv_forward(x, W, b, stride, pad)
+        dz = rng.normal(size=out.shape)
+        want_out, *want_grads = direct_conv(x, W, b, stride, pad, dz)
+        assert out.shape == want_out.shape
+        np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+        for got, want in zip(_conv_backward(x, W, stride, pad, dz), want_grads):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 # --------------------------------------------------------------- gradients
@@ -402,6 +407,39 @@ def test_train_deterministic():
     for i in m1.params:
         for name in m1.params[i]:
             assert np.array_equal(m1.params[i][name], m2.params[i][name])
+
+
+def test_concurrent_training_matches_serial():
+    # fitness workers train in threads: no kernel may share a buffer
+    nodes = {0: Node(INPUT), 1: conv_node(4, 5, 1, 2), 2: conv_node(4, 3, 1, 1), 3: Node(SKIP),
+             4: conv_node(6, 3, 2, 1), 5: Node(GLOBALPOOL), 6: Node(HEAD, {"classes": 10})}
+    preds = {0: (), 1: (0,), 2: (1,), 3: (1, 2), 4: (3,), 5: (4,), 6: (5,)}
+    g = Genome((1, 8, 8), 10, nodes, preds)
+    split = synthetic_split(n_train=96, n_val=32)
+    plan = TrainPlan(max_iters=8, boundaries=(4, 6), batch_size=16, seed=7)
+    want, _ = train(g, split, plan)
+    models = [None] * 4
+
+    def work(k):
+        models[k] = train(g, split, plan)[0]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(models))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for model in models:
+        for store in ("params", "buffers"):
+            mine, ref = getattr(model, store), getattr(want, store)
+            for i in ref:
+                for name in ref[i]:
+                    assert mine[i][name].tobytes() == ref[i][name].tobytes(), (store, i, name)
 
 
 def test_train_learns_separable_data():
