@@ -96,6 +96,8 @@ def build_parser():
 def _trained_pieces(args):
     if args.iters < 1:
         raise ConfigError(f"--iters must be positive, got {args.iters}")
+    if args.subset is not None and args.subset < 1:
+        raise ConfigError(f"--subset must be positive, got {args.subset}")
     data_dir = datamod.resolve_data_dir(None)
     try:
         split = datamod.load_dataset(args.dataset, data_dir, subset_n=args.subset, seed=args.seed)

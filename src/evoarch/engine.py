@@ -19,7 +19,9 @@ import numpy as np
 from evoarch.fitness import SurrogateEvaluator, TrainedEvaluator, evaluate_batch
 from evoarch.genome import (
     Individual,
-    deserialize,
+    ParseError,
+    genome_doc,
+    genome_from_doc,
     hamming_distance,
     new_seed_genome,
     parameter_count,
@@ -377,23 +379,11 @@ def _write_run_outputs(result, config, logs, wall_total):
 
 
 def _individual_doc(ind):
-    return {
-        "id": ind.id,
-        "fitness": ind.fitness,
-        "born_generation": ind.born_generation,
-        "parent_id": ind.parent_id,
-        "genome": json.loads(serialize(ind.genome)),
-    }
+    return {**vars(ind), "genome": genome_doc(ind.genome)}
 
 
 def _individual_from_doc(doc):
-    return Individual(
-        id=doc["id"],
-        genome=deserialize(json.dumps(doc["genome"])),
-        fitness=doc["fitness"],
-        born_generation=doc["born_generation"],
-        parent_id=doc["parent_id"],
-    )
+    return Individual(**{**doc, "genome": genome_from_doc(doc["genome"])})
 
 
 def checkpoint_save(state, path):
@@ -415,9 +405,9 @@ def checkpoint_save(state, path):
             for s in state.stats
         ],
     }
+    # json.dump streams through the pure-Python encoder; dumps takes the C one
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def checkpoint_load(path):
@@ -426,26 +416,28 @@ def checkpoint_load(path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path}: top level must be a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint version {doc.get('version')} not supported")
-    cfg_doc = dict(doc["config"])
-    cfg_doc["input_shape"] = tuple(cfg_doc["input_shape"])
-    config = EvolutionConfig(**cfg_doc)
-    population = [_individual_from_doc(d) for d in doc["population"]]
-    rng = np.random.default_rng()
-    rng.bit_generator.state = doc["rng_state"]
-    stats = [
-        GenerationStats(
-            generation=s["generation"],
-            best_fitness=s["best_fitness"],
-            mean_fitness=s["mean_fitness"],
-            best_params=s["best_params"],
-            selected_ids=tuple(s["selected_ids"]),
-            best_individual=_individual_from_doc(s["best_individual"]),
-        )
-        for s in doc["stats"]
-    ]
-    return RunState(config, population, rng, stats, doc["next_generation"])
+        raise CheckpointError(f"checkpoint {path}: version {doc.get('version')} not supported")
+    try:
+        cfg_doc = dict(doc["config"])
+        cfg_doc["input_shape"] = tuple(cfg_doc["input_shape"])
+        config = EvolutionConfig(**cfg_doc)
+        population = [_individual_from_doc(d) for d in doc["population"]]
+        rng = np.random.default_rng()
+        rng.bit_generator.state = doc["rng_state"]
+        stats = [
+            GenerationStats(**{
+                **s,
+                "selected_ids": tuple(s["selected_ids"]),
+                "best_individual": _individual_from_doc(s["best_individual"]),
+            })
+            for s in doc["stats"]
+        ]
+        return RunState(config, population, rng, stats, doc["next_generation"])
+    except (KeyError, TypeError, ValueError, ParseError) as err:
+        raise CheckpointError(f"malformed checkpoint {path}: {err!r}") from err
 
 
 # ---------------------------------------------------------------------------

@@ -461,35 +461,40 @@ def is_valid(genome):
         return False
 
 
-def serialize(genome):
-    """UTF-8 JSON text; nodes sorted by id, edges lexicographic."""
-    edges = []
-    for dst in sorted(genome.preds):
-        for src in genome.preds[dst]:
-            edges.append([src, dst])
-    edges.sort()
-    doc = {
+def genome_doc(genome):
+    """JSON document of a genome: nodes by id (params copied), edges lexicographic."""
+    edges = sorted([src, dst] for dst, ps in genome.preds.items() for src in ps)
+    return {
         "input_shape": list(genome.input_shape),
         "num_classes": genome.num_classes,
         "nodes": [
-            {"id": i, "kind": genome.nodes[i].kind, "params": genome.nodes[i].params}
+            {"id": i, "kind": genome.nodes[i].kind, "params": dict(genome.nodes[i].params)}
             for i in sorted(genome.nodes)
         ],
         "edges": edges,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def serialize(genome):
+    """UTF-8 JSON text of genome_doc(genome)."""
+    return json.dumps(genome_doc(genome), sort_keys=True, indent=2) + "\n"
 
 
 def deserialize(text):
-    """Parse serialize() output back into a Genome.
-
-    Raises ParseError with a field diagnostic on malformed input; shape and
-    placement problems are left to validate().
-    """
+    """Parse serialize() output back into a Genome (see genome_from_doc)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e.msg} at line {e.lineno} column {e.colno}") from e
+    return genome_from_doc(doc)
+
+
+def genome_from_doc(doc):
+    """Build a Genome from a genome_doc() document.
+
+    Raises ParseError with a field diagnostic on malformed input; shape and
+    placement problems are left to validate().
+    """
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     for key in ("input_shape", "num_classes", "nodes", "edges"):

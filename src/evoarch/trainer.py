@@ -315,7 +315,7 @@ def _backward_pass(model, genome, caches, mode, dlogits):
             # dz = gamma*invstd*(dy - sum(dy)/m - xhat*sum(dy*xhat)/m), in place; uses up xhat
             x_in, xhat, invstd, out = caches[i]
             p = model.params[i]
-            dz = np.where(out > 0, dout, 0.0)
+            dz = dout * (out > 0)
             dbeta = dz.sum(axis=(0, 2, 3))
             dgamma = np.einsum("nchw,nchw->c", dz, xhat)
             if mode == "train":

@@ -142,7 +142,8 @@ def test_evaluation_failure_exits_one(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--iters", "-5"), ("--iters", "0"),
-                                        ("--subset", "0"), ("--subset", "1")])
+                                        ("--subset", "0"), ("--subset", "1"),
+                                        ("--subset", "-5")])
 @pytest.mark.parametrize("command", ["eval-genome", "evolve", "compare-selection"])
 def test_bad_training_flags_exit_one(tmp_path, monkeypatch, capsys, command, flag, value):
     monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))

@@ -203,6 +203,8 @@ SEED0_DIGESTS = {
     "best_genome.json": "b6334d6f03c9de97bb572c47290df463d567758a73aa7a7e6a3db2de76d62213",
     "selection.jsonl": "66db1edeab5ff01a7ce2946cdfb2e656edd7c1fcb4705a1233283fc71375884a",
     "mutation.jsonl": "4a2c060ff9ef066b81efc2e172b7cb7c8415c8c5f6b83cf54f61bb8473955598",
+    "checkpoint_gen5.json": "27bc73bf6dd7ef2708454c74ff5f6f98e95356b51951e6a1e8778711c940d19f",
+    "checkpoint_gen55.json": "9cda597ee7af08bb17304e301a764a90832578b28431c4c239d108755b7a41bc",
 }
 
 
@@ -259,6 +261,34 @@ def test_checkpoint_corrupt_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(CheckpointError):
         checkpoint_load(str(path))
+
+
+def _broken_checkpoint(tmp_path, edit):
+    config = surrogate_config(max_generations=2)
+    run(config, out_dir=str(tmp_path), checkpoint_every=1)
+    path = tmp_path / "checkpoint_gen1.json"
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(doc)))
+    return str(path)
+
+
+def _drop_config(doc):
+    del doc["config"]
+    return doc
+
+
+def _drop_genome_nodes(doc):
+    del doc["population"][0]["genome"]["nodes"]
+    return doc
+
+
+@pytest.mark.parametrize("edit", [_drop_config, _drop_genome_nodes, lambda doc: [doc]],
+                         ids=["missing-key", "genome-without-nodes", "top-level-list"])
+def test_checkpoint_malformed_raises_checkpoint_error(tmp_path, edit):
+    path = _broken_checkpoint(tmp_path, edit)
+    with pytest.raises(CheckpointError) as e:
+        checkpoint_load(path)
+    assert path in str(e.value)
 
 
 def test_resume_equals_straight_run(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 import re
@@ -23,6 +24,8 @@ from evoarch.genome import (
     deserialize,
     dropout_node,
     fc_node,
+    genome_doc,
+    genome_from_doc,
     hamming_distance,
     infer_shapes,
     is_valid,
@@ -349,6 +352,24 @@ def test_serialize_document_layout():
     assert ids == sorted(ids)
     assert doc["edges"] == sorted(doc["edges"])
     assert doc["input_shape"] == [3, 32, 32]
+
+
+# sha256 of the concatenated serialize() text of the genomes below, so the
+# genome file bytes cannot drift unnoticed
+SERIALIZE_DIGEST = "f3e51431b56f95ad3806aebf960c112b653465b4966169f8906ff63473ebcb67"
+
+
+def test_genome_doc_round_trip_and_serialize_bytes_pinned():
+    genomes = [new_seed_genome(k) for k in ("global_pool", "fully_connected")]
+    genomes += [random_genome(np.random.default_rng(s), steps=20) for s in range(6)]
+    for g in genomes:
+        assert genome_from_doc(genome_doc(g)) == g
+        doc = genome_doc(g)
+        for entry in doc["nodes"]:
+            entry["params"]["edited"] = 1
+        assert genome_from_doc(genome_doc(g)) == g
+    text = "".join(serialize(g) for g in genomes)
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZE_DIGEST
 
 
 def test_deserialize_not_json():
