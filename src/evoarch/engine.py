@@ -42,7 +42,11 @@ STRATEGIES = ("aggressive", "tournament", "sample_uniform", "sample_by_fitness")
 
 STATS_COLUMNS = ("generation", "best_fitness", "mean_fitness", "best_params")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# the GenerationStats fields a checkpoint keeps; wall_seconds stays out so
+# checkpoint bytes depend on the seed alone
+CHECKPOINT_STATS_FIELDS = ("generation", "best_fitness", "mean_fitness", "best_params", "selected_ids")
 
 
 class ConfigError(Exception):
@@ -101,7 +105,6 @@ class GenerationStats:
     best_params: int
     wall_seconds: float = 0.0
     selected_ids: tuple = ()
-    best_individual: Individual | None = None
 
 
 @dataclass
@@ -115,12 +118,18 @@ class EvolutionResult:
 
 @dataclass
 class RunState:
-    """Everything needed to continue a run: config, population, rng, history."""
+    """The live state of a run, and all that a checkpoint holds.
+
+    stats holds one row per generation from 0 to next_generation - 1;
+    best is the best-so-far individual, replaced only on a strict
+    fitness improvement.
+    """
 
     config: EvolutionConfig
     population: list
     rng: np.random.Generator
     stats: list
+    best: Individual
     next_generation: int
 
 
@@ -166,9 +175,8 @@ def step_generation(
 ):
     """One mutate/evaluate/select/refill cycle.
 
-    Returns (next population, GenerationStats).  The stats carry the
-    best-so-far individual, which only changes on a strict fitness
-    improvement.
+    Returns (next population, GenerationStats, best-so-far individual);
+    the best only changes on a strict fitness improvement.
     """
     start = time.perf_counter()
     weights = (
@@ -230,28 +238,19 @@ def step_generation(
             }
         )
 
-    stats = GenerationStats(
+    stats = _generation_stats(generation, best, union, selected, time.perf_counter() - start)
+    return new_population, stats, best
+
+
+def _generation_stats(generation, best, scored, selected=(), wall_seconds=0.0):
+    """One stats row: the best-so-far, the mean fitness of scored, the survivor ids."""
+    return GenerationStats(
         generation=generation,
         best_fitness=best.fitness,
-        mean_fitness=float(np.mean([ind.fitness for ind in union])),
+        mean_fitness=float(np.mean([ind.fitness for ind in scored])),
         best_params=parameter_count(best.genome),
-        wall_seconds=time.perf_counter() - start,
+        wall_seconds=wall_seconds,
         selected_ids=tuple(ind.id for ind in selected),
-        best_individual=best,
-    )
-    return new_population, stats
-
-
-def _initial_stats(population):
-    ranked = rank(population)
-    best = ranked[0]
-    return GenerationStats(
-        generation=0,
-        best_fitness=best.fitness,
-        mean_fitness=float(np.mean([ind.fitness for ind in population])),
-        best_params=parameter_count(best.genome),
-        selected_ids=(),
-        best_individual=best,
     )
 
 
@@ -262,13 +261,9 @@ def _saturated(stats, window, eps):
     window compares generation g against generation g - window, so the
     earliest possible stop is after window + 1 generations.
     """
-    if window is None:
+    if window is None or len(stats) < window + 2:
         return False
-    g = stats[-1].generation
-    if g < window + 1:
-        return False
-    by_gen = {s.generation: s for s in stats}
-    return by_gen[g].best_fitness - by_gen[g - window].best_fitness < eps
+    return stats[-1].best_fitness - stats[-1 - window].best_fitness < eps
 
 
 def run(config, out_dir=None, evaluator=None, resume_from=None, checkpoint_every=5):
@@ -288,41 +283,36 @@ def run(config, out_dir=None, evaluator=None, resume_from=None, checkpoint_every
         evaluator = make_evaluator(config)
     if state is None:
         population = init_population(config, evaluator, flog)
-        state = RunState(config, population, np.random.default_rng(config.seed), [_initial_stats(population)], 1)
-    population, rng, stats, start_gen = state.population, state.rng, state.stats, state.next_generation
-    best = stats[-1].best_individual
+        best = rank(population)[0]
+        stats = [_generation_stats(0, best, population)]
+        state = RunState(config, population, np.random.default_rng(config.seed), stats, best, 1)
 
     wall_start = time.perf_counter()
-    generations_run = start_gen - 1
-    for generation in range(start_gen, config.max_generations + 1):
-        population, st = step_generation(
-            population,
+    for generation in range(state.next_generation, config.max_generations + 1):
+        state.population, st, state.best = step_generation(
+            state.population,
             config,
-            rng,
+            state.rng,
             generation=generation,
             evaluator=evaluator,
-            best=best,
+            best=state.best,
             mutation_log=mlog,
             selection_log=slog,
             fitness_log=flog,
         )
-        best = st.best_individual
-        stats.append(st)
-        generations_run = generation
+        state.stats.append(st)
+        state.next_generation = generation + 1
         if out_dir and checkpoint_every and generation % checkpoint_every == 0:
             os.makedirs(out_dir, exist_ok=True)
-            checkpoint_save(
-                RunState(config, population, rng, stats, generation + 1),
-                os.path.join(out_dir, f"checkpoint_gen{generation}.json"),
-            )
-        if _saturated(stats, config.saturation_window, config.saturation_eps):
+            checkpoint_save(state, os.path.join(out_dir, f"checkpoint_gen{generation}.json"))
+        if _saturated(state.stats, config.saturation_window, config.saturation_eps):
             break
 
     result = EvolutionResult(
-        best=best,
-        stats=stats,
-        population=population,
-        generations=generations_run,
+        best=state.best,
+        stats=state.stats,
+        population=state.population,
+        generations=state.stats[-1].generation,
         out_dir=out_dir,
     )
     if out_dir:
@@ -393,17 +383,8 @@ def checkpoint_save(state, path):
         "next_generation": state.next_generation,
         "rng_state": state.rng.bit_generator.state,
         "population": [_individual_doc(ind) for ind in state.population],
-        "stats": [
-            {
-                "generation": s.generation,
-                "best_fitness": s.best_fitness,
-                "mean_fitness": s.mean_fitness,
-                "best_params": s.best_params,
-                "selected_ids": list(s.selected_ids),
-                "best_individual": _individual_doc(s.best_individual),
-            }
-            for s in state.stats
-        ],
+        "best": _individual_doc(state.best),
+        "stats": [{f: getattr(st, f) for f in CHECKPOINT_STATS_FIELDS} for st in state.stats],
     }
     # json.dump streams through the pure-Python encoder; dumps takes the C one
     with open(path, "w") as fh:
@@ -427,15 +408,10 @@ def checkpoint_load(path):
         population = [_individual_from_doc(d) for d in doc["population"]]
         rng = np.random.default_rng()
         rng.bit_generator.state = doc["rng_state"]
-        stats = [
-            GenerationStats(**{
-                **s,
-                "selected_ids": tuple(s["selected_ids"]),
-                "best_individual": _individual_from_doc(s["best_individual"]),
-            })
-            for s in doc["stats"]
-        ]
-        return RunState(config, population, rng, stats, doc["next_generation"])
+        stats = [GenerationStats(**{f: row[f] for f in CHECKPOINT_STATS_FIELDS}) for row in doc["stats"]]
+        for st in stats:
+            st.selected_ids = tuple(st.selected_ids)
+        return RunState(config, population, rng, stats, _individual_from_doc(doc["best"]), doc["next_generation"])
     except (KeyError, TypeError, ValueError, ParseError) as err:
         raise CheckpointError(f"malformed checkpoint {path}: {err!r}") from err
 

@@ -93,31 +93,26 @@ def evaluate_batch(individuals, evaluator, run_seed=0, workers=1, audit=None):
     its own derived seed.  Raises EvaluationError listing every failure.
     """
 
-    def score(ind):
+    def attempt(ind):
+        """(fitness, wall seconds), or the exception the evaluation raised."""
         start = time.perf_counter()
-        value = evaluator.evaluate(ind.genome, individual_seed(run_seed, ind.id))
-        wall = time.perf_counter() - start
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"fitness {value} outside [0, 1]")
-        return value, wall
+        try:
+            value = evaluator.evaluate(ind.genome, individual_seed(run_seed, ind.id))
+            wall = time.perf_counter() - start
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"fitness {value} outside [0, 1]")
+            return value, wall
+        except Exception as err:  # noqa: BLE001 aggregated below
+            return err
 
     todo = [ind for ind in individuals if ind.fitness is None]
-    results = {}
-    failures = []
     if workers > 1 and len(todo) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {ind.id: pool.submit(score, ind) for ind in todo}
-        for ind in todo:
-            try:
-                results[ind.id] = futures[ind.id].result()
-            except Exception as err:  # noqa: BLE001 aggregated below
-                failures.append((ind.id, err))
+            outcomes = list(pool.map(attempt, todo))
     else:
-        for ind in todo:
-            try:
-                results[ind.id] = score(ind)
-            except Exception as err:  # noqa: BLE001 aggregated below
-                failures.append((ind.id, err))
+        outcomes = list(map(attempt, todo))
+    results = {ind.id: outcome for ind, outcome in zip(todo, outcomes)}
+    failures = [(i, err) for i, err in results.items() if isinstance(err, Exception)]
     if failures:
         raise EvaluationError(failures)
 

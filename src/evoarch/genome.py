@@ -506,6 +506,9 @@ def genome_from_doc(doc):
         raise ParseError("input_shape must be three positive integers")
     if not isinstance(doc["num_classes"], int) or doc["num_classes"] < 2:
         raise ParseError("num_classes must be an integer of at least 2")
+    for key in ("nodes", "edges"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"{key} must be a list")
 
     nodes = {}
     for entry in doc["nodes"]:
@@ -517,7 +520,7 @@ def genome_from_doc(doc):
         if i in nodes:
             raise ParseError(f"duplicate node id {i}")
         kind = entry["kind"]
-        if kind not in KIND_LETTERS:
+        if not isinstance(kind, str) or kind not in KIND_LETTERS:
             raise ParseError(f"node {i}: unknown kind {kind!r}")
         params = entry["params"]
         if not isinstance(params, dict) or set(params) != set(PARAM_KEYS[kind]):
@@ -531,8 +534,8 @@ def genome_from_doc(doc):
 
     preds = {i: [] for i in nodes}
     for edge in doc["edges"]:
-        if not (isinstance(edge, list) and len(edge) == 2):
-            raise ParseError(f"edges must be [src, dst] pairs, got {edge!r}")
+        if not (isinstance(edge, list) and len(edge) == 2 and all(isinstance(e, int) for e in edge)):
+            raise ParseError(f"edges must be [src, dst] pairs of node ids, got {edge!r}")
         src, dst = edge
         if src not in nodes or dst not in nodes:
             raise ParseError(f"edge {edge} references an unknown node id")

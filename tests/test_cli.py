@@ -182,6 +182,11 @@ def test_eval_genome_malformed_file(tmp_path, capsys):
     assert cli.main(["eval-genome", str(path)]) == 2
     assert cli.main(["eval-genome", str(tmp_path / "missing.json")]) == 2
     assert cli.main(["export-dot", str(path)]) == 2
+    doc = json.loads(serialize(new_seed_genome("global_pool")))
+    doc["edges"] = 7
+    path.write_text(json.dumps(doc))
+    assert cli.main(["eval-genome", str(path)]) == 2
+    assert cli.main(["export-dot", str(path)]) == 2
 
 
 def test_eval_genome_invalid_structure(tmp_path):

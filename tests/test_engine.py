@@ -99,7 +99,7 @@ def test_step_children_below_parents_keeps_parents():
     ev = ShrinkEvaluator()
     pop = init_population(config, ev)
     parent_seqs = {canonical_node_sequence(ind.genome) for ind in pop}
-    new_pop, st = step_generation(pop, config, np.random.default_rng(0), evaluator=ev)
+    new_pop, st, _ = step_generation(pop, config, np.random.default_rng(0), evaluator=ev)
     # every survivor clone traces back to a parent genome
     assert {canonical_node_sequence(ind.genome) for ind in new_pop} <= parent_seqs
     assert st.best_fitness == 1.0 / 3.0
@@ -109,7 +109,7 @@ def test_step_k1_clones_single_best():
     config = surrogate_config(k=1)
     ev = SurrogateEvaluator()
     pop = init_population(config, ev)
-    new_pop, st = step_generation(pop, config, np.random.default_rng(1), evaluator=ev)
+    new_pop, st, _ = step_generation(pop, config, np.random.default_rng(1), evaluator=ev)
     assert len(new_pop) == 10
     assert len(st.selected_ids) == 1
     winner = st.selected_ids[0]
@@ -122,8 +122,8 @@ def test_step_deterministic():
     config = surrogate_config()
     ev = SurrogateEvaluator()
     pop = init_population(config, ev)
-    a_pop, a_st = step_generation(pop, config, np.random.default_rng(7), evaluator=ev)
-    b_pop, b_st = step_generation(pop, config, np.random.default_rng(7), evaluator=ev)
+    a_pop, a_st, _ = step_generation(pop, config, np.random.default_rng(7), evaluator=ev)
+    b_pop, b_st, _ = step_generation(pop, config, np.random.default_rng(7), evaluator=ev)
     assert [i.id for i in a_pop] == [i.id for i in b_pop]
     assert [i.fitness for i in a_pop] == [i.fitness for i in b_pop]
     assert a_st.best_fitness == b_st.best_fitness
@@ -136,7 +136,7 @@ def test_step_keeps_population_size():
     pop = init_population(config, ev)
     rng = np.random.default_rng(2)
     for generation in range(1, 6):
-        pop, _ = step_generation(pop, config, rng, generation=generation, evaluator=ev)
+        pop, _, _ = step_generation(pop, config, rng, generation=generation, evaluator=ev)
         assert len(pop) == 10
         assert all(ind.fitness is not None for ind in pop)
 
@@ -203,8 +203,8 @@ SEED0_DIGESTS = {
     "best_genome.json": "b6334d6f03c9de97bb572c47290df463d567758a73aa7a7e6a3db2de76d62213",
     "selection.jsonl": "66db1edeab5ff01a7ce2946cdfb2e656edd7c1fcb4705a1233283fc71375884a",
     "mutation.jsonl": "4a2c060ff9ef066b81efc2e172b7cb7c8415c8c5f6b83cf54f61bb8473955598",
-    "checkpoint_gen5.json": "27bc73bf6dd7ef2708454c74ff5f6f98e95356b51951e6a1e8778711c940d19f",
-    "checkpoint_gen55.json": "9cda597ee7af08bb17304e301a764a90832578b28431c4c239d108755b7a41bc",
+    "checkpoint_gen5.json": "398c9798ebc743ada675fa7793a73197027870607f9b24e21a03814904914148",
+    "checkpoint_gen55.json": "f28fa8bff3567e37c9f1a62333c89a981960ecb9a6e52f335b2f0de03a0383d7",
 }
 
 
@@ -234,10 +234,11 @@ def test_checkpoint_round_trip(tmp_path):
     pop = init_population(config, ev)
     rng = np.random.default_rng(3)
     stats = []
+    best = None
     for generation in range(1, 4):
-        pop, st = step_generation(pop, config, rng, generation=generation, evaluator=ev)
+        pop, st, best = step_generation(pop, config, rng, generation=generation, evaluator=ev, best=best)
         stats.append(st)
-    state = RunState(config, pop, rng, stats, next_generation=4)
+    state = RunState(config, pop, rng, stats, best, next_generation=4)
     path = tmp_path / "ck.json"
     checkpoint_save(state, str(path))
     loaded = checkpoint_load(str(path))
@@ -247,6 +248,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert [i.fitness for i in loaded.population] == [i.fitness for i in pop]
     assert [s.generation for s in loaded.stats] == [s.generation for s in stats]
     assert loaded.rng.bit_generator.state == rng.bit_generator.state
+    assert loaded.best == best
 
 
 def test_checkpoint_version_mismatch(tmp_path):
@@ -254,6 +256,22 @@ def test_checkpoint_version_mismatch(tmp_path):
     path.write_text(json.dumps({"version": 99}))
     with pytest.raises(CheckpointError, match="version"):
         checkpoint_load(str(path))
+
+
+def _genome_docs(node):
+    if isinstance(node, dict):
+        return ("nodes" in node) + sum(_genome_docs(v) for v in node.values())
+    if isinstance(node, list):
+        return sum(_genome_docs(v) for v in node)
+    return 0
+
+
+def test_checkpoint_size_does_not_grow_with_history(tmp_path):
+    config = EvolutionConfig(seed=0)
+    run(config, out_dir=str(tmp_path))
+    for name in ("checkpoint_gen5.json", "checkpoint_gen55.json"):
+        doc = json.loads((tmp_path / name).read_text())
+        assert _genome_docs(doc) == config.population_size + 1, name
 
 
 def test_checkpoint_corrupt_file(tmp_path):
@@ -282,8 +300,14 @@ def _drop_genome_nodes(doc):
     return doc
 
 
-@pytest.mark.parametrize("edit", [_drop_config, _drop_genome_nodes, lambda doc: [doc]],
-                         ids=["missing-key", "genome-without-nodes", "top-level-list"])
+def _drop_best(doc):
+    del doc["best"]
+    return doc
+
+
+@pytest.mark.parametrize("edit", [_drop_config, _drop_genome_nodes, lambda doc: [doc], _drop_best,
+                                  lambda doc: {**doc, "version": 1}],
+                         ids=["missing-key", "genome-without-nodes", "top-level-list", "missing-best", "version-1"])
 def test_checkpoint_malformed_raises_checkpoint_error(tmp_path, edit):
     path = _broken_checkpoint(tmp_path, edit)
     with pytest.raises(CheckpointError) as e:
@@ -300,6 +324,7 @@ def test_resume_equals_straight_run(tmp_path):
         resume_from=str(straight / "checkpoint_gen5.json"))
     assert (straight / "stats.csv").read_bytes() == (resumed / "stats.csv").read_bytes()
     assert (straight / "best_genome.json").read_bytes() == (resumed / "best_genome.json").read_bytes()
+    assert (straight / "checkpoint_gen10.json").read_bytes() == (resumed / "checkpoint_gen10.json").read_bytes()
 
 
 # -------------------------------------------------------------- comparison

@@ -220,7 +220,8 @@ def test_batch_audit_rows():
         assert 0.0 <= row["fitness"] <= 1.0
 
 
-def test_batch_aggregates_failures():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_aggregates_failures(workers):
     class Exploding:
         kind = "exploding"
 
@@ -230,5 +231,6 @@ def test_batch_aggregates_failures():
     rng = np.random.default_rng(6)
     pop = [make_individual(random_genome(rng), i, None) for i in range(2)]
     with pytest.raises(EvaluationError) as e:
-        evaluate_batch(pop, Exploding())
+        evaluate_batch(pop, Exploding(), workers=workers)
     assert len(e.value.failures) == 2
+    assert [i for i, _ in e.value.failures] == [0, 1]

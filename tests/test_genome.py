@@ -408,6 +408,16 @@ def test_deserialize_unknown_edge_target():
         deserialize(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field,value", [("nodes", 5), ("edges", 7), ("edges", [[0, [1]]])],
+                         ids=["nodes-not-list", "edges-not-list", "edge-endpoint-not-int"])
+def test_deserialize_wrong_container_types(field, value):
+    doc = json.loads(serialize(new_seed_genome("global_pool")))
+    doc[field] = value
+    with pytest.raises(ParseError) as e:
+        deserialize(json.dumps(doc))
+    assert field in str(e.value)
+
+
 # --------------------------------------------------------------------- dot
 
 def test_to_dot_seed_genome():
