@@ -229,6 +229,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # every command that takes --seed
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

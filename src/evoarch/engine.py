@@ -95,6 +95,8 @@ class EvolutionConfig:
             raise ConfigError("workers must be positive")
         if self.mutation_retries < 1:
             raise ConfigError("mutation retry budget must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 @dataclass
@@ -411,7 +413,10 @@ def checkpoint_load(path):
         stats = [GenerationStats(**{f: row[f] for f in CHECKPOINT_STATS_FIELDS}) for row in doc["stats"]]
         for st in stats:
             st.selected_ids = tuple(st.selected_ids)
-        return RunState(config, population, rng, stats, _individual_from_doc(doc["best"]), doc["next_generation"])
+        next_generation = doc["next_generation"]
+        if [st.generation for st in stats] != list(range(next_generation)):
+            raise CheckpointError(f"checkpoint {path}: stats must cover generations 0 to {next_generation - 1}")
+        return RunState(config, population, rng, stats, _individual_from_doc(doc["best"]), next_generation)
     except (KeyError, TypeError, ValueError, ParseError) as err:
         raise CheckpointError(f"malformed checkpoint {path}: {err!r}") from err
 

@@ -46,18 +46,20 @@ KIND_LETTERS = {
 # (globalpool sits at the boundary and is grouped with the tail for placement).
 TRUNK_KINDS = frozenset({INPUT, CONV, MAXPOOL, SKIP, CONCAT})
 TAIL_KINDS = frozenset({FC, DROPOUT, GLOBALPOOL, HEAD})
+# Layers whose every input must be spatial.
+SPATIAL_OPS = frozenset({CONV, MAXPOOL, SKIP, CONCAT, GLOBALPOOL})
 
 # Required hyperparameter keys per kind.
 PARAM_KEYS = {
-    INPUT: (),
-    CONV: ("channels", "filter", "stride", "pad"),
-    MAXPOOL: ("kernel", "stride"),
-    FC: ("units",),
-    DROPOUT: ("ratio",),
-    SKIP: (),
-    CONCAT: (),
-    GLOBALPOOL: (),
-    HEAD: ("classes",),
+    INPUT: frozenset(),
+    CONV: frozenset({"channels", "filter", "stride", "pad"}),
+    MAXPOOL: frozenset({"kernel", "stride"}),
+    FC: frozenset({"units"}),
+    DROPOUT: frozenset({"ratio"}),
+    SKIP: frozenset(),
+    CONCAT: frozenset(),
+    GLOBALPOOL: frozenset(),
+    HEAD: frozenset({"classes"}),
 }
 
 FILTER_MENU = (1, 3, 5)
@@ -187,7 +189,7 @@ def successors(genome):
     for dst, ps in genome.preds.items():
         for src in ps:
             succ[src].append(dst)
-    return MappingProxyType({i: tuple(sorted(s)) for i, s in succ.items()})
+    return MappingProxyType({i: tuple(sorted(s)) if len(s) > 1 else tuple(s) for i, s in succ.items()})
 
 
 @_derived
@@ -196,8 +198,9 @@ def topological_order(genome):
 
     Raises InvalidGenome if the graph has a cycle.
     """
+    # a duplicated predecessor contributes one dependency, not two; consumer
+    # tuples are sorted, so a duplicated consumer repeats the entry before it
     indeg = {i: len(set(genome.preds[i])) for i in genome.nodes}
-    # a duplicated predecessor contributes one dependency, not two
     ready = [i for i, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     succ = successors(genome)
@@ -205,10 +208,13 @@ def topological_order(genome):
     while ready:
         i = heapq.heappop(ready)
         order.append(i)
-        for j in dict.fromkeys(succ[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
+        last = None
+        for j in succ[i]:
+            if j != last:
+                last = j
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    heapq.heappush(ready, j)
     if len(order) != len(genome.nodes):
         raise InvalidGenome("graph has a cycle")
     return tuple(order)
@@ -231,65 +237,11 @@ def new_seed_genome(kind, input_shape=(3, 32, 32), num_classes=10):
     return Genome(input_shape, num_classes, nodes, preds)
 
 
-def _conv_side(side, filter, stride, pad):
-    return (side + 2 * pad - filter) // stride + 1
-
-
-def _pool_side(side, kernel, stride):
-    return (side - kernel) // stride + 1
-
-
 def _flatten(shape):
     n = 1
     for d in shape:
         n *= d
     return n
-
-
-def node_output_shape(genome, i, shapes):
-    """Shape of node i given its predecessors' shapes (see infer_shapes)."""
-    node = genome.nodes[i]
-    ins = [shapes[p] for p in genome.preds[i]]
-    if node.kind == INPUT:
-        return genome.input_shape
-    if node.kind == CONV:
-        (c, h, w) = _require_spatial(i, ins[0])
-        p = node.params
-        oh = _conv_side(h, p["filter"], p["stride"], p["pad"])
-        ow = _conv_side(w, p["filter"], p["stride"], p["pad"])
-        if oh < 1 or ow < 1:
-            raise ShapeError(i, f"conv output {oh}x{ow} not positive for input {h}x{w}")
-        return (p["channels"], oh, ow)
-    if node.kind == MAXPOOL:
-        (c, h, w) = _require_spatial(i, ins[0])
-        p = node.params
-        oh = _pool_side(h, p["kernel"], p["stride"])
-        ow = _pool_side(w, p["kernel"], p["stride"])
-        if oh < 1 or ow < 1:
-            raise ShapeError(i, f"pool output {oh}x{ow} not positive for input {h}x{w}")
-        return (c, oh, ow)
-    if node.kind == SKIP:
-        a, b = (_require_spatial(i, s) for s in ins)
-        if a[1:] != b[1:]:
-            raise ShapeError(i, f"skip spatial mismatch {a} vs {b}")
-        if a[0] != b[0]:
-            raise ShapeError(i, f"skip channel mismatch {a} vs {b}")
-        return a
-    if node.kind == CONCAT:
-        a, b = (_require_spatial(i, s) for s in ins)
-        if a[1:] != b[1:]:
-            raise ShapeError(i, f"concat spatial mismatch {a} vs {b}")
-        return (a[0] + b[0], a[1], a[2])
-    if node.kind == GLOBALPOOL:
-        (c, h, w) = _require_spatial(i, ins[0])
-        return (c, 1, 1)
-    if node.kind == FC:
-        return (node.params["units"],)
-    if node.kind == DROPOUT:
-        return ins[0]
-    if node.kind == HEAD:
-        return (node.params["classes"],)
-    raise ShapeError(i, f"unknown kind {node.kind!r}")
 
 
 @_derived
@@ -301,20 +253,53 @@ def infer_shapes(genome):
     spatial ops applied to flat vectors; the error carries the shapes
     computed before the fault.
     """
+    order = topological_order(genome)
+    nodes, preds = genome.nodes, genome.preds
     shapes = {}
-    for i in topological_order(genome):
-        try:
-            shapes[i] = node_output_shape(genome, i, shapes)
-        except ShapeError as err:
-            err.shapes = MappingProxyType(shapes)
-            raise
+    try:
+        for i in order:
+            kind, p = nodes[i].kind, nodes[i].params
+            ins = [shapes[q] for q in preds[i]]
+            if kind in SPATIAL_OPS:
+                for s in ins:
+                    if len(s) != 3:
+                        raise ShapeError(i, f"needs a spatial input, got {s}")
+                c, h, w = ins[0]
+            if kind == CONV:
+                f, st, pad = p["filter"], p["stride"], p["pad"]
+                oh, ow = (h + 2 * pad - f) // st + 1, (w + 2 * pad - f) // st + 1
+                if oh < 1 or ow < 1:
+                    raise ShapeError(i, f"conv output {oh}x{ow} not positive for input {h}x{w}")
+                shapes[i] = (p["channels"], oh, ow)
+            elif kind == MAXPOOL:
+                k, st = p["kernel"], p["stride"]
+                oh, ow = (h - k) // st + 1, (w - k) // st + 1
+                if oh < 1 or ow < 1:
+                    raise ShapeError(i, f"pool output {oh}x{ow} not positive for input {h}x{w}")
+                shapes[i] = (c, oh, ow)
+            elif kind == SKIP or kind == CONCAT:
+                a, b = ins
+                if a[1:] != b[1:]:
+                    raise ShapeError(i, f"{kind} spatial mismatch {a} vs {b}")
+                if kind == SKIP and a[0] != b[0]:
+                    raise ShapeError(i, f"skip channel mismatch {a} vs {b}")
+                shapes[i] = a if kind == SKIP else (a[0] + b[0], h, w)
+            elif kind == GLOBALPOOL:
+                shapes[i] = (c, 1, 1)
+            elif kind == FC:
+                shapes[i] = (p["units"],)
+            elif kind == DROPOUT:
+                shapes[i] = ins[0]
+            elif kind == HEAD:
+                shapes[i] = (p["classes"],)
+            elif kind == INPUT:
+                shapes[i] = genome.input_shape
+            else:
+                raise ShapeError(i, f"unknown kind {kind!r}")
+    except ShapeError as err:
+        err.shapes = MappingProxyType(shapes)
+        raise
     return MappingProxyType(shapes)
-
-
-def _require_spatial(node_id, shape):
-    if len(shape) != 3:
-        raise ShapeError(node_id, f"needs a spatial input, got {shape}")
-    return shape
 
 
 @_derived
@@ -359,8 +344,8 @@ def parameter_count(genome):
 def validate(genome):
     """Raise InvalidGenome unless the genome is structurally sound,
     shape-consistent and obeys the layer placement rules."""
-    nodes = genome.nodes
-    if set(nodes) != set(genome.preds):
+    nodes, preds = genome.nodes, genome.preds
+    if nodes.keys() != preds.keys():
         raise InvalidGenome("nodes and preds disagree on ids")
     inputs = [i for i, n in nodes.items() if n.kind == INPUT]
     heads = [i for i, n in nodes.items() if n.kind == HEAD]
@@ -371,12 +356,13 @@ def validate(genome):
     head = heads[0]
 
     for i, n in nodes.items():
-        if n.kind not in KIND_LETTERS:
-            raise InvalidGenome(f"node {i}: unknown kind {n.kind!r}")
-        want = 0 if n.kind == INPUT else 2 if n.kind in (SKIP, CONCAT) else 1
-        if len(genome.preds[i]) != want:
-            raise InvalidGenome(f"node {i} ({n.kind}) needs {want} predecessors")
-        for p in genome.preds[i]:
+        kind, ps = n.kind, preds[i]
+        if kind not in KIND_LETTERS:
+            raise InvalidGenome(f"node {i}: unknown kind {kind!r}")
+        want = 0 if kind == INPUT else 2 if kind == SKIP or kind == CONCAT else 1
+        if len(ps) != want:
+            raise InvalidGenome(f"node {i} ({kind}) needs {want} predecessors")
+        for p in ps:
             if p not in nodes:
                 raise InvalidGenome(f"node {i} references missing predecessor {p}")
         _check_params(i, n)
@@ -386,34 +372,34 @@ def validate(genome):
     succ = successors(genome)
     if succ[head]:
         raise InvalidGenome("head must be the unique sink")
-    for i in nodes:
-        if i != head and not succ[i]:
+    for i, s in succ.items():
+        if not s and i != head:
             raise InvalidGenome(f"node {i} has no path to the head")
 
     reach = {inputs[0]}
     for i in order:
-        if any(p in reach for p in genome.preds[i]):
-            reach.add(i)
-    missing = set(nodes) - reach
-    if missing:
-        raise InvalidGenome(f"nodes {sorted(missing)} unreachable from the input")
+        for p in preds[i]:
+            if p in reach:
+                reach.add(i)
+                break
+    if len(reach) != len(nodes):
+        raise InvalidGenome(f"nodes {sorted(set(nodes) - reach)} unreachable from the input")
 
     # placement: the flat tail (fc/dropout/globalpool/head) never feeds a
     # trunk node, the head sees a flat vector, dropout stays in the tail
     for i, n in nodes.items():
-        pred_kinds = [nodes[p].kind for p in genome.preds[i]]
-        if n.kind in (CONV, MAXPOOL, SKIP, CONCAT):
-            bad = [k for k in pred_kinds if k not in TRUNK_KINDS]
-            if bad:
-                raise InvalidGenome(f"node {i} ({n.kind}) fed by tail layer {bad[0]}")
-        elif n.kind == GLOBALPOOL:
-            if pred_kinds[0] not in TRUNK_KINDS:
-                raise InvalidGenome(f"node {i} (globalpool) fed by tail layer {pred_kinds[0]}")
-        elif n.kind == HEAD:
-            if pred_kinds[0] not in (FC, DROPOUT, GLOBALPOOL):
-                raise InvalidGenome(f"head fed by {pred_kinds[0]}, needs a flat layer")
-        elif n.kind == DROPOUT:
-            if pred_kinds[0] not in (FC, DROPOUT, GLOBALPOOL):
+        kind, ps = n.kind, preds[i]
+        if kind in (CONV, MAXPOOL, SKIP, CONCAT):
+            for p in ps:
+                if nodes[p].kind not in TRUNK_KINDS:
+                    raise InvalidGenome(f"node {i} ({kind}) fed by tail layer {nodes[p].kind}")
+        elif kind in (GLOBALPOOL, HEAD, DROPOUT):
+            fed_by = nodes[ps[0]].kind
+            if kind == GLOBALPOOL and fed_by not in TRUNK_KINDS:
+                raise InvalidGenome(f"node {i} (globalpool) fed by tail layer {fed_by}")
+            if kind == HEAD and fed_by not in (FC, DROPOUT, GLOBALPOOL):
+                raise InvalidGenome(f"head fed by {fed_by}, needs a flat layer")
+            if kind == DROPOUT and fed_by not in (FC, DROPOUT, GLOBALPOOL):
                 raise InvalidGenome(f"node {i} (dropout) outside the flat tail")
 
     try:
@@ -426,10 +412,9 @@ def validate(genome):
 
 
 def _check_params(i, node):
-    keys = PARAM_KEYS[node.kind]
-    if set(node.params) != set(keys):
-        raise InvalidGenome(f"node {i} ({node.kind}) params must be {sorted(keys)}")
     p = node.params
+    if p.keys() != PARAM_KEYS[node.kind]:
+        raise InvalidGenome(f"node {i} ({node.kind}) params must be {sorted(PARAM_KEYS[node.kind])}")
     if node.kind == CONV:
         if p["channels"] < 1:
             raise InvalidGenome(f"node {i}: conv channels must be positive")
@@ -523,7 +508,7 @@ def genome_from_doc(doc):
         if not isinstance(kind, str) or kind not in KIND_LETTERS:
             raise ParseError(f"node {i}: unknown kind {kind!r}")
         params = entry["params"]
-        if not isinstance(params, dict) or set(params) != set(PARAM_KEYS[kind]):
+        if not isinstance(params, dict) or set(params) != PARAM_KEYS[kind]:
             raise ParseError(f"node {i}: params for {kind} must be {sorted(PARAM_KEYS[kind])}")
         for k, v in params.items():
             if not isinstance(v, (int, float)) or isinstance(v, bool):

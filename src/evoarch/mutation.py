@@ -4,16 +4,20 @@ Fifteen operators: add/remove for convolution, pooling, dropout, skip,
 concatenate and fully connected layers, plus three hyperparameter
 alterations on convolutions.  Each operator picks its site uniformly
 from the legal candidates via the supplied rng and returns a new genome,
-or None when no legal site exists.  Shape inconsistencies introduced by
-an edit are repaired (padding bumps and 1x1 channel-matching convs)
-before the result is handed back.
+or None when no legal site exists.  The candidate sites (trunk edges,
+node ids by kind, ancestors, depths, join pairs) are derived data of the
+parent genome: they are computed once per parent and shared, read-only,
+by every attempt on it.  Shape inconsistencies introduced by an edit are
+repaired (padding bumps and 1x1 channel-matching convs) before the result
+is handed back.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
+from types import MappingProxyType
 
 from evoarch.genome import (
     CONCAT,
@@ -28,6 +32,7 @@ from evoarch.genome import (
     TRUNK_KINDS,
     Node,
     ShapeError,
+    _derived,
     conv_node,
     dropout_node,
     fc_node,
@@ -84,10 +89,25 @@ class ExhaustedRetries(Exception):
 
 @dataclass(frozen=True)
 class MutationWeights:
-    """Sampling weights per mutation kind plus the stage they encode."""
+    """Sampling weights per mutation kind plus the stage they encode.
+
+    The kinds (MUTATION_KINDS order first, then any others) and their
+    cumulative weights are tabulated once, at construction.
+    """
 
     weights: dict
     stage: str = "custom"
+    kinds: tuple = field(init=False, repr=False, compare=False)
+    cumulative: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kinds = [k for k in MUTATION_KINDS if k in self.weights]
+        kinds += [k for k in self.weights if k not in MUTATION_KINDS]
+        values = [self.weights[k] for k in kinds]
+        if not kinds or any(v <= 0 for v in values):
+            raise ValueError("weights must be a non-empty map of positive values")
+        object.__setattr__(self, "kinds", tuple(kinds))
+        object.__setattr__(self, "cumulative", tuple(accumulate(values)))
 
     @classmethod
     def early(cls):
@@ -97,19 +117,10 @@ class MutationWeights:
     def late(cls):
         return cls({k: 1.0 for k in MUTATION_KINDS}, "late")
 
-    def ordered(self):
-        kinds = [k for k in MUTATION_KINDS if k in self.weights]
-        kinds += [k for k in self.weights if k not in MUTATION_KINDS]
-        values = [self.weights[k] for k in kinds]
-        if not kinds or any(v <= 0 for v in values):
-            raise ValueError("weights must be a non-empty map of positive values")
-        return kinds, values
-
 
 def sample_mutation(rng, weights):
     """Draw one mutation kind with probability proportional to its weight."""
-    kinds, values = weights.ordered()
-    cum = list(accumulate(values))
+    kinds, cum = weights.kinds, weights.cumulative
     u = rng.random() * cum[-1]
     return kinds[min(bisect_right(cum, u), len(kinds) - 1)]
 
@@ -191,37 +202,50 @@ def _ensure_flat_head(genome):
     return genome
 
 
+@_derived
 def _ancestors(genome):
+    """Read-only map of node id -> frozenset of its ancestors."""
     anc = {}
     for i in topological_order(genome):
         a = set()
         for p in genome.preds[i]:
             a.add(p)
             a |= anc[p]
-        anc[i] = a
-    return anc
+        anc[i] = frozenset(a)
+    return MappingProxyType(anc)
 
 
+@_derived
 def _depths(genome):
-    """Longest path length from the input to each node."""
+    """Read-only map of the longest path length from the input to each node."""
     depth = {}
     for i in topological_order(genome):
         ps = genome.preds[i]
         depth[i] = 0 if not ps else 1 + max(depth[p] for p in ps)
-    return depth
+    return MappingProxyType(depth)
+
+
+@_derived
+def _ids_by_kind(genome):
+    """Read-only map of kind -> ascending tuple of the ids of that kind."""
+    ids = {}
+    for i in sorted(genome.nodes):
+        ids.setdefault(genome.nodes[i].kind, []).append(i)
+    return MappingProxyType({kind: tuple(v) for kind, v in ids.items()})
 
 
 def _nodes_of_kind(genome, kind):
-    return sorted(i for i, n in genome.nodes.items() if n.kind == kind)
+    return _ids_by_kind(genome).get(kind, ())
 
 
+@_derived
 def _trunk_edges(genome):
     edges = []
     for dst in sorted(genome.preds):
         for slot, src in enumerate(genome.preds[dst]):
             if genome.nodes[src].kind in TRUNK_KINDS:
                 edges.append((src, dst, slot))
-    return edges
+    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +323,20 @@ def _remove_pooling(genome, rng):
     return _ensure_flat_head(_splice_out(genome, _choose(rng, pools)))
 
 
-def _join_candidates(genome, channels_must_match):
+@_derived
+def _join_pairs(genome):
+    """Read-only map of join kind -> (top, bottom) trunk pairs it may join:
+    top an ancestor of bottom with equal spatial dims, and for a skip equal
+    channels too.  No pairs when the genome's shapes are inconsistent."""
     try:
         shapes = infer_shapes(genome)
     except ShapeError:
-        return []
+        return MappingProxyType({SKIP: (), CONCAT: ()})
     anc = _ancestors(genome)
-    trunk = [i for i in sorted(genome.nodes) if genome.nodes[i].kind in TRUNK_KINDS]
-    pairs = []
-    for b in trunk:
+    pairs = {SKIP: [], CONCAT: []}
+    for b in sorted(genome.nodes):
+        if genome.nodes[b].kind not in TRUNK_KINDS:
+            continue
         sb = shapes[b]
         for a in sorted(anc[b]):
             if genome.nodes[a].kind not in TRUNK_KINDS:
@@ -315,14 +344,14 @@ def _join_candidates(genome, channels_must_match):
             sa = shapes[a]
             if sa[1:] != sb[1:]:
                 continue
-            if channels_must_match and sa[0] != sb[0]:
-                continue
-            pairs.append((a, b))
-    return pairs
+            if sa[0] == sb[0]:
+                pairs[SKIP].append((a, b))
+            pairs[CONCAT].append((a, b))
+    return MappingProxyType({kind: tuple(v) for kind, v in pairs.items()})
 
 
 def _add_skip(genome, rng):
-    pairs = _join_candidates(genome, channels_must_match=True)
+    pairs = _join_pairs(genome)[SKIP]
     if not pairs:
         return None
     top, bottom = _choose(rng, pairs)
@@ -330,7 +359,7 @@ def _add_skip(genome, rng):
 
 
 def _add_concatenate(genome, rng):
-    pairs = _join_candidates(genome, channels_must_match=False)
+    pairs = _join_pairs(genome)[CONCAT]
     if not pairs:
         return None
     top, bottom = _choose(rng, pairs)

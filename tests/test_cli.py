@@ -159,6 +159,27 @@ def test_bad_training_flags_exit_one(tmp_path, monkeypatch, capsys, command, fla
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,fitness", [("grad-check", None), ("evolve", "surrogate"),
+                                             ("compare-selection", "surrogate"),
+                                             ("eval-genome", "surrogate"), ("eval-genome", "trained")])
+def test_negative_seed_exits_one(tmp_path, monkeypatch, capsys, command, fitness):
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
+    argv = [command, "--seed", "-1"]
+    if fitness:
+        argv += ["--fitness", fitness, "--iters", "1"]
+    if command == "eval-genome":
+        argv.append(str(one_conv_genome_file(tmp_path)))
+    elif command != "grad-check":
+        argv += ["--generations", "1", "--out-dir", str(tmp_path / "out")]
+    if command == "compare-selection":
+        argv += ["--seeds", "1"]
+    code = cli.main(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be non-negative, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------- export and evaluate
 
 def test_export_dot(tmp_path, capsys):

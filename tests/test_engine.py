@@ -9,6 +9,7 @@ from evoarch.engine import (
     CheckpointError,
     ConfigError,
     EvolutionConfig,
+    GenerationStats,
     RunState,
     checkpoint_load,
     checkpoint_save,
@@ -70,6 +71,11 @@ def test_config_rejects_unknown_strategy():
 def test_config_rejects_unknown_evaluator():
     with pytest.raises(ConfigError, match="evaluator"):
         EvolutionConfig(evaluator="psychic").check()
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        EvolutionConfig(seed=-1).check()
 
 
 def test_config_defaults_valid():
@@ -233,7 +239,8 @@ def test_checkpoint_round_trip(tmp_path):
     ev = SurrogateEvaluator()
     pop = init_population(config, ev)
     rng = np.random.default_rng(3)
-    stats = []
+    fitnesses = [ind.fitness for ind in pop]
+    stats = [GenerationStats(0, max(fitnesses), float(np.mean(fitnesses)), 0)]
     best = None
     for generation in range(1, 4):
         pop, st, best = step_generation(pop, config, rng, generation=generation, evaluator=ev, best=best)
@@ -306,8 +313,10 @@ def _drop_best(doc):
 
 
 @pytest.mark.parametrize("edit", [_drop_config, _drop_genome_nodes, lambda doc: [doc], _drop_best,
-                                  lambda doc: {**doc, "version": 1}],
-                         ids=["missing-key", "genome-without-nodes", "top-level-list", "missing-best", "version-1"])
+                                  lambda doc: {**doc, "version": 1},
+                                  lambda doc: {**doc, "stats": doc["stats"][1:]}],
+                         ids=["missing-key", "genome-without-nodes", "top-level-list", "missing-best", "version-1",
+                              "stats-gap"])
 def test_checkpoint_malformed_raises_checkpoint_error(tmp_path, edit):
     path = _broken_checkpoint(tmp_path, edit)
     with pytest.raises(CheckpointError) as e:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from evoarch.genome import (
+    CONCAT,
     CONV,
     FC,
     GLOBALPOOL,
@@ -276,6 +277,193 @@ def test_is_valid_on_random_mutants():
     rng = np.random.default_rng(3)
     for _ in range(100):
         assert is_valid(random_genome(rng))
+
+
+# ------------------------------------------- first fault, message for message
+
+def graph(spec, input_shape=(3, 32, 32), num_classes=10):
+    """Genome from (id, node, preds) rows; nodes keep the row order."""
+    return Genome(input_shape, num_classes,
+                  {i: nd for i, nd, _ in spec}, {i: ps for i, _, ps in spec})
+
+
+INPUT_ROW = (0, Node(INPUT), ())
+
+
+def head_row(i, p, classes=10):
+    return (i, Node(HEAD, {"classes": classes}), (p,))
+
+
+# each genome breaks two or more rules; validate names the first it checks
+FIRST_FAULTS = {
+    "ids-disagree+two-heads": (
+        Genome((3, 32, 32), 10,
+               {0: Node(INPUT), 1: Node(GLOBALPOOL), 2: Node(HEAD, {"classes": 10}),
+                3: Node(HEAD, {"classes": 10})},
+               {0: (), 1: (0,), 2: (1,)}),
+        "nodes and preds disagree on ids"),
+    "no-input+two-heads": (
+        graph([(0, Node(GLOBALPOOL), ()), head_row(1, 0), head_row(2, 0)]),
+        "expected exactly one input node, found 0"),
+    "unreachable-second-input+two-heads": (
+        graph([INPUT_ROW, (1, Node(GLOBALPOOL), (0,)), head_row(2, 1), (3, Node(INPUT), ()),
+               (4, Node(GLOBALPOOL), (3,)), head_row(5, 4)]),
+        "expected exactly one input node, found 2"),
+    "two-heads+unknown-kind": (
+        graph([INPUT_ROW, (1, Node("bogus"), (0,)), head_row(2, 1), head_row(3, 1)]),
+        "expected exactly one head node, found 2"),
+    "unknown-kind+pred-count": (
+        graph([INPUT_ROW, (1, Node("bogus"), (0,)), (2, conv_node(8), (0, 1)), head_row(3, 2)]),
+        "node 1: unknown kind 'bogus'"),
+    "pred-count-in-row-order+bad-params": (
+        graph([INPUT_ROW, (3, Node(SKIP), (1,)), (1, Node(CONV, {"channels": 8}), (0,)),
+               (2, Node(GLOBALPOOL), (3,)), head_row(4, 2)]),
+        "node 3 (skip) needs 2 predecessors"),
+    "input-with-pred+cycle": (
+        graph([(0, Node(INPUT), (1,)), (1, conv_node(8), (0,)), head_row(2, 1)]),
+        "node 0 (input) needs 0 predecessors"),
+    "missing-pred+bad-params": (
+        graph([INPUT_ROW, (1, conv_node(8), (9,)), (2, Node(GLOBALPOOL, {"x": 1}), (1,)), head_row(3, 2)]),
+        "node 1 references missing predecessor 9"),
+    "param-keys+cycle": (
+        graph([INPUT_ROW, (1, Node(CONV, {"channels": 8, "filter": 3, "stride": 1}), (0,)),
+               (2, conv_node(8), (3,)), (3, conv_node(8), (2,)), (4, Node(GLOBALPOOL), (1,)),
+               head_row(5, 4)]),
+        "node 1 (conv) params must be ['channels', 'filter', 'pad', 'stride']"),
+    "param-value+dropout-ratio": (
+        graph([INPUT_ROW, (1, conv_node(8, filter=4), (0,)), (2, Node(GLOBALPOOL), (1,)),
+               (3, fc_node(10), (2,)), (4, dropout_node(1.5), (3,)), head_row(5, 4)]),
+        "node 1: conv filter must be one of (1, 3, 5)"),
+    "head-classes-param+class-mismatch": (
+        graph([INPUT_ROW, (1, Node(GLOBALPOOL), (0,)), head_row(2, 1, classes=1)]),
+        "node 2: head needs at least two classes"),
+    "cycle+second-sink": (
+        graph([INPUT_ROW, (1, Node(SKIP), (0, 2)), (2, conv_node(8), (1,)), (3, conv_node(8), (2,)),
+               (4, Node(GLOBALPOOL), (2,)), head_row(5, 4)]),
+        "graph has a cycle"),
+    "cycle-unreachable-from-input+no-path-to-head": (
+        graph([INPUT_ROW, (1, Node(GLOBALPOOL), (0,)), head_row(2, 1), (3, conv_node(8), (4,)),
+               (4, conv_node(8), (3,))]),
+        "graph has a cycle"),
+    "head-not-sink+second-sink": (
+        graph([INPUT_ROW, (1, Node(GLOBALPOOL), (0,)), head_row(2, 1), (3, fc_node(10), (2,))]),
+        "head must be the unique sink"),
+    "second-sink+placement": (
+        graph([INPUT_ROW, (1, conv_node(8), (0,)), (2, Node(GLOBALPOOL), (1,)), head_row(3, 2),
+               (4, dropout_node(), (1,))]),
+        "node 4 has no path to the head"),
+    "tail-feeds-trunk+class-mismatch": (
+        graph([INPUT_ROW, (1, fc_node(10), (0,)), (2, conv_node(8), (1,)), (3, Node(GLOBALPOOL), (2,)),
+               head_row(4, 3, classes=5)]),
+        "node 2 (conv) fed by tail layer fc"),
+    "tail-feeds-join-second-slot+shape": (
+        graph([INPUT_ROW, (1, conv_node(8), (0,)), (2, Node(GLOBALPOOL), (1,)), (3, Node(SKIP), (1, 2)),
+               (4, maxpool_node(64, 64), (3,)), (5, Node(GLOBALPOOL), (4,)), head_row(6, 5)]),
+        "node 3 (skip) fed by tail layer globalpool"),
+    "globalpool-fed-by-tail+class-mismatch": (
+        graph([INPUT_ROW, (1, fc_node(10), (0,)), (2, Node(GLOBALPOOL), (1,)), head_row(3, 2, classes=3)]),
+        "node 2 (globalpool) fed by tail layer fc"),
+    "head-fed-by-conv+shape": (
+        graph([INPUT_ROW, (1, conv_node(8, 5, 1, 0), (0,)), head_row(2, 1)], input_shape=(3, 4, 4)),
+        "head fed by conv, needs a flat layer"),
+    "dropout-outside-tail+class-mismatch": (
+        graph([INPUT_ROW, (1, conv_node(8), (0,)), (2, dropout_node(), (1,)), (3, Node(GLOBALPOOL), (2,)),
+               head_row(4, 3, classes=7)]),
+        "node 2 (dropout) outside the flat tail"),
+    "shape+class-mismatch": (
+        graph([INPUT_ROW, (1, conv_node(32), (0,)), (2, conv_node(48), (1,)), (3, Node(SKIP), (1, 2)),
+               (4, Node(GLOBALPOOL), (3,)), head_row(5, 4, classes=3)]),
+        "node 3: skip channel mismatch (32, 32, 32) vs (48, 32, 32)"),
+    "collapse+class-mismatch": (
+        graph([INPUT_ROW, (1, conv_node(8, 5, 2, 0), (0,)), (2, Node(GLOBALPOOL), (1,)),
+               head_row(3, 2, classes=4)], input_shape=(3, 4, 4)),
+        "node 1: conv output 0x0 not positive for input 4x4"),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_FAULTS))
+def test_validate_names_first_fault(case):
+    g, message = FIRST_FAULTS[case]
+    with pytest.raises(InvalidGenome) as e:
+        validate(g)
+    assert str(e.value) == message
+
+
+# (node id, message, ids in err.shapes in order) for each shape fault
+SHAPE_FAULTS = {
+    "conv-collapse-non-square": (
+        graph([INPUT_ROW, (1, conv_node(8, 3, 1, 0), (0,)), (2, Node(GLOBALPOOL), (1,)), head_row(3, 2)],
+              input_shape=(3, 4, 2)),
+        1, "conv output 2x0 not positive for input 4x2", [0]),
+    "pool-collapse": (
+        graph([INPUT_ROW, (1, conv_node(8, 3, 2, 1), (0,)), (2, maxpool_node(3, 1), (1,)),
+               (3, Node(GLOBALPOOL), (2,)), head_row(4, 3)], input_shape=(3, 3, 5)),
+        2, "pool output 0x1 not positive for input 2x3", [0, 1]),
+    "skip-spatial": (
+        graph([INPUT_ROW, (1, conv_node(8), (0,)), (2, maxpool_node(), (1,)), (3, Node(SKIP), (1, 2)),
+               (4, Node(GLOBALPOOL), (3,)), head_row(5, 4)], input_shape=(3, 8, 6)),
+        3, "skip spatial mismatch (8, 8, 6) vs (8, 4, 3)", [0, 1, 2]),
+    "skip-spatial-and-channel": (
+        graph([INPUT_ROW, (1, conv_node(8), (0,)), (2, conv_node(16, 3, 2, 1), (1,)),
+               (3, Node(SKIP), (1, 2)), (4, Node(GLOBALPOOL), (3,)), head_row(5, 4)]),
+        3, "skip spatial mismatch (8, 32, 32) vs (16, 16, 16)", [0, 1, 2]),
+    "skip-channel": (
+        graph([INPUT_ROW, (1, conv_node(32), (0,)), (2, conv_node(48), (1,)), (3, Node(SKIP), (1, 2)),
+               (4, Node(GLOBALPOOL), (3,)), head_row(5, 4)]),
+        3, "skip channel mismatch (32, 32, 32) vs (48, 32, 32)", [0, 1, 2]),
+    "concat-spatial": (
+        graph([INPUT_ROW, (1, conv_node(8), (0,)), (2, conv_node(4, 3, 2, 1), (0,)),
+               (3, Node(CONCAT), (2, 1)), (4, Node(GLOBALPOOL), (3,)), head_row(5, 4)]),
+        3, "concat spatial mismatch (8, 32, 32) vs (4, 16, 16)", [0, 1, 2]),
+    "conv-on-flat": (
+        graph([INPUT_ROW, (1, fc_node(100), (0,)), (2, conv_node(8), (1,)), (3, Node(GLOBALPOOL), (2,)),
+               head_row(4, 3)]),
+        2, "needs a spatial input, got (100,)", [0, 1]),
+    "pool-on-flat": (
+        graph([INPUT_ROW, (1, Node(GLOBALPOOL), (0,)), (2, fc_node(50), (1,)), (3, dropout_node(), (2,)),
+               (4, maxpool_node(), (3,)), head_row(5, 4)]),
+        4, "needs a spatial input, got (50,)", [0, 1, 2, 3]),
+    "globalpool-on-flat": (
+        graph([INPUT_ROW, (1, fc_node(20), (0,)), (2, Node(GLOBALPOOL), (1,)), head_row(3, 2)]),
+        2, "needs a spatial input, got (20,)", [0, 1]),
+    "skip-second-input-flat": (
+        graph([INPUT_ROW, (1, conv_node(8), (0,)), (2, fc_node(30), (1,)), (3, Node(SKIP), (1, 2)),
+               (4, Node(GLOBALPOOL), (3,)), head_row(5, 4)]),
+        3, "needs a spatial input, got (30,)", [0, 1, 2]),
+    "concat-both-inputs-flat": (
+        graph([INPUT_ROW, (1, fc_node(30), (0,)), (2, fc_node(40), (1,)), (3, Node(CONCAT), (1, 2)),
+               head_row(4, 3)]),
+        3, "needs a spatial input, got (30,)", [0, 1, 2]),
+    "unknown-kind": (
+        graph([INPUT_ROW, (1, conv_node(8), (0,)), (2, Node("bogus"), (1,)), head_row(3, 2)]),
+        2, "unknown kind 'bogus'", [0, 1]),
+    "fault-in-topological-not-id-order": (
+        graph([INPUT_ROW, (1, conv_node(8, 5, 1, 0), (5,)), (2, Node(GLOBALPOOL), (1,)), head_row(3, 2),
+               (5, conv_node(4), (6,)), (6, maxpool_node(), (0,))], input_shape=(3, 6, 6)),
+        1, "conv output -1x-1 not positive for input 3x3", [0, 6, 5]),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_FAULTS))
+def test_infer_shapes_names_fault_and_keeps_prior_shapes(case):
+    g, node_id, message, computed = SHAPE_FAULTS[case]
+    with pytest.raises(ShapeError) as e:
+        infer_shapes(g)
+    assert e.value.node_id == node_id
+    assert str(e.value) == f"node {node_id}: {message}"
+    assert list(e.value.shapes) == computed
+
+
+def test_infer_shapes_every_rule_on_a_non_square_input():
+    g = graph([INPUT_ROW, (1, conv_node(8, 3, 2, 1), (0,)), (2, conv_node(8, 1, 1, 0), (1,)),
+               (3, Node(SKIP), (1, 2)), (4, maxpool_node(2, 1), (3,)), (5, conv_node(4, 5, 1, 2), (4,)),
+               (6, Node(CONCAT), (4, 5)), (7, Node(GLOBALPOOL), (6,)), (8, fc_node(50), (7,)),
+               (9, dropout_node(), (8,)), head_row(10, 9)], input_shape=(3, 9, 7))
+    assert list(infer_shapes(g).items()) == [
+        (0, (3, 9, 7)), (1, (8, 5, 4)), (2, (8, 5, 4)), (3, (8, 5, 4)), (4, (8, 4, 3)),
+        (5, (4, 4, 3)), (6, (12, 4, 3)), (7, (12, 1, 1)), (8, (50,)), (9, (50,)), (10, (10,)),
+    ]
+    validate(g)
 
 
 # ------------------------------------------------------------ derived data

@@ -1,9 +1,14 @@
+import hashlib
+import pickle
 from collections import Counter
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
+from evoarch import mutation
 from evoarch.genome import (
+    CONCAT,
     CONV,
     GLOBALPOOL,
     HEAD,
@@ -11,14 +16,17 @@ from evoarch.genome import (
     SKIP,
     Genome,
     Node,
+    _derived,
     canonical_node_sequence,
     conv_node,
+    dropout_node,
     fc_node,
     hamming_distance,
     infer_shapes,
     is_valid,
     maxpool_node,
     new_seed_genome,
+    serialize,
     validate,
 )
 from evoarch.mutation import (
@@ -103,6 +111,32 @@ def test_sampling_deterministic():
 def test_empty_weights_rejected():
     with pytest.raises(ValueError):
         sample_mutation(np.random.default_rng(0), MutationWeights({}))
+
+
+@pytest.mark.parametrize("weights", [{"add_skip": 1.0, "remove_skip": 0.0},
+                                     {"add_skip": -1.0}])
+def test_non_positive_weights_rejected(weights):
+    with pytest.raises(ValueError):
+        sample_mutation(np.random.default_rng(0), MutationWeights(weights))
+
+
+# kinds outside MUTATION_KINDS sort after it, in the weights' own order
+CUSTOM_WEIGHTS = {"split_node": 0.05, "remove_pooling": 0.7, "add_skip": 0.2, "add_convolution": 0.1}
+
+
+@pytest.mark.parametrize("stage,seed,digest", [
+    ("early", 0, "edc6ab95483c2082820b316fd506211028449507050fe14717b8f89e4bbea533"),
+    ("early", 7, "bc530e0bb6f701b93f82b04fa4245a50931e2cd0cd7ebf71ca2fcbeec668f981"),
+    ("late", 0, "f799d38482b797fd32f61b6bc65288b93b3e947fea4ec205a47f266afdab3cf9"),
+    ("late", 7, "a54347b93d47b9230116199e5789c5a5b385b9d29c61ee22af3759583a0b244b"),
+    ("custom", 0, "2b2c368ca8af241a43416a406f04dc34117aa6c3c3ffb6aa1e9b4cb5e2989b7c"),
+    ("custom", 7, "6536e3393213ff62a23a20d19a0e511ec405c0881355bcb8147136a0656ee295"),
+])
+def test_sample_mutation_draws_pinned(stage, seed, digest):
+    w = MutationWeights(CUSTOM_WEIGHTS) if stage == "custom" else getattr(MutationWeights, stage)()
+    rng = np.random.default_rng(seed)
+    draws = "\n".join(sample_mutation(rng, w) for _ in range(200))
+    assert hashlib.sha256(draws.encode()).hexdigest() == digest
 
 
 # ----------------------------------------------------------- add operators
@@ -384,6 +418,97 @@ def test_mutate_until_valid_attempt_audit():
     assert 1 <= len(attempts) <= 5
     for rec in attempts:
         assert set(rec) == {"kind", "accepted", "repair_fixes"}
+
+
+def test_apply_mutation_outputs_pinned():
+    # every kind on 40 random genomes: sites, repairs and rejections as bytes
+    rng = np.random.default_rng(11)
+    h = hashlib.sha256()
+    accepted = 0
+    for _ in range(40):
+        g = random_genome(rng, steps=8)
+        for kind in MUTATION_KINDS:
+            child = apply_mutation(g, kind, rng)
+            accepted += child is not None
+            h.update(b"None\n" if child is None else serialize(child).encode())
+    assert accepted == 363
+    assert h.hexdigest() == "178a2ebb01a51e94fbf98de590b2b1a72147656c3c372e869b54e308b3c29820"
+
+
+# --------------------------------------------------------- mutation sites
+
+SITE_HELPERS = ("_trunk_edges", "_ancestors", "_depths", "_ids_by_kind", "_join_pairs")
+
+
+def sites_parent():
+    """A parent with a site for every operator; the concat's two inputs
+    are not ancestors of each other, so removing it compares depths."""
+    nodes = {0: Node(INPUT), 1: conv_node(8), 2: conv_node(8), 3: Node(CONCAT), 4: conv_node(16),
+             5: Node(SKIP), 6: maxpool_node(), 7: Node(GLOBALPOOL), 8: fc_node(100),
+             9: dropout_node(), 10: Node(HEAD, {"classes": 10})}
+    preds = {0: (), 1: (0,), 2: (0,), 3: (1, 2), 4: (3,), 5: (3, 4), 6: (5,), 7: (6,),
+             8: (7,), 9: (8,), 10: (9,)}
+    return Genome((3, 16, 16), 10, nodes, preds)
+
+
+def test_sites_derived_once_per_parent(monkeypatch):
+    calls = Counter()
+    for name in SITE_HELPERS:
+        build = getattr(mutation, name).__wrapped__
+
+        def counted(genome, build=build, name=name):
+            calls[name] += 1
+            return build(genome)
+
+        counted.__name__ = name
+        monkeypatch.setattr(mutation, name, _derived(counted))
+    parent = sites_parent()
+    validate(parent)
+    for seed in (1, 2):  # two attempts of every kind on one parent
+        for kind in MUTATION_KINDS:
+            apply_mutation(parent, kind, np.random.default_rng(seed))
+    assert calls == {name: 1 for name in SITE_HELPERS}
+
+
+def _deeply_frozen(value):
+    if isinstance(value, (int, str)):
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return all(_deeply_frozen(v) for v in value)
+    if isinstance(value, MappingProxyType):
+        return all(_deeply_frozen(k) and _deeply_frozen(v) for k, v in value.items())
+    return False
+
+
+def test_sites_are_read_only():
+    g = sites_parent()
+    for name in SITE_HELPERS:
+        assert _deeply_frozen(getattr(mutation, name)(g)), name
+    with pytest.raises(TypeError):
+        mutation._ids_by_kind(g)[CONV] = ()
+    with pytest.raises(AttributeError):
+        mutation._ancestors(g)[4].add(9)
+
+
+def test_sites_match_a_memo_free_copy_and_the_old_sites():
+    g = sites_parent()
+    sites = {name: getattr(mutation, name)(g) for name in SITE_HELPERS}
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy._memo == {}
+    for name in SITE_HELPERS:
+        fresh = getattr(mutation, name)(copy)
+        assert fresh == sites[name] and fresh is not sites[name], name
+    # the sites the per-call scans found before they were memoized
+    assert sites["_trunk_edges"] == ((0, 1, 0), (0, 2, 0), (1, 3, 0), (2, 3, 1), (3, 4, 0),
+                                     (3, 5, 0), (4, 5, 1), (5, 6, 0), (6, 7, 0))
+    assert dict(sites["_ancestors"]) == {0: set(), 1: {0}, 2: {0}, **{i: set(range(i)) for i in range(3, 11)}}
+    assert dict(sites["_depths"]) == {0: 0, 1: 1, 2: 1, **{i: i - 1 for i in range(3, 11)}}
+    assert dict(sites["_ids_by_kind"]) == {"input": (0,), "conv": (1, 2, 4), "concat": (3,), "skip": (5,),
+                                           "maxpool": (6,), "globalpool": (7,), "fc": (8,),
+                                           "dropout": (9,), "head": (10,)}
+    assert sites["_join_pairs"][SKIP] == ((3, 4), (3, 5), (4, 5))
+    assert sites["_join_pairs"][CONCAT] == ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4),
+                                            (2, 4), (3, 4), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5))
 
 
 def test_mutate_until_valid_closure():
