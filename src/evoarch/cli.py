@@ -98,7 +98,7 @@ def _trained_pieces(args):
         raise ConfigError(f"--iters must be positive, got {args.iters}")
     if args.subset is not None and args.subset < 1:
         raise ConfigError(f"--subset must be positive, got {args.subset}")
-    data_dir = datamod.resolve_data_dir(None)
+    data_dir = datamod.resolve_data_dir()
     try:
         split = datamod.load_dataset(args.dataset, data_dir, subset_n=args.subset, seed=args.seed)
     except ValueError as err:  # too few records for a train/validation split
@@ -145,28 +145,31 @@ def _run_config(args):
 def cmd_evolve(args):
     config, evaluator = _run_config(args)
     out_dir = args.out_dir or f"runs/evolve-{args.fitness}-s{args.seed}"
-    result = engine.run(config, out_dir=out_dir, evaluator=evaluator)
-    print(f"generations {result.generations}")
-    print(f"best_fitness {result.best.fitness:.6f}")
+    state = engine.run(config, out_dir=out_dir, evaluator=evaluator)
+    print(f"generations {state.stats[-1].generation}")
+    print(f"best_fitness {state.best.fitness:.6f}")
     print(f"best_genome {os.path.join(out_dir, 'best_genome.json')}")
     return 0
 
 
 def cmd_compare(args):
-    if args.k_sweep and args.strategies:
+    if args.k_sweep is not None and args.strategies is not None:
         raise ConfigError("--k-sweep and --strategies are mutually exclusive")
     if args.seeds < 1:
         raise ConfigError("--seeds must be positive")
     config, evaluator = _run_config(args)
-    if args.k_sweep:
+    if args.k_sweep is not None:
         try:
             ks = [int(v) for v in args.k_sweep.split(",") if v]
         except ValueError as err:
             raise ConfigError(f"bad --k-sweep value: {err}") from err
         specs = engine.k_sweep_specs(ks, config)
     else:
-        names = [s.strip() for s in (args.strategies or DEFAULT_STRATEGIES).split(",") if s.strip()]
-        specs = engine.default_specs(names, config)
+        strategies = DEFAULT_STRATEGIES if args.strategies is None else args.strategies
+        specs = engine.default_specs([s.strip() for s in strategies.split(",") if s.strip()], config)
+    if not specs:
+        flag = "--strategies" if args.k_sweep is None else "--k-sweep"
+        raise ConfigError(f"{flag} names nothing to compare")
 
     result = engine.compare_strategies(config, specs, args.seeds, evaluator=evaluator)
     table = engine.comparison_csv_text(result)

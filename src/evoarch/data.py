@@ -2,7 +2,7 @@
 
 Parses the canonical MNIST IDX files and CIFAR-10 binary batches from
 local disk (no downloading here; fetch the files yourself and point
-EVOARCH_DATA_DIR or the CLI flags at them).  Preprocessing covers
+EVOARCH_DATA_DIR at them).  Preprocessing covers
 per-image global contrast normalization and the pad-then-random-crop
 augmentation used on CIFAR training batches.
 """
@@ -183,14 +183,12 @@ def split_train_val(images, labels, fraction=0.1, seed=0, subset_n=None):
     )
 
 
-def resolve_data_dir(explicit=None):
-    """CLI flag wins, then the EVOARCH_DATA_DIR environment variable."""
-    if explicit:
-        return explicit
+def resolve_data_dir():
+    """The dataset directory named by the EVOARCH_DATA_DIR environment variable."""
     env = os.environ.get(DATA_DIR_ENV)
     if env:
         return env
-    raise DataError(f"no data directory: pass one explicitly or set {DATA_DIR_ENV}")
+    raise DataError(f"no data directory: set {DATA_DIR_ENV}")
 
 
 def _find(data_dir, name):
@@ -200,11 +198,12 @@ def _find(data_dir, name):
     raise DataError(f"missing dataset file {name} (or {name}.gz) under {data_dir}")
 
 
-def load_dataset(name, data_dir, subset_n=None, seed=0, val_fraction=0.1):
+def load_dataset(name, data_dir, subset_n=None, seed=0):
     """Assemble a ready-to-train split for "mnist" or "cifar10".
 
     MNIST stays at plain [0, 1] scaling; CIFAR-10 gets per-image contrast
     normalization and pad-4 random-crop augmentation on the train side.
+    A tenth of the training records becomes the validation set.
     """
     if name == "mnist":
         train_x, train_y = load_mnist(
@@ -213,7 +212,7 @@ def load_dataset(name, data_dir, subset_n=None, seed=0, val_fraction=0.1):
         test_x, test_y = load_mnist(
             _find(data_dir, MNIST_FILES["test_images"]), _find(data_dir, MNIST_FILES["test_labels"])
         )
-        split = split_train_val(train_x, train_y, val_fraction, seed, subset_n)
+        split = split_train_val(train_x, train_y, seed=seed, subset_n=subset_n)
         split.test_x, split.test_y = test_x, test_y
         split.preprocessing = "scale"
         return split
@@ -225,7 +224,7 @@ def load_dataset(name, data_dir, subset_n=None, seed=0, val_fraction=0.1):
         # GCN is per image, so normalizing only the records kept changes no value
         train_x = global_contrast_normalize(train_x[:subset_n])
         test_x = global_contrast_normalize(test_x)
-        split = split_train_val(train_x, train_y, val_fraction, seed, subset_n)
+        split = split_train_val(train_x, train_y, seed=seed, subset_n=subset_n)
         split.test_x, split.test_y = test_x, test_y
         split.preprocessing = "gcn"
         split.augment = "pad_crop4"

@@ -5,6 +5,10 @@ are evaluated, parents and children are ranked together, the survivor
 strategy picks k of the twenty, and clones refill the population.  The
 run stops at the generation cap or once the best fitness has improved
 by less than epsilon over a trailing window.
+
+A RunState is the whole of a run, and what a checkpoint holds:
+initial_state builds generation 0, step_generation(state, evaluator)
+advances it by one generation in place, and run returns the final one.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ from evoarch.trainer import TrainPlan
 STRATEGIES = ("aggressive", "tournament", "sample_uniform", "sample_by_fitness")
 
 STATS_COLUMNS = ("generation", "best_fitness", "mean_fitness", "best_params")
+
+LOG_NAMES = ("mutation", "selection", "fitness")
+
+# a comparison's target: this share of the best final fitness it saw
+TAU_FRACTION = 0.9
 
 CHECKPOINT_VERSION = 2
 
@@ -110,15 +119,6 @@ class GenerationStats:
 
 
 @dataclass
-class EvolutionResult:
-    best: Individual
-    stats: list
-    population: list
-    generations: int
-    out_dir: str | None = None
-
-
-@dataclass
 class RunState:
     """The live state of a run, and all that a checkpoint holds.
 
@@ -143,14 +143,18 @@ def make_evaluator(config, split=None, plan=None):
     return TrainedEvaluator(split, plan or TrainPlan())
 
 
-def init_population(config, evaluator, fitness_log=None):
-    """Seed individuals alternating the two minimal genome forms, evaluated."""
+def initial_state(config, evaluator, fitness_log=None):
+    """Generation 0: seed individuals alternating the two minimal genome
+    forms, evaluated, with the rng seeded from config.seed."""
     population = []
     for i in range(config.population_size):
         kind = "global_pool" if i % 2 == 0 else "fully_connected"
         genome = new_seed_genome(kind, config.input_shape, config.num_classes)
         population.append(Individual(id=i, genome=genome, born_generation=0))
-    return evaluate_batch(population, evaluator, config.seed, config.workers, fitness_log)
+    population = evaluate_batch(population, evaluator, config.seed, config.workers, fitness_log)
+    best = rank(population)[0]
+    stats = [_generation_stats(0, best, population)]
+    return RunState(config, population, np.random.default_rng(config.seed), stats, best, 1)
 
 
 def _select(ranked, union, config, rng):
@@ -163,33 +167,24 @@ def _select(ranked, union, config, rng):
     return sample_by_fitness_select(union, rng, config.k)
 
 
-def step_generation(
-    population,
-    config,
-    rng,
-    generation=1,
-    *,
-    evaluator,
-    best=None,
-    mutation_log=None,
-    selection_log=None,
-    fitness_log=None,
-):
-    """One mutate/evaluate/select/refill cycle.
+def step_generation(state, evaluator, logs=None):
+    """Advance state by one mutate/evaluate/select/refill generation, in place.
 
-    Returns (next population, GenerationStats, best-so-far individual);
-    the best only changes on a strict fitness improvement.
+    Replaces the population, replaces best on a strict fitness
+    improvement, appends one stats row and increments next_generation.
+    logs, when given, maps each of LOG_NAMES to a list that receives
+    this generation's rows.
     """
     start = time.perf_counter()
-    weights = (
-        MutationWeights.early()
-        if generation <= config.early_stage_generations
-        else MutationWeights.late()
-    )
-    next_id = max(ind.id for ind in population) + 1
+    config, rng, generation = state.config, state.rng, state.next_generation
+    logs = logs or {}
+    mutation_log, selection_log = logs.get("mutation"), logs.get("selection")
+    early = generation <= config.early_stage_generations
+    weights = MutationWeights.early() if early else MutationWeights.late()
+    next_id = max(ind.id for ind in state.population) + 1
 
     children = []
-    for parent in population:
+    for parent in state.population:
         attempts = []
         try:
             child_genome = mutate_until_valid(
@@ -203,29 +198,22 @@ def step_generation(
         next_id += 1
         children.append(child)
         if mutation_log is not None:
-            for retries, a in enumerate(attempts):
-                mutation_log.append(
-                    {
-                        "generation": generation,
-                        "parent_id": parent.id,
-                        "kind": a["kind"],
-                        "accepted": a["accepted"],
-                        "retries": retries,
-                        "repair_fixes": a["repair_fixes"],
-                    }
-                )
+            # each attempt record carries kind, accepted and repair_fixes
+            mutation_log.extend(
+                {"generation": generation, "parent_id": parent.id, "retries": retries, **a}
+                for retries, a in enumerate(attempts)
+            )
 
-    children = evaluate_batch(children, evaluator, config.seed, config.workers, fitness_log)
-    union = list(population) + children
+    children = evaluate_batch(children, evaluator, config.seed, config.workers, logs.get("fitness"))
+    union = state.population + children
     ranked = rank(union)
     selected = _select(ranked, union, config, rng)
     order = {ind.id: pos for pos, ind in enumerate(ranked)}
     selected = sorted(selected, key=lambda ind: order[ind.id])
-    new_population = clone_refill(selected, config.population_size, next_id, generation)
+    state.population = clone_refill(selected, config.population_size, next_id, generation)
 
-    challenger = ranked[0]
-    if best is None or challenger.fitness > best.fitness:
-        best = challenger
+    if ranked[0].fitness > state.best.fitness:
+        state.best = ranked[0]
 
     if selection_log is not None:
         selection_log.append(
@@ -240,8 +228,9 @@ def step_generation(
             }
         )
 
-    stats = _generation_stats(generation, best, union, selected, time.perf_counter() - start)
-    return new_population, stats, best
+    wall = time.perf_counter() - start
+    state.stats.append(_generation_stats(generation, state.best, union, selected, wall))
+    state.next_generation = generation + 1
 
 
 def _generation_stats(generation, best, scored, selected=(), wall_seconds=0.0):
@@ -269,57 +258,35 @@ def _saturated(stats, window, eps):
 
 
 def run(config, out_dir=None, evaluator=None, resume_from=None, checkpoint_every=5):
-    """Full evolution run; optionally writes logs, stats and checkpoints.
+    """Full evolution run; returns the final RunState.
 
-    resume_from continues a checkpointed run and reproduces exactly what
-    the uninterrupted run would have produced.  checkpoint_every=None
-    disables checkpoint files.
+    With out_dir it writes logs, stats and a checkpoint every
+    checkpoint_every generations (None disables checkpoint files).
+    resume_from continues a checkpointed run, with the config stored in
+    the checkpoint, and reproduces exactly what the uninterrupted run
+    would have produced.
     """
     config.check()
-    logs = {"mutation": [], "selection": [], "fitness": []} if out_dir else None
-    mlog, slog, flog = (logs[k] if logs else None for k in ("mutation", "selection", "fitness"))
-
+    logs = {name: [] for name in LOG_NAMES} if out_dir else None
     state = checkpoint_load(resume_from) if resume_from is not None else None
     config = state.config if state else config
     if evaluator is None:
         evaluator = make_evaluator(config)
     if state is None:
-        population = init_population(config, evaluator, flog)
-        best = rank(population)[0]
-        stats = [_generation_stats(0, best, population)]
-        state = RunState(config, population, np.random.default_rng(config.seed), stats, best, 1)
+        state = initial_state(config, evaluator, logs["fitness"] if logs else None)
 
     wall_start = time.perf_counter()
     for generation in range(state.next_generation, config.max_generations + 1):
-        state.population, st, state.best = step_generation(
-            state.population,
-            config,
-            state.rng,
-            generation=generation,
-            evaluator=evaluator,
-            best=state.best,
-            mutation_log=mlog,
-            selection_log=slog,
-            fitness_log=flog,
-        )
-        state.stats.append(st)
-        state.next_generation = generation + 1
+        step_generation(state, evaluator, logs)
         if out_dir and checkpoint_every and generation % checkpoint_every == 0:
             os.makedirs(out_dir, exist_ok=True)
             checkpoint_save(state, os.path.join(out_dir, f"checkpoint_gen{generation}.json"))
         if _saturated(state.stats, config.saturation_window, config.saturation_eps):
             break
 
-    result = EvolutionResult(
-        best=state.best,
-        stats=state.stats,
-        population=state.population,
-        generations=state.stats[-1].generation,
-        out_dir=out_dir,
-    )
     if out_dir:
-        _write_run_outputs(result, config, logs, time.perf_counter() - wall_start)
-    return result
+        _write_run_outputs(state, out_dir, logs, time.perf_counter() - wall_start)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -339,28 +306,27 @@ def stats_csv_text(stats):
     return "\n".join(lines) + "\n"
 
 
-def _write_run_outputs(result, config, logs, wall_total):
-    out_dir = result.out_dir
+def _write_run_outputs(state, out_dir, logs, wall_total):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(_config_doc(config), fh, indent=2, sort_keys=True)
+        json.dump(_config_doc(state.config), fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(out_dir, "stats.csv"), "w") as fh:
-        fh.write(stats_csv_text(result.stats))
+        fh.write(stats_csv_text(state.stats))
     with open(os.path.join(out_dir, "best_genome.json"), "w") as fh:
-        fh.write(serialize(result.best.genome))
+        fh.write(serialize(state.best.genome))
     meta = {
         "finished_unix": time.time(),
         "wall_seconds_total": wall_total,
-        "per_generation_wall": [round(s.wall_seconds, 6) for s in result.stats],
-        "generations": result.generations,
-        "best_fitness": result.best.fitness,
-        "best_individual_id": result.best.id,
+        "per_generation_wall": [round(s.wall_seconds, 6) for s in state.stats],
+        "generations": state.stats[-1].generation,
+        "best_fitness": state.best.fitness,
+        "best_individual_id": state.best.id,
     }
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for name in ("mutation", "selection", "fitness"):
+    for name in LOG_NAMES:
         with open(os.path.join(out_dir, f"{name}.jsonl"), "w") as fh:
             for row in logs[name]:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
@@ -407,6 +373,7 @@ def checkpoint_load(path):
         cfg_doc = dict(doc["config"])
         cfg_doc["input_shape"] = tuple(cfg_doc["input_shape"])
         config = EvolutionConfig(**cfg_doc)
+        config.check()
         population = [_individual_from_doc(d) for d in doc["population"]]
         rng = np.random.default_rng()
         rng.bit_generator.state = doc["rng_state"]
@@ -417,6 +384,8 @@ def checkpoint_load(path):
         if [st.generation for st in stats] != list(range(next_generation)):
             raise CheckpointError(f"checkpoint {path}: stats must cover generations 0 to {next_generation - 1}")
         return RunState(config, population, rng, stats, _individual_from_doc(doc["best"]), next_generation)
+    except ConfigError as err:
+        raise CheckpointError(f"checkpoint {path}: {err}") from err
     except (KeyError, TypeError, ValueError, ParseError) as err:
         raise CheckpointError(f"malformed checkpoint {path}: {err!r}") from err
 
@@ -460,10 +429,10 @@ class ComparisonResult:
     generations_to_tau: dict
 
 
-def compare_strategies(config, specs, n_seeds, tau_fraction=0.9, evaluator=None):
+def compare_strategies(config, specs, n_seeds, evaluator=None):
     """Race selection settings over shared seeds on fixed-length runs.
 
-    tau is tau_fraction times the best final fitness seen anywhere in the
+    tau is TAU_FRACTION times the best final fitness seen anywhere in the
     comparison; each run contributes the first generation whose best
     reaches tau (censored at max_generations + 1 when it never does).
     """
@@ -478,11 +447,10 @@ def compare_strategies(config, specs, n_seeds, tau_fraction=0.9, evaluator=None)
                 seed=config.seed + s,
                 saturation_window=None,
             )
-            cfg.check()
             result = run(cfg, evaluator=evaluator)
             series[(spec.label, s)] = [st.best_fitness for st in result.stats]
 
-    tau = tau_fraction * max(curve[-1] for curve in series.values())
+    tau = TAU_FRACTION * max(curve[-1] for curve in series.values())
     censor = config.max_generations + 1
     gens_to_tau = {}
     for key, curve in series.items():
@@ -514,21 +482,7 @@ def compare_strategies(config, specs, n_seeds, tau_fraction=0.9, evaluator=None)
 
 
 def comparison_csv_text(result):
-    cols = (
-        "label",
-        "strategy",
-        "k",
-        "distance_threshold",
-        "seeds",
-        "tau",
-        "median_generations",
-        "q1_generations",
-        "q3_generations",
-        "reached",
-    )
-    lines = [",".join(cols)]
-    for row in result.rows:
-        lines.append(",".join(str(row[c]) for c in cols))
+    lines = [",".join(result.rows[0])] + [",".join(map(str, row.values())) for row in result.rows]
     return "\n".join(lines) + "\n"
 
 

@@ -367,7 +367,9 @@ def validate(genome):
                 raise InvalidGenome(f"node {i} references missing predecessor {p}")
         _check_params(i, n)
 
-    order = topological_order(genome)  # raises on cycles
+    # raises on cycles; with one input, the only node without
+    # predecessors, every node is then reachable from it
+    topological_order(genome)
 
     succ = successors(genome)
     if succ[head]:
@@ -375,15 +377,6 @@ def validate(genome):
     for i, s in succ.items():
         if not s and i != head:
             raise InvalidGenome(f"node {i} has no path to the head")
-
-    reach = {inputs[0]}
-    for i in order:
-        for p in preds[i]:
-            if p in reach:
-                reach.add(i)
-                break
-    if len(reach) != len(nodes):
-        raise InvalidGenome(f"nodes {sorted(set(nodes) - reach)} unreachable from the input")
 
     # placement: the flat tail (fc/dropout/globalpool/head) never feeds a
     # trunk node, the head sees a flat vector, dropout stays in the tail

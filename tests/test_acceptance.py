@@ -307,7 +307,7 @@ def test_criterion_10_model_size_tracking():
     result = run(config)
     sizes = [s.best_params for s in result.stats]
     grew = sizes[-1] >= sizes[0]
-    stopped_early = result.generations < config.max_generations
+    stopped_early = result.stats[-1].generation < config.max_generations
     w = config.saturation_window
     flat_tail = stopped_early and sizes[-1] - sizes[-1 - w] == 0
     elapsed = time.perf_counter() - start

@@ -115,6 +115,16 @@ def test_compare_rejects_zero_seeds(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["--k-sweep", "--strategies"])
+@pytest.mark.parametrize("value", [",", ""], ids=["commas", "empty"])
+def test_compare_empty_list_exits_one(tmp_path, capsys, flag, value):
+    code = cli.main(["compare-selection", flag, value, "--seeds", "1", "--generations", "3",
+                     "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
 def test_compare_trained_mnist(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
     out = tmp_path / "cmp"

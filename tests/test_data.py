@@ -288,8 +288,7 @@ def test_load_dataset_unknown_name(tmp_path):
 
 def test_resolve_data_dir(tmp_path, monkeypatch):
     monkeypatch.delenv("EVOARCH_DATA_DIR", raising=False)
-    assert resolve_data_dir(str(tmp_path)) == str(tmp_path)
     with pytest.raises(DataError):
-        resolve_data_dir(None)
+        resolve_data_dir()
     monkeypatch.setenv("EVOARCH_DATA_DIR", str(tmp_path))
-    assert resolve_data_dir(None) == str(tmp_path)
+    assert resolve_data_dir() == str(tmp_path)

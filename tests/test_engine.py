@@ -2,22 +2,20 @@ import hashlib
 import json
 import os
 
-import numpy as np
 import pytest
 
 from evoarch.engine import (
+    STRATEGIES,
     CheckpointError,
     ConfigError,
     EvolutionConfig,
-    GenerationStats,
-    RunState,
     checkpoint_load,
     checkpoint_save,
     compare_strategies,
     comparison_csv_text,
     curves_csv_text,
     default_specs,
-    init_population,
+    initial_state,
     k_sweep_specs,
     make_evaluator,
     run,
@@ -89,8 +87,9 @@ def test_make_evaluator_trained_needs_split():
 
 # -------------------------------------------------------------- population
 
-def test_init_population_alternates_seeds():
-    pop = init_population(EvolutionConfig(), SurrogateEvaluator())
+def test_initial_state_alternates_seeds():
+    state = initial_state(EvolutionConfig(), SurrogateEvaluator())
+    pop = state.population
     assert [ind.id for ind in pop] == list(range(10))
     seqs = [canonical_node_sequence(ind.genome) for ind in pop]
     assert seqs == ["IGH", "IFH"] * 5
@@ -101,21 +100,22 @@ def test_init_population_alternates_seeds():
 # ------------------------------------------------------------------- steps
 
 def test_step_children_below_parents_keeps_parents():
-    config = surrogate_config()
+    config = surrogate_config(seed=0)
     ev = ShrinkEvaluator()
-    pop = init_population(config, ev)
-    parent_seqs = {canonical_node_sequence(ind.genome) for ind in pop}
-    new_pop, st, _ = step_generation(pop, config, np.random.default_rng(0), evaluator=ev)
+    state = initial_state(config, ev)
+    parent_seqs = {canonical_node_sequence(ind.genome) for ind in state.population}
+    step_generation(state, ev)
     # every survivor clone traces back to a parent genome
-    assert {canonical_node_sequence(ind.genome) for ind in new_pop} <= parent_seqs
-    assert st.best_fitness == 1.0 / 3.0
+    assert {canonical_node_sequence(ind.genome) for ind in state.population} <= parent_seqs
+    assert state.stats[-1].best_fitness == 1.0 / 3.0
 
 
 def test_step_k1_clones_single_best():
-    config = surrogate_config(k=1)
+    config = surrogate_config(k=1, seed=1)
     ev = SurrogateEvaluator()
-    pop = init_population(config, ev)
-    new_pop, st, _ = step_generation(pop, config, np.random.default_rng(1), evaluator=ev)
+    state = initial_state(config, ev)
+    step_generation(state, ev)
+    new_pop, st = state.population, state.stats[-1]
     assert len(new_pop) == 10
     assert len(st.selected_ids) == 1
     winner = st.selected_ids[0]
@@ -125,11 +125,12 @@ def test_step_k1_clones_single_best():
 
 
 def test_step_deterministic():
-    config = surrogate_config()
+    config = surrogate_config(seed=7)
     ev = SurrogateEvaluator()
-    pop = init_population(config, ev)
-    a_pop, a_st, _ = step_generation(pop, config, np.random.default_rng(7), evaluator=ev)
-    b_pop, b_st, _ = step_generation(pop, config, np.random.default_rng(7), evaluator=ev)
+    a, b = initial_state(config, ev), initial_state(config, ev)
+    step_generation(a, ev)
+    step_generation(b, ev)
+    a_pop, a_st, b_pop, b_st = a.population, a.stats[-1], b.population, b.stats[-1]
     assert [i.id for i in a_pop] == [i.id for i in b_pop]
     assert [i.fitness for i in a_pop] == [i.fitness for i in b_pop]
     assert a_st.best_fitness == b_st.best_fitness
@@ -137,14 +138,15 @@ def test_step_deterministic():
 
 
 def test_step_keeps_population_size():
-    config = surrogate_config(k=3, strategy="aggressive")
+    config = surrogate_config(k=3, strategy="aggressive", seed=2)
     ev = SurrogateEvaluator()
-    pop = init_population(config, ev)
-    rng = np.random.default_rng(2)
+    state = initial_state(config, ev)
     for generation in range(1, 6):
-        pop, _, _ = step_generation(pop, config, rng, generation=generation, evaluator=ev)
-        assert len(pop) == 10
-        assert all(ind.fitness is not None for ind in pop)
+        step_generation(state, ev)
+        assert len(state.population) == 10
+        assert all(ind.fitness is not None for ind in state.population)
+        assert state.next_generation == generation + 1
+        assert [s.generation for s in state.stats] == list(range(generation + 1))
 
 
 # -------------------------------------------------------------------- runs
@@ -155,20 +157,20 @@ def test_run_best_fitness_monotone():
     assert series[0] == 0.0
     assert all(b >= a for a, b in zip(series, series[1:]))
     assert result.stats[0].generation == 0
-    assert result.generations == 30
+    assert result.stats[-1].generation == 30
 
 
 def test_run_flat_landscape_stops_after_window_plus_one():
     config = surrogate_config(max_generations=50, saturation_window=10)
     result = run(config, evaluator=ConstantEvaluator())
-    assert result.generations == 11
+    assert result.stats[-1].generation == 11
     assert [s.generation for s in result.stats] == list(range(12))
 
 
 def test_run_small_window_stop():
     config = surrogate_config(max_generations=50, saturation_window=3)
     result = run(config, evaluator=ConstantEvaluator())
-    assert result.generations == 4
+    assert result.stats[-1].generation == 4
 
 
 def test_run_writes_artifacts(tmp_path):
@@ -183,7 +185,7 @@ def test_run_writes_artifacts(tmp_path):
     assert echo["max_generations"] == 5
     assert echo["seed"] == 0
     meta = json.loads((out / "run_meta.json").read_text())
-    assert meta["generations"] == result.generations
+    assert meta["generations"] == result.stats[-1].generation
     assert meta["wall_seconds_total"] > 0
     stats_text = (out / "stats.csv").read_text()
     assert stats_text.splitlines()[0] == "generation,best_fitness,mean_fitness,best_params"
@@ -235,17 +237,12 @@ def test_stats_csv_has_no_wall_clock_column():
 # ------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip(tmp_path):
-    config = surrogate_config(max_generations=6)
+    config = surrogate_config(max_generations=6, seed=3)
     ev = SurrogateEvaluator()
-    pop = init_population(config, ev)
-    rng = np.random.default_rng(3)
-    fitnesses = [ind.fitness for ind in pop]
-    stats = [GenerationStats(0, max(fitnesses), float(np.mean(fitnesses)), 0)]
-    best = None
-    for generation in range(1, 4):
-        pop, st, best = step_generation(pop, config, rng, generation=generation, evaluator=ev, best=best)
-        stats.append(st)
-    state = RunState(config, pop, rng, stats, best, next_generation=4)
+    state = initial_state(config, ev)
+    for _ in range(3):
+        step_generation(state, ev)
+    pop, rng, stats, best = state.population, state.rng, state.stats, state.best
     path = tmp_path / "ck.json"
     checkpoint_save(state, str(path))
     loaded = checkpoint_load(str(path))
@@ -312,11 +309,16 @@ def _drop_best(doc):
     return doc
 
 
+def _set_config(**fields):
+    return lambda doc: {**doc, "config": {**doc["config"], **fields}}
+
+
 @pytest.mark.parametrize("edit", [_drop_config, _drop_genome_nodes, lambda doc: [doc], _drop_best,
                                   lambda doc: {**doc, "version": 1},
-                                  lambda doc: {**doc, "stats": doc["stats"][1:]}],
+                                  lambda doc: {**doc, "stats": doc["stats"][1:]},
+                                  _set_config(strategy="nope"), _set_config(k=0)],
                          ids=["missing-key", "genome-without-nodes", "top-level-list", "missing-best", "version-1",
-                              "stats-gap"])
+                              "stats-gap", "unknown-strategy", "k-zero"])
 def test_checkpoint_malformed_raises_checkpoint_error(tmp_path, edit):
     path = _broken_checkpoint(tmp_path, edit)
     with pytest.raises(CheckpointError) as e:
@@ -392,3 +394,33 @@ def test_comparison_csv_layout():
     curves = curves_csv_text(result)
     assert curves.splitlines()[0] == "generation,k=1,k=2"
     assert len(curves.splitlines()) == 8  # header + generations 0..6
+
+
+# sha256 of (comparison.csv, curves.csv) for seeded surrogate comparisons:
+# the harness's output bytes depend on the seeds alone
+COMPARE_DIGESTS = {
+    "k_sweep": (
+        "54f04e08700d5fd998b94e660d4afd9920380ccc50e87a17bf7ede9eb63ca9a6",
+        "c3e9525494b039b6c00217c6deb2273afcd75521d794a8a6702c1cd274110026",
+    ),
+    "strategies": (
+        "2e495fb558902fe6cc786489e49b715b16e7da0382bf50bcc62e803050dd57c3",
+        "79d7d054a789647fcc2e9a5de28ca4f3a957e98e048bb301d980d62607a97d45",
+    ),
+}
+
+
+def test_compare_outputs_bytes_pinned():
+    config = surrogate_config(max_generations=10)
+    races = {
+        "k_sweep": (k_sweep_specs([1, 2, 10], config), 3),
+        "strategies": (default_specs(STRATEGIES, config), 2),
+    }
+    digests = {}
+    for name, (specs, n_seeds) in races.items():
+        result = compare_strategies(config, specs, n_seeds)
+        digests[name] = tuple(
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in (comparison_csv_text(result), curves_csv_text(result))
+        )
+    assert digests == COMPARE_DIGESTS
