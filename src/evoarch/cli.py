@@ -12,11 +12,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from evoarch import data as datamod
 from evoarch import engine
 from evoarch.engine import ConfigError, EvolutionConfig
-from evoarch.fitness import EvaluationError, TrainedEvaluator, evaluate_surrogate
+from evoarch.fitness import EvaluationError, evaluate_surrogate, evaluate_trained
 from evoarch.genome import InvalidGenome, ParseError, ShapeError, deserialize, to_dot, validate
 from evoarch.trainer import TrainPlan, gradient_check_suite
 
@@ -214,7 +215,7 @@ def cmd_eval_genome(args):
                 f"genome expects input {genome.input_shape} with {genome.num_classes} classes, "
                 f"dataset provides {split.input_shape} with {split.num_classes}"
             )
-        fitness = TrainedEvaluator(split, plan).evaluate(genome, args.seed)
+        fitness = evaluate_trained(genome, split, replace(plan, seed=args.seed))
     print(f"{fitness:.6f}")
     return 0
 

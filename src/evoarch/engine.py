@@ -262,14 +262,23 @@ def run(config, out_dir=None, evaluator=None, resume_from=None, checkpoint_every
 
     With out_dir it writes logs, stats and a checkpoint every
     checkpoint_every generations (None disables checkpoint files).
-    resume_from continues a checkpointed run, with the config stored in
+    resume_from continues a checkpointed run under the config stored in
     the checkpoint, and reproduces exactly what the uninterrupted run
-    would have produced.
+    would have produced; config may then be None, and a config that
+    differs from the stored one raises ConfigError naming the fields.
     """
-    config.check()
+    state = None
+    if resume_from is not None:
+        state = checkpoint_load(resume_from)
+        if config is not None:
+            stored, given = _config_doc(state.config), _config_doc(config)
+            differ = [name for name in stored if stored[name] != given[name]]
+            if differ:
+                raise ConfigError(f"config differs from checkpoint {resume_from} in {', '.join(differ)}")
+        config = state.config
+    else:
+        config.check()
     logs = {name: [] for name in LOG_NAMES} if out_dir else None
-    state = checkpoint_load(resume_from) if resume_from is not None else None
-    config = state.config if state else config
     if evaluator is None:
         evaluator = make_evaluator(config)
     if state is None:
@@ -436,6 +445,8 @@ def compare_strategies(config, specs, n_seeds, evaluator=None):
     comparison; each run contributes the first generation whose best
     reaches tau (censored at max_generations + 1 when it never does).
     """
+    if not specs or n_seeds < 1:
+        raise ConfigError(f"a comparison needs specs and seeds, got {len(specs)} specs and {n_seeds} seeds")
     series = {}
     for spec in specs:
         for s in range(n_seeds):

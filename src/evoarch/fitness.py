@@ -2,9 +2,9 @@
 
 The surrogate scores a genome instantly from structural counts and makes
 quick search experiments possible; the trained evaluator runs the real
-training loop and reports validation accuracy.  Both are deterministic
-given (genome, seed); an individual's seed is derived from the run seed
-and its id so results never depend on evaluation order or worker count.
+training loop and reports validation accuracy.  The trained evaluator
+derives each individual's seed from the run seed and its id, so results
+never depend on evaluation order or worker count.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class SurrogateEvaluator:
 
     kind = "surrogate"
 
-    def evaluate(self, genome, seed):
+    def evaluate(self, genome, run_seed, individual_id):
         return evaluate_surrogate(genome)
 
 
@@ -81,23 +81,24 @@ class TrainedEvaluator:
         self.split = split
         self.plan = plan
 
-    def evaluate(self, genome, seed):
-        return evaluate_trained(genome, self.split, replace(self.plan, seed=seed))
+    def evaluate(self, genome, run_seed, individual_id):
+        plan = replace(self.plan, seed=individual_seed(run_seed, individual_id))
+        return evaluate_trained(genome, self.split, plan)
 
 
 def evaluate_batch(individuals, evaluator, run_seed=0, workers=1, audit=None):
     """Fill in missing fitnesses; returns new individuals in input order.
 
-    Already evaluated individuals pass through untouched.  Results are
-    independent of the worker count because every individual trains under
-    its own derived seed.  Raises EvaluationError listing every failure.
+    Already evaluated individuals pass through untouched.  An evaluation
+    sees only the genome, run seed and individual id, so results never
+    depend on the worker count.  Raises EvaluationError listing every failure.
     """
 
     def attempt(ind):
         """(fitness, wall seconds), or the exception the evaluation raised."""
         start = time.perf_counter()
         try:
-            value = evaluator.evaluate(ind.genome, individual_seed(run_seed, ind.id))
+            value = evaluator.evaluate(ind.genome, run_seed, ind.id)
             wall = time.perf_counter() - start
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"fitness {value} outside [0, 1]")

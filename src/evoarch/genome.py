@@ -15,6 +15,7 @@ import functools
 import heapq
 import json
 from dataclasses import dataclass, field
+from operator import ne
 from types import MappingProxyType
 
 INPUT = "input"
@@ -126,7 +127,7 @@ class Genome:
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
         self.nodes = MappingProxyType(dict(nodes))
-        self.preds = MappingProxyType({i: tuple(sorted(p)) for i, p in preds.items()})
+        self.preds = MappingProxyType({i: tuple(sorted(p)) if len(p) > 1 else tuple(p) for i, p in preds.items()})
         self._memo = {}
 
     def __eq__(self, other):
@@ -186,10 +187,11 @@ def _derived(fn):
 def successors(genome):
     """Map node id -> sorted tuple of consumer ids (duplicates kept)."""
     succ = {i: [] for i in genome.nodes}
-    for dst, ps in genome.preds.items():
-        for src in ps:
+    preds = genome.preds
+    for dst in sorted(preds):  # ascending consumers leave every list sorted
+        for src in preds[dst]:
             succ[src].append(dst)
-    return MappingProxyType({i: tuple(sorted(s)) if len(s) > 1 else tuple(s) for i, s in succ.items()})
+    return MappingProxyType({i: tuple(s) for i, s in succ.items()})
 
 
 @_derived
@@ -198,9 +200,9 @@ def topological_order(genome):
 
     Raises InvalidGenome if the graph has a cycle.
     """
-    # a duplicated predecessor contributes one dependency, not two; consumer
-    # tuples are sorted, so a duplicated consumer repeats the entry before it
-    indeg = {i: len(set(genome.preds[i])) for i in genome.nodes}
+    # in-degrees count edges: a join of a node with itself appears twice in
+    # that node's consumers, so it becomes ready once that node is done
+    indeg = {i: len(p) for i, p in genome.preds.items()}
     ready = [i for i, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     succ = successors(genome)
@@ -208,13 +210,10 @@ def topological_order(genome):
     while ready:
         i = heapq.heappop(ready)
         order.append(i)
-        last = None
         for j in succ[i]:
-            if j != last:
-                last = j
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(ready, j)
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
     if len(order) != len(genome.nodes):
         raise InvalidGenome("graph has a cycle")
     return tuple(order)
@@ -258,13 +257,13 @@ def infer_shapes(genome):
     shapes = {}
     try:
         for i in order:
-            kind, p = nodes[i].kind, nodes[i].params
-            ins = [shapes[q] for q in preds[i]]
+            node, ps = nodes[i], preds[i]
+            kind, p = node.kind, node.params
             if kind in SPATIAL_OPS:
-                for s in ins:
-                    if len(s) != 3:
-                        raise ShapeError(i, f"needs a spatial input, got {s}")
-                c, h, w = ins[0]
+                for q in ps:
+                    if len(shapes[q]) != 3:
+                        raise ShapeError(i, f"needs a spatial input, got {shapes[q]}")
+                c, h, w = shapes[ps[0]]
             if kind == CONV:
                 f, st, pad = p["filter"], p["stride"], p["pad"]
                 oh, ow = (h + 2 * pad - f) // st + 1, (w + 2 * pad - f) // st + 1
@@ -278,7 +277,7 @@ def infer_shapes(genome):
                     raise ShapeError(i, f"pool output {oh}x{ow} not positive for input {h}x{w}")
                 shapes[i] = (c, oh, ow)
             elif kind == SKIP or kind == CONCAT:
-                a, b = ins
+                a, b = [shapes[q] for q in ps]
                 if a[1:] != b[1:]:
                     raise ShapeError(i, f"{kind} spatial mismatch {a} vs {b}")
                 if kind == SKIP and a[0] != b[0]:
@@ -289,7 +288,7 @@ def infer_shapes(genome):
             elif kind == FC:
                 shapes[i] = (p["units"],)
             elif kind == DROPOUT:
-                shapes[i] = ins[0]
+                shapes[i] = shapes[ps[0]]
             elif kind == HEAD:
                 shapes[i] = (p["classes"],)
             elif kind == INPUT:
@@ -312,8 +311,7 @@ def sequence_distance(sa, sb):
     """Positions where two kind sequences differ, shorter one blank-padded."""
     if len(sa) < len(sb):
         sa, sb = sb, sa
-    sb = sb.ljust(len(sa), " ")
-    return sum(1 for x, y in zip(sa, sb) if x != y)
+    return sum(map(ne, sa, sb.ljust(len(sa), " ")))
 
 
 def hamming_distance(a, b):

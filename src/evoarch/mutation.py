@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -134,7 +135,7 @@ def _choose(rng, items):
 
 
 def _edit_copy(genome):
-    return dict(genome.nodes), {i: list(p) for i, p in genome.preds.items()}
+    return dict(genome.nodes), dict(genome.preds)
 
 
 def _insert_on_edge(genome, src, dst, slot, node):
@@ -142,17 +143,17 @@ def _insert_on_edge(genome, src, dst, slot, node):
     nodes, preds = _edit_copy(genome)
     nid = genome.next_id()
     nodes[nid] = node
-    preds[nid] = [src]
-    preds[dst][slot] = nid
+    preds[nid] = (src,)
+    ps = preds[dst]
+    preds[dst] = ps[:slot] + (nid,) + ps[slot + 1:]
     return genome.replace(nodes, preds)
 
 
 def _move_consumers(preds, old, new):
     """Point every consumer of old at new instead."""
-    for ps in preds.values():
-        for j, p in enumerate(ps):
-            if p == old:
-                ps[j] = new
+    for i, ps in preds.items():
+        if old in ps:
+            preds[i] = tuple(new if p == old else p for p in ps)
 
 
 def _insert_after(genome, target, node):
@@ -161,7 +162,7 @@ def _insert_after(genome, target, node):
     nid = genome.next_id()
     nodes[nid] = node
     _move_consumers(preds, target, nid)
-    preds[nid] = [target]
+    preds[nid] = (target,)
     return genome.replace(nodes, preds)
 
 
@@ -171,7 +172,7 @@ def _insert_join(genome, top, bottom, node):
     nid = genome.next_id()
     nodes[nid] = node
     _move_consumers(preds, bottom, nid)
-    preds[nid] = [top, bottom]
+    preds[nid] = (top, bottom)
     return genome.replace(nodes, preds)
 
 
@@ -260,11 +261,12 @@ def _add_convolution(genome, rng):
     return _insert_on_edge(genome, src, dst, slot, conv_node(32, 3, 1, 1))
 
 
-def _remove_convolution(genome, rng):
-    convs = _nodes_of_kind(genome, CONV)
-    if not convs:
+def _remove_node(genome, rng, kind):
+    """Splice out one single-input node of the given kind."""
+    ids = _nodes_of_kind(genome, kind)
+    if not ids:
         return None
-    return _ensure_flat_head(_splice_out(genome, _choose(rng, convs)))
+    return _ensure_flat_head(_splice_out(genome, _choose(rng, ids)))
 
 
 def _alter_conv(genome, rng, key, menu):
@@ -283,18 +285,6 @@ def _alter_conv(genome, rng, key, menu):
     return genome.replace(nodes, preds)
 
 
-def _alter_channel_number(genome, rng):
-    return _alter_conv(genome, rng, "channels", CHANNEL_MENU)
-
-
-def _alter_filter_size(genome, rng):
-    return _alter_conv(genome, rng, "filter", FILTER_MENU)
-
-
-def _alter_stride(genome, rng):
-    return _alter_conv(genome, rng, "stride", STRIDE_MENU)
-
-
 def _add_dropout(genome, rng):
     fcs = _nodes_of_kind(genome, FC)
     if not fcs:
@@ -302,25 +292,11 @@ def _add_dropout(genome, rng):
     return _insert_after(genome, _choose(rng, fcs), dropout_node(0.5))
 
 
-def _remove_dropout(genome, rng):
-    drops = _nodes_of_kind(genome, DROPOUT)
-    if not drops:
-        return None
-    return _ensure_flat_head(_splice_out(genome, _choose(rng, drops)))
-
-
 def _add_pooling(genome, rng):
     convs = _nodes_of_kind(genome, CONV)
     if not convs:
         return None
     return _insert_after(genome, _choose(rng, convs), maxpool_node(2, 2))
-
-
-def _remove_pooling(genome, rng):
-    pools = _nodes_of_kind(genome, MAXPOOL)
-    if not pools:
-        return None
-    return _ensure_flat_head(_splice_out(genome, _choose(rng, pools)))
 
 
 @_derived
@@ -350,20 +326,12 @@ def _join_pairs(genome):
     return MappingProxyType({kind: tuple(v) for kind, v in pairs.items()})
 
 
-def _add_skip(genome, rng):
-    pairs = _join_pairs(genome)[SKIP]
+def _add_join(genome, rng, kind):
+    pairs = _join_pairs(genome)[kind]
     if not pairs:
         return None
     top, bottom = _choose(rng, pairs)
-    return _insert_join(genome, top, bottom, Node(SKIP))
-
-
-def _add_concatenate(genome, rng):
-    pairs = _join_pairs(genome)[CONCAT]
-    if not pairs:
-        return None
-    top, bottom = _choose(rng, pairs)
-    return _insert_join(genome, top, bottom, Node(CONCAT))
+    return _insert_join(genome, top, bottom, Node(kind))
 
 
 def _deeper_pred(genome, target):
@@ -392,14 +360,6 @@ def _remove_join_kind(genome, rng, kind):
     return _ensure_flat_head(_remove_join(genome, target, restore))
 
 
-def _remove_skip(genome, rng):
-    return _remove_join_kind(genome, rng, SKIP)
-
-
-def _remove_concatenate(genome, rng):
-    return _remove_join_kind(genome, rng, CONCAT)
-
-
 def _add_fully_connected(genome, rng):
     head = genome.head_id()
     sites = [("pre_head", head)] + [("after", f) for f in _nodes_of_kind(genome, FC)]
@@ -410,29 +370,22 @@ def _add_fully_connected(genome, rng):
     return _insert_after(genome, target, fc_node(units))
 
 
-def _remove_fully_connected(genome, rng):
-    fcs = _nodes_of_kind(genome, FC)
-    if not fcs:
-        return None
-    return _ensure_flat_head(_splice_out(genome, _choose(rng, fcs)))
-
-
 _OPERATORS = {
     "add_convolution": _add_convolution,
-    "remove_convolution": _remove_convolution,
-    "alter_channel_number": _alter_channel_number,
-    "alter_filter_size": _alter_filter_size,
-    "alter_stride": _alter_stride,
+    "remove_convolution": partial(_remove_node, kind=CONV),
+    "alter_channel_number": partial(_alter_conv, key="channels", menu=CHANNEL_MENU),
+    "alter_filter_size": partial(_alter_conv, key="filter", menu=FILTER_MENU),
+    "alter_stride": partial(_alter_conv, key="stride", menu=STRIDE_MENU),
     "add_dropout": _add_dropout,
-    "remove_dropout": _remove_dropout,
+    "remove_dropout": partial(_remove_node, kind=DROPOUT),
     "add_pooling": _add_pooling,
-    "remove_pooling": _remove_pooling,
-    "add_skip": _add_skip,
-    "remove_skip": _remove_skip,
-    "add_concatenate": _add_concatenate,
-    "remove_concatenate": _remove_concatenate,
+    "remove_pooling": partial(_remove_node, kind=MAXPOOL),
+    "add_skip": partial(_add_join, kind=SKIP),
+    "remove_skip": partial(_remove_join_kind, kind=SKIP),
+    "add_concatenate": partial(_add_join, kind=CONCAT),
+    "remove_concatenate": partial(_remove_join_kind, kind=CONCAT),
     "add_fully_connected": _add_fully_connected,
-    "remove_fully_connected": _remove_fully_connected,
+    "remove_fully_connected": partial(_remove_node, kind=FC),
 }
 
 

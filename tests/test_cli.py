@@ -139,7 +139,7 @@ def test_compare_trained_mnist(tmp_path, monkeypatch, capsys):
 def test_evaluation_failure_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
 
-    def broken(self, genome, seed):
+    def broken(self, genome, run_seed, individual_id):
         raise ValueError("boom")
 
     monkeypatch.setattr(TrainedEvaluator, "evaluate", broken)
@@ -205,6 +205,23 @@ def test_eval_genome_surrogate_value(tmp_path, capsys):
     path = one_conv_genome_file(tmp_path)
     assert cli.main(["eval-genome", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "0.139292"
+
+
+def test_eval_genome_trained_uses_the_seed_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
+    seeds = []
+
+    def record(genome, split, plan):
+        seeds.append(plan.seed)
+        return 0.25
+
+    monkeypatch.setattr(cli, "evaluate_trained", record)
+    path = tmp_path / "mnist_seed.json"
+    path.write_text(serialize(new_seed_genome("global_pool", (1, 28, 28), 10)))
+    code = cli.main(["eval-genome", "--fitness", "trained", "--iters", "1", "--seed", "7", str(path)])
+    assert code == 0
+    assert seeds == [7]
+    assert capsys.readouterr().out.strip() == "0.250000"
 
 
 def test_eval_genome_malformed_file(tmp_path, capsys):

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 
+from dataclasses import replace
+
 import pytest
 
 from evoarch.engine import (
@@ -32,7 +34,7 @@ class ConstantEvaluator:
     def __init__(self, value=0.5):
         self.value = value
 
-    def evaluate(self, genome, seed):
+    def evaluate(self, genome, run_seed, individual_id):
         return self.value
 
 
@@ -42,7 +44,7 @@ class ShrinkEvaluator:
 
     kind = "shrink"
 
-    def evaluate(self, genome, seed):
+    def evaluate(self, genome, run_seed, individual_id):
         return 1.0 / len(genome.nodes)
 
 
@@ -338,6 +340,21 @@ def test_resume_equals_straight_run(tmp_path):
     assert (straight / "checkpoint_gen10.json").read_bytes() == (resumed / "checkpoint_gen10.json").read_bytes()
 
 
+def test_resume_rejects_a_config_that_differs_from_the_checkpoint(tmp_path):
+    config = surrogate_config(max_generations=5, seed=4)
+    first = tmp_path / "first"
+    run(config, out_dir=str(first), checkpoint_every=5)
+    path = str(first / "checkpoint_gen5.json")
+    with pytest.raises(ConfigError, match=r"differs from checkpoint .* in k$"):
+        run(EvolutionConfig(k=0, max_generations=5, saturation_window=None, seed=4), resume_from=path)
+    with pytest.raises(ConfigError, match=r"differs from checkpoint .* in max_generations$"):
+        run(replace(config, max_generations=50), resume_from=path)
+    # with no config the checkpoint's governs; its run ended at generation 5
+    state = run(None, resume_from=path)
+    assert state.config == config
+    assert [st.generation for st in state.stats] == list(range(6))
+
+
 # -------------------------------------------------------------- comparison
 
 def test_compare_single_spec_single_seed():
@@ -381,6 +398,14 @@ def test_default_specs_baselines_select_full_population():
     assert by_label["sample_uniform"].k == config.population_size
     with pytest.raises(ConfigError):
         default_specs(["roulette2"], config)
+
+
+@pytest.mark.parametrize("ks,n_seeds", [([], 2), ([1], 0)], ids=["no-specs", "no-seeds"])
+def test_compare_needs_specs_and_seeds(ks, n_seeds):
+    config = surrogate_config(max_generations=2)
+    with pytest.raises(ConfigError, match="a comparison needs specs and seeds") as e:
+        compare_strategies(config, k_sweep_specs(ks, config), n_seeds)
+    assert "\n" not in str(e.value)
 
 
 def test_comparison_csv_layout():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from evoarch import fitness
 from evoarch.data import DatasetSplit
 from evoarch.fitness import (
     EvaluationError,
@@ -152,7 +153,7 @@ def test_surrogate_bounded():
 def test_surrogate_deterministic_and_seed_blind():
     g = conv_chain(3)
     ev = SurrogateEvaluator()
-    assert ev.evaluate(g, 0) == ev.evaluate(g, 12345) == evaluate_surrogate(g)
+    assert ev.evaluate(g, 0, 0) == ev.evaluate(g, 12345, 7) == evaluate_surrogate(g)
 
 
 # ----------------------------------------------------------------- trained
@@ -167,7 +168,21 @@ def test_trained_divergence_scores_zero():
 def test_trained_deterministic_per_seed():
     g = new_seed_genome("fully_connected", (1, 8, 8), 10)
     ev = TrainedEvaluator(tiny_split(), TrainPlan(max_iters=20, boundaries=(10, 15)))
-    assert ev.evaluate(g, 3) == ev.evaluate(g, 3)
+    assert ev.evaluate(g, 3, 1) == ev.evaluate(g, 3, 1)
+
+
+def test_trained_evaluator_trains_under_the_individual_seed(monkeypatch):
+    seeds = []
+
+    def record(genome, split, plan):
+        seeds.append(plan.seed)
+        return 0.5
+
+    monkeypatch.setattr(fitness, "evaluate_trained", record)
+    ev = TrainedEvaluator(tiny_split(), TrainPlan(max_iters=20, boundaries=(10, 15)))
+    g = new_seed_genome("fully_connected", (1, 8, 8), 10)
+    assert ev.evaluate(g, 9, 4) == 0.5
+    assert seeds == [individual_seed(9, 4)]
 
 
 def test_individual_seed_stable_and_spread():
@@ -208,6 +223,17 @@ def test_batch_worker_count_invariant():
     assert f1 == f8
 
 
+def test_surrogate_batch_derives_no_seed(monkeypatch):
+    def refuse(run_seed, individual_id):
+        raise AssertionError("the surrogate needs no individual seed")
+
+    monkeypatch.setattr(fitness, "individual_seed", refuse)
+    rng = np.random.default_rng(7)
+    pop = [make_individual(random_genome(rng), i, None) for i in range(10)]
+    out = evaluate_batch(pop, SurrogateEvaluator(), run_seed=3)
+    assert [ind.fitness for ind in out] == [evaluate_surrogate(ind.genome) for ind in pop]
+
+
 def test_batch_audit_rows():
     rng = np.random.default_rng(5)
     pop = [make_individual(random_genome(rng), i, None) for i in range(3)]
@@ -225,7 +251,7 @@ def test_batch_aggregates_failures(workers):
     class Exploding:
         kind = "exploding"
 
-        def evaluate(self, genome, seed):
+        def evaluate(self, genome, run_seed, individual_id):
             raise RuntimeError("boom")
 
     rng = np.random.default_rng(6)

@@ -34,6 +34,7 @@ from evoarch.genome import (
     new_seed_genome,
     parameter_count,
     serialize,
+    successors,
     to_dot,
     topological_order,
     validate,
@@ -487,6 +488,27 @@ def test_genome_keeps_its_own_copies():
     preds[2] = (3,)
     assert 3 not in g.nodes and g.preds[2] == (1,)
     assert topological_order(g) == order == (0, 1, 2)
+
+
+def test_genome_stores_predecessors_as_sorted_tuples():
+    g = skip_genome()
+    unsorted = Genome(g.input_shape, 10, g.nodes, {0: [], 1: [0], 2: [1], 3: [2, 1], 4: [3], 5: [4]})
+    assert dict(unsorted.preds) == {0: (), 1: (0,), 2: (1,), 3: (1, 2), 4: (3,), 5: (4,)}
+    assert all(type(p) is tuple for p in unsorted.preds.values())
+    assert unsorted == g
+
+
+def test_joins_of_one_node_with_itself_derive_in_order():
+    # ids out of topological order: each join waits for its one input, which
+    # it lists twice and which lists it twice among its consumers
+    g = graph([INPUT_ROW, (5, conv_node(8), (0,)), (2, Node(SKIP), (5, 5)), (3, Node(CONCAT), (2, 2)),
+               (1, Node(GLOBALPOOL), (3,)), head_row(4, 1)])
+    assert dict(successors(g)) == {0: (5,), 5: (2, 2), 2: (3, 3), 3: (1,), 1: (4,), 4: ()}
+    assert topological_order(g) == (0, 5, 2, 3, 1, 4)
+    assert list(infer_shapes(g).items()) == [
+        (0, (3, 32, 32)), (5, (8, 32, 32)), (2, (8, 32, 32)), (3, (16, 32, 32)), (1, (16, 1, 1)), (4, (10,)),
+    ]
+    validate(g)
 
 
 def test_shape_error_carries_shapes_before_fault():
