@@ -103,8 +103,18 @@ def _trained_pieces(args):
     try:
         split = datamod.load_dataset(args.dataset, data_dir, subset_n=args.subset, seed=args.seed)
     except ValueError as err:  # too few records for a train/validation split
+        if args.subset is None:
+            raise datamod.DataError(f"{args.dataset} training records under {data_dir}: {err}") from err
         raise ConfigError(f"--subset {args.subset}: {err}") from err
     return split, TrainPlan.desk_scale(args.iters)
+
+
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {path}: {err.strerror}") from err
+    return path
 
 
 def _read_genome(path):
@@ -145,7 +155,7 @@ def _run_config(args):
 
 def cmd_evolve(args):
     config, evaluator = _run_config(args)
-    out_dir = args.out_dir or f"runs/evolve-{args.fitness}-s{args.seed}"
+    out_dir = _make_out_dir(args.out_dir or f"runs/evolve-{args.fitness}-s{args.seed}")
     state = engine.run(config, out_dir=out_dir, evaluator=evaluator)
     print(f"generations {state.stats[-1].generation}")
     print(f"best_fitness {state.best.fitness:.6f}")
@@ -172,11 +182,10 @@ def cmd_compare(args):
         flag = "--strategies" if args.k_sweep is None else "--k-sweep"
         raise ConfigError(f"{flag} names nothing to compare")
 
+    out_dir = _make_out_dir(args.out_dir or f"runs/compare-{args.fitness}-s{args.seed}")
     result = engine.compare_strategies(config, specs, args.seeds, evaluator=evaluator)
     table = engine.comparison_csv_text(result)
     sys.stdout.write(table)
-    out_dir = args.out_dir or f"runs/compare-{args.fitness}-s{args.seed}"
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "comparison.csv"), "w") as fh:
         fh.write(table)
     with open(os.path.join(out_dir, "curves.csv"), "w") as fh:

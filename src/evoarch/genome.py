@@ -5,8 +5,8 @@ classifier head (the unique sink).  Interior nodes are convolutions,
 max-pools, skip joins, channel concatenations, global average pools,
 fully connected layers and dropout layers.  A genome's node and
 predecessor maps are read-only, so every edit builds a new Genome, and
-derived data (successors, topological order, shapes, canonical sequence,
-parameter count) is computed once per Genome object and stored on it.
+derived data (successors, topological order, shapes, parameter layout and
+count, canonical sequence) is computed once per Genome object and kept on it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from operator import ne
 from types import MappingProxyType
@@ -219,6 +220,13 @@ def topological_order(genome):
     return tuple(order)
 
 
+def chain_genome(middle, input_shape, num_classes):
+    """A path: input -> middle nodes in order -> head, ids in that order."""
+    nodes = [Node(INPUT), *middle, Node(HEAD, {"classes": num_classes})]
+    preds = {i: (i - 1,) if i else () for i in range(len(nodes))}
+    return Genome(input_shape, num_classes, dict(enumerate(nodes)), preds)
+
+
 def new_seed_genome(kind, input_shape=(3, 32, 32), num_classes=10):
     """Minimal starting genome: input plus one hidden layer plus head.
 
@@ -231,16 +239,7 @@ def new_seed_genome(kind, input_shape=(3, 32, 32), num_classes=10):
         mid = fc_node(100)
     else:
         raise ValueError(f"unknown seed kind {kind!r}")
-    nodes = {0: Node(INPUT), 1: mid, 2: Node(HEAD, {"classes": num_classes})}
-    preds = {0: (), 1: (0,), 2: (1,)}
-    return Genome(input_shape, num_classes, nodes, preds)
-
-
-def _flatten(shape):
-    n = 1
-    for d in shape:
-        n *= d
-    return n
+    return chain_genome([mid], input_shape, num_classes)
 
 
 @_derived
@@ -320,22 +319,34 @@ def hamming_distance(a, b):
 
 
 @_derived
-def parameter_count(genome):
-    """Trainable parameter total: convs carry batchnorm scale/shift, the
-    head counts as a fully connected layer, joins and pools carry none."""
+def param_shapes(genome):
+    """Read-only map, ascending node id, of each trainable node's {name: shape}.
+
+    A conv holds W (cout, cin, f, f), bias b, batchnorm scale gamma and
+    shift beta; an fc node or the head W (nout, nin) over its flattened
+    input, then b.  The trainer allocates exactly these tensors and
+    parameter_count sums their sizes.
+    """
     shapes = infer_shapes(genome)
-    total = 0
-    for i in shapes:
-        node = genome.nodes[i]
+    nodes, preds = genome.nodes, genome.preds
+    layout = {}
+    for i in sorted(nodes):
+        node = nodes[i]
         if node.kind == CONV:
-            cin = shapes[genome.preds[i][0]][0]
-            cout = node.params["channels"]
-            f = node.params["filter"]
-            total += cout * cin * f * f + cout + 2 * cout
-        elif node.kind in (FC, HEAD):
-            nin = _flatten(shapes[genome.preds[i][0]])
-            nout = node.params["units"] if node.kind == FC else node.params["classes"]
-            total += nout * nin + nout
+            out, f = shapes[i][:1], node.params["filter"]
+            layout[i] = {"W": (*out, shapes[preds[i][0]][0], f, f), "b": out, "gamma": out, "beta": out}
+        elif node.kind == FC or node.kind == HEAD:
+            out = shapes[i]
+            layout[i] = {"W": (*out, math.prod(shapes[preds[i][0]])), "b": out}
+    return MappingProxyType(layout)
+
+
+@_derived
+def parameter_count(genome):
+    """Trainable parameter total: the summed sizes of the param_shapes tensors."""
+    total = 0
+    for group in param_shapes(genome).values():
+        total += sum(map(math.prod, group.values()))
     return total
 
 
@@ -502,8 +513,9 @@ def genome_from_doc(doc):
         if not isinstance(params, dict) or set(params) != PARAM_KEYS[kind]:
             raise ParseError(f"node {i}: params for {kind} must be {sorted(PARAM_KEYS[kind])}")
         for k, v in params.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ParseError(f"node {i}: param {k} must be a number")
+            ratio = k == "ratio"  # dropout's, the one param that is not a count or size
+            if isinstance(v, bool) or not isinstance(v, (int, float) if ratio else int):
+                raise ParseError(f"node {i}: param {k} must be {'a number' if ratio else 'an integer'}")
         nodes[i] = Node(kind, dict(params))
     if not any(n.kind == INPUT for n in nodes.values()):
         raise ParseError("no input node")

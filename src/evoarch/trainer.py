@@ -4,8 +4,8 @@ Every conv node runs convolution, batch normalization and ReLU; fully
 connected nodes (and the head) are plain affine maps; dropout uses
 inverted scaling so evaluation is a no-op.  Gradients are reverse-mode
 through the DAG with multi-consumer outputs accumulating their
-consumers' gradients.  Float32 is the working dtype for search runs;
-float64 is used for finite-difference verification.
+consumers' gradients, in train mode only (the mode of every training
+step).  Float32 trains search runs; float64 verifies finite differences.
 Activations are NCHW; convolutions run one sample at a time so their
 buffers stay in cache and belong to one call (fitness worker threads train
 side by side), and batchnorm and ReLU work in place on the conv output.
@@ -29,19 +29,25 @@ from evoarch.genome import (
     INPUT,
     MAXPOOL,
     SKIP,
-    Genome,
     Node,
+    chain_genome,
     conv_node,
     dropout_node,
     fc_node,
-    infer_shapes,
     maxpool_node,
     new_seed_genome,
+    param_shapes,
     topological_order,
 )
 
 BN_EPS = 1e-5
 BN_RUNNING_KEEP = 0.9  # running <- 0.9 * running + 0.1 * batch
+ACCURACY_BATCH = 256  # samples per eval-mode forward in accuracy
+FD_STEP = 1e-4  # central-difference step of the gradient checks
+FD_ATOL = 1e-8  # float64 rounding noise of fd numerators, around 1e-10 here
+SUITE_COMPOSITES = 20  # random composite genomes in gradient_check_suite
+SUITE_BATCH = 3
+SUITE_MAX_PER_TENSOR = 32
 
 
 class DivergedTraining(Exception):
@@ -113,36 +119,23 @@ class ModelState:
 
 
 def init_model(genome, rng, dtype=np.float32):
-    """He-normal weights, zero biases, unit batchnorm, zero momentum.
+    """Tensors in the genome.param_shapes layout, with zero momentum.
 
-    Nodes are initialized in id order so a given rng state always yields
-    bitwise identical weights.
+    W is He-normal over its fan-in prod(shape[1:]), gamma is ones and every
+    other parameter zeros; each node with a gamma also gets batchnorm
+    running stats (mean 0, var 1).  W is drawn in ascending node id, so a
+    given rng state always yields bitwise identical weights.
     """
-    shapes = infer_shapes(genome)
-    params, buffers, velocity = {}, {}, {}
-    for i in sorted(genome.nodes):
-        node = genome.nodes[i]
-        if node.kind == CONV:
-            cin = shapes[genome.preds[i][0]][0]
-            cout = node.params["channels"]
-            f = node.params["filter"]
-            fan_in = cin * f * f
-            params[i] = {
-                "W": (rng.normal(0.0, np.sqrt(2.0 / fan_in), (cout, cin, f, f))).astype(dtype),
-                "b": np.zeros(cout, dtype),
-                "gamma": np.ones(cout, dtype),
-                "beta": np.zeros(cout, dtype),
-            }
-            buffers[i] = {"mean": np.zeros(cout, dtype), "var": np.ones(cout, dtype)}
-        elif node.kind in (FC, HEAD):
-            nin = int(np.prod(shapes[genome.preds[i][0]]))
-            nout = node.params["units"] if node.kind == FC else node.params["classes"]
-            params[i] = {
-                "W": (rng.normal(0.0, np.sqrt(2.0 / nin), (nout, nin))).astype(dtype),
-                "b": np.zeros(nout, dtype),
-            }
-    for i, group in params.items():
-        velocity[i] = {k: np.zeros_like(v) for k, v in group.items()}
+    params, buffers = {}, {}
+    for i, group in param_shapes(genome).items():
+        params[i] = {
+            name: rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[1:])), shape).astype(dtype) if name == "W"
+            else (np.ones if name == "gamma" else np.zeros)(shape, dtype)
+            for name, shape in group.items()
+        }
+        if "gamma" in group:
+            buffers[i] = {"mean": np.zeros(group["gamma"], dtype), "var": np.ones(group["gamma"], dtype)}
+    velocity = {i: {k: np.zeros_like(v) for k, v in group.items()} for i, group in params.items()}
     return ModelState(params, buffers, velocity, dtype)
 
 
@@ -301,7 +294,8 @@ def softmax_cross_entropy(logits, labels):
     return loss, probs / n
 
 
-def _backward_pass(model, genome, caches, mode, dlogits):
+def _backward_pass(model, genome, caches, dlogits):
+    """Parameter gradients of a train-mode forward pass from its caches."""
     order = topological_order(genome)
     douts = {genome.head_id(): dlogits}
     grads = {}
@@ -318,11 +312,10 @@ def _backward_pass(model, genome, caches, mode, dlogits):
             dz = dout * (out > 0)
             dbeta = dz.sum(axis=(0, 2, 3))
             dgamma = np.einsum("nchw,nchw->c", dz, xhat)
-            if mode == "train":
-                m = dz.size // dz.shape[1]
-                xhat *= (dgamma / m)[:, None, None]
-                dz -= xhat
-                dz -= (dbeta / m)[:, None, None]
+            m = dz.size // dz.shape[1]
+            xhat *= (dgamma / m)[:, None, None]
+            dz -= xhat
+            dz -= (dbeta / m)[:, None, None]
             dz *= (p["gamma"] * invstd)[:, None, None]
             from_input = genome.nodes[preds[0]].kind == INPUT
             dW, db, dx = _conv_backward(
@@ -361,16 +354,20 @@ def _accumulate(douts, node_id, grad):
     douts[node_id] = douts[node_id] + grad if node_id in douts else grad
 
 
-def _loss_grads_stats(model, genome, x, labels, mode, dropout_rng):
-    acts, caches, batch_stats = _forward_pass(model, genome, x, mode, dropout_rng)
+def _loss_grads_stats(model, genome, x, labels, dropout_rng):
+    acts, caches, batch_stats = _forward_pass(model, genome, x, "train", dropout_rng)
     loss, dlogits = softmax_cross_entropy(acts[genome.head_id()], labels)
-    grads = _backward_pass(model, genome, caches, mode, dlogits)
+    grads = _backward_pass(model, genome, caches, dlogits)
     return loss, grads, batch_stats
 
 
-def loss_and_grads(model, genome, x, labels, mode="train", dropout_seed=0):
-    """Mean softmax cross entropy and gradients for every parameter."""
-    loss, grads, _ = _loss_grads_stats(model, genome, x, labels, mode, np.random.default_rng(dropout_seed))
+def loss_and_grads(model, genome, x, labels):
+    """Mean softmax cross entropy and gradients in the genome.param_shapes layout.
+
+    Train mode is the only mode with gradients: batchnorm uses the batch's
+    statistics and dropout draws its masks from seed 0.
+    """
+    loss, grads, _ = _loss_grads_stats(model, genome, x, labels, np.random.default_rng(0))
     return loss, grads
 
 
@@ -402,23 +399,23 @@ def _commit_bn_stats(model, batch_stats):
     return ModelState(model.params, buffers, model.velocity, model.dtype)
 
 
-def accuracy(model, genome, x, labels, batch_size=256):
+def accuracy(model, genome, x, labels):
     """Fraction of correct argmax predictions, evaluated in eval mode."""
     hits = 0
-    for s in range(0, len(x), batch_size):
-        logits = forward(model, genome, x[s : s + batch_size], mode="eval")
-        hits += int((logits.argmax(axis=1) == labels[s : s + batch_size]).sum())
+    for s in range(0, len(x), ACCURACY_BATCH):
+        logits = forward(model, genome, x[s : s + ACCURACY_BATCH], mode="eval")
+        hits += int((logits.argmax(axis=1) == labels[s : s + ACCURACY_BATCH]).sum())
     return hits / len(x)
 
 
-def train(genome, split, plan, dtype=np.float32):
-    """SGD over shuffled minibatch epochs; returns (model, val accuracy).
+def train(genome, split, plan):
+    """Float32 SGD over shuffled minibatch epochs; returns (model, val accuracy).
 
     Raises DivergedTraining as soon as the minibatch loss goes non-finite.
     """
     seeds = np.random.SeedSequence(plan.seed).spawn(4)
     init_rng, shuffle_rng, dropout_rng, aug_rng = map(np.random.default_rng, seeds)
-    model = init_model(genome, init_rng, dtype)
+    model = init_model(genome, init_rng)
 
     n = len(split.train_x)
     bs = min(plan.batch_size, n)
@@ -439,7 +436,7 @@ def train(genome, split, plan, dtype=np.float32):
         # overflow on the way to a non-finite loss is the divergence path,
         # detected and raised below, so the fp warnings are suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads, stats = _loss_grads_stats(model, genome, bx, by, "train", dropout_rng)
+            loss, grads, stats = _loss_grads_stats(model, genome, bx, by, dropout_rng)
             if not np.isfinite(loss):
                 raise DivergedTraining(f"non-finite loss at iteration {t}")
             model = sgd_step(model, grads, lr, plan)
@@ -453,29 +450,26 @@ def train(genome, split, plan, dtype=np.float32):
 # finite-difference verification
 
 
-def relative_error(a, f, atol=1e-8):
-    """|a - f| scaled by magnitude; differences below atol count as zero.
-
-    atol absorbs float64 rounding noise in finite-difference numerators
-    (measured around 1e-10 for these loss scales).
-    """
+def relative_error(a, f):
+    """|a - f| scaled by magnitude; differences below FD_ATOL count as zero."""
     d = abs(a - f)
-    if d <= atol:
+    if d <= FD_ATOL:
         return 0.0
-    return d / max(abs(a), abs(f), atol)
+    return d / max(abs(a), abs(f), FD_ATOL)
 
 
-def gradient_check(model, genome, x, labels, step=1e-4, mode="train", dropout_seed=0, max_per_tensor=None, rng=None):
-    """Max relative error between analytic and central-difference gradients.
+def gradient_check(model, genome, x, labels, max_per_tensor=None, rng=None):
+    """Max relative error between loss_and_grads and central differences.
 
-    Checks every element of each parameter tensor unless max_per_tensor
+    Both run train mode, the only mode with gradients, over every tensor of
+    the genome.param_shapes layout: every element, unless max_per_tensor
     caps it, in which case a seeded sample of positions is used.
     """
-    _, grads = loss_and_grads(model, genome, x, labels, mode, dropout_seed)
+    _, grads = loss_and_grads(model, genome, x, labels)
 
     def loss_at(flat, pos, value):
         flat[pos] = value
-        return loss_and_grads(model, genome, x, labels, mode, dropout_seed)[0]
+        return loss_and_grads(model, genome, x, labels)[0]
 
     worst = 0.0
     for i in sorted(model.params):
@@ -488,10 +482,12 @@ def gradient_check(model, genome, x, labels, step=1e-4, mode="train", dropout_se
                 positions = sorted(sampler.choice(flat.size, size=max_per_tensor, replace=False))
             for pos in positions:
                 orig = flat[pos]
-                lp, lm, lp_half, lm_half = [loss_at(flat, pos, orig + d) for d in (step, -step, step / 2, -step / 2)]
+                lp, lm, lp_half, lm_half = [
+                    loss_at(flat, pos, orig + d) for d in (FD_STEP, -FD_STEP, FD_STEP / 2, -FD_STEP / 2)
+                ]
                 flat[pos] = orig
-                fd = (lp - lm) / (2 * step)
-                fd_half = (lp_half - lm_half) / step
+                fd = (lp - lm) / (2 * FD_STEP)
+                fd_half = (lp_half - lm_half) / FD_STEP
                 # two central differences agree only on a locally smooth
                 # stretch; disagreement means the step straddles a ReLU
                 # kink or pooling tie, where fd does not estimate the
@@ -503,9 +499,9 @@ def gradient_check(model, genome, x, labels, step=1e-4, mode="train", dropout_se
     return worst
 
 
-def smoothness_margin(model, genome, x, mode="train", dropout_seed=0):
-    """Distance of the batch from the nearest ReLU kink or pooling tie."""
-    _, caches, _ = _forward_pass(model, genome, x, mode, np.random.default_rng(dropout_seed))
+def smoothness_margin(model, genome, x):
+    """Distance of the batch from the nearest ReLU kink or pooling tie in train mode."""
+    _, caches, _ = _forward_pass(model, genome, x, "train", np.random.default_rng(0))
     margin = np.inf
     for i, cache in caches.items():
         kind = genome.nodes[i].kind
@@ -529,62 +525,42 @@ def smoothness_margin(model, genome, x, mode="train", dropout_seed=0):
     return margin
 
 
-def _chain_genome(middle, input_shape, num_classes):
-    """input -> middle nodes in order -> head."""
-    nodes = {0: Node(INPUT, {})}
-    preds = {0: ()}
-    for i, node in enumerate(middle, start=1):
-        nodes[i] = node
-        preds[i] = (i - 1,)
-    h = len(middle) + 1
-    nodes[h] = Node(HEAD, {"classes": num_classes})
-    preds[h] = (h - 1,)
-    return Genome(input_shape, num_classes, nodes, preds)
-
-
 def _join_genome(kind, channels_b, input_shape, num_classes):
     """Two conv branches merged by a skip or concat node."""
-    nodes = {
-        0: Node(INPUT, {}),
-        1: conv_node(3, 3, 1, 1),
-        2: conv_node(channels_b, 3, 1, 1),
-        3: Node(kind, {}),
-        4: Node(GLOBALPOOL, {}),
-        5: Node(HEAD, {"classes": num_classes}),
-    }
-    preds = {0: (), 1: (0,), 2: (1,), 3: (1, 2), 4: (3,), 5: (4,)}
-    return Genome(input_shape, num_classes, nodes, preds)
+    convs = [conv_node(3, 3, 1, 1), conv_node(channels_b, 3, 1, 1)]
+    g = chain_genome([*convs, Node(kind), Node(GLOBALPOOL)], input_shape, num_classes)
+    return g.replace(preds={**g.preds, 3: (1, 2)})
 
 
-def _single_kind_cases(num_classes=4):
-    shape = (2, 6, 6)
+def _single_kind_cases():
+    shape, num_classes = (2, 6, 6), 4
     gp = Node(GLOBALPOOL, {})
     return [
         ("globalpool_head", new_seed_genome("global_pool", shape, num_classes)),
         ("fc_head", new_seed_genome("fully_connected", shape, num_classes)),
-        ("conv", _chain_genome([conv_node(4, 3, 1, 1), gp], shape, num_classes)),
-        ("conv_stride2_filter5", _chain_genome([conv_node(3, 5, 2, 2), gp], shape, num_classes)),
-        ("conv_1x1", _chain_genome([conv_node(5, 1, 1, 0), gp], shape, num_classes)),
-        ("maxpool", _chain_genome([conv_node(3, 3, 1, 1), maxpool_node(2, 2), gp], shape, num_classes)),
-        ("fc_stack", _chain_genome([fc_node(9), fc_node(7)], shape, num_classes)),
-        ("dropout", _chain_genome([fc_node(8), dropout_node(0.5)], shape, num_classes)),
+        ("conv", chain_genome([conv_node(4, 3, 1, 1), gp], shape, num_classes)),
+        ("conv_stride2_filter5", chain_genome([conv_node(3, 5, 2, 2), gp], shape, num_classes)),
+        ("conv_1x1", chain_genome([conv_node(5, 1, 1, 0), gp], shape, num_classes)),
+        ("maxpool", chain_genome([conv_node(3, 3, 1, 1), maxpool_node(2, 2), gp], shape, num_classes)),
+        ("fc_stack", chain_genome([fc_node(9), fc_node(7)], shape, num_classes)),
+        ("dropout", chain_genome([fc_node(8), dropout_node(0.5)], shape, num_classes)),
         ("skip", _join_genome(SKIP, 3, shape, num_classes)),
         ("concat", _join_genome(CONCAT, 4, shape, num_classes)),
     ]
 
 
-def _composite_cases(count, seed, max_mutations=6):
+def _composite_cases(seed):
     # imported here so the trainer stays usable without the search stack
     from evoarch.mutation import ExhaustedRetries, MutationWeights, mutate_until_valid
 
     shape = (3, 8, 8)
     cases = []
     weights = MutationWeights.early()
-    for i in range(count):
+    for i in range(SUITE_COMPOSITES):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         kind = "global_pool" if i % 2 == 0 else "fully_connected"
         genome = new_seed_genome(kind, shape, 4)
-        steps = int(rng.integers(1, max_mutations + 1))
+        steps = int(rng.integers(1, 6 + 1))  # 1 to 6 mutations
         for _ in range(steps):
             try:
                 genome = mutate_until_valid(genome, weights, rng)
@@ -594,36 +570,32 @@ def _composite_cases(count, seed, max_mutations=6):
     return cases
 
 
-def gradient_check_suite(seed=0, composites=20, step=1e-4, max_per_tensor=32, batch=3):
+def gradient_check_suite(seed=0):
     """Finite-difference audit over single-kind genomes and random composites.
 
     Returns a list of (name, max_relative_error) pairs, float64 end to
-    end.  Input batches sitting too close to a ReLU kink or a pooling tie
-    are redrawn, since central differences are meaningless across them.
+    end, from batches of SUITE_BATCH samples and at most
+    SUITE_MAX_PER_TENSOR positions per tensor.  Input batches sitting too
+    close to a ReLU kink or a pooling tie are redrawn, since central
+    differences are meaningless across them.
     """
     results = []
-    cases = _single_kind_cases() + _composite_cases(composites, seed)
+    cases = _single_kind_cases() + _composite_cases(seed)
     for pos, (name, genome) in enumerate(cases):
         streams = np.random.SeedSequence((seed, pos, 7)).spawn(3)
         model = init_model(genome, np.random.default_rng(streams[0]), dtype=np.float64)
         data_rng = np.random.default_rng(streams[1])
-        labels = data_rng.integers(0, genome.num_classes, size=batch)
+        labels = data_rng.integers(0, genome.num_classes, size=SUITE_BATCH)
         x = best_margin = None
         for _ in range(40):
-            cand = data_rng.normal(size=(batch,) + genome.input_shape)
+            cand = data_rng.normal(size=(SUITE_BATCH,) + genome.input_shape)
             margin = smoothness_margin(model, genome, cand)
             if best_margin is None or margin > best_margin:
                 x, best_margin = cand, margin
-            if margin > 10 * step:
+            if margin > 10 * FD_STEP:
                 break
         err = gradient_check(
-            model,
-            genome,
-            x,
-            labels,
-            step=step,
-            max_per_tensor=max_per_tensor,
-            rng=np.random.default_rng(streams[2]),
+            model, genome, x, labels, max_per_tensor=SUITE_MAX_PER_TENSOR, rng=np.random.default_rng(streams[2])
         )
         results.append((name, err))
     return results

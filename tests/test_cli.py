@@ -190,6 +190,35 @@ def test_negative_seed_exits_one(tmp_path, monkeypatch, capsys, command, fitness
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "compare-selection"])
+def test_out_dir_that_cannot_be_made_exits_one_before_any_run(tmp_path, monkeypatch, capsys, command):
+    runs = []
+    monkeypatch.setattr(cli.engine, "run", lambda *a, **kw: runs.append(a))
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    argv = [command, "--generations", "1", "--out-dir", str(taken)]
+    if command == "compare-selection":
+        argv += ["--seeds", "1"]
+    code = cli.main(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err and err.count("\n") == 1
+    assert runs == []
+
+
+def test_dataset_too_small_to_split_blames_the_data(tmp_path, monkeypatch, capsys):
+    data_dir = build_mnist_dir(tmp_path / "mnist", n_train=4)
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(data_dir))
+    argv = ["evolve", "--fitness", "trained", "--generations", "1", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(data_dir) in err and " 4" in err and "--subset" not in err
+    assert err.count("\n") == 1
+    assert cli.main(argv + ["--subset", "4"]) == 1
+    assert capsys.readouterr().err == "error: --subset 4: cannot carve 0 validation samples out of 4\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------- export and evaluate
 
 def test_export_dot(tmp_path, capsys):
@@ -235,6 +264,23 @@ def test_eval_genome_malformed_file(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["eval-genome", str(path)]) == 2
     assert cli.main(["export-dot", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", [["export-dot"], ["eval-genome", "--fitness", "trained", "--iters", "1"]],
+                         ids=["export-dot", "eval-genome-trained"])
+def test_float_genome_param_exits_two(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
+    g = apply_mutation(new_seed_genome("global_pool", (1, 28, 28), 10), "add_convolution",
+                       np.random.default_rng(0))
+    doc = json.loads(serialize(g))
+    conv = next(n for n in doc["nodes"] if n["kind"] == "conv")
+    conv["params"]["channels"] = float(conv["params"]["channels"])
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: node {conv['id']}: param channels must be an integer\n"
 
 
 def test_eval_genome_invalid_structure(tmp_path):

@@ -21,6 +21,7 @@ from evoarch.genome import (
     ParseError,
     ShapeError,
     canonical_node_sequence,
+    chain_genome,
     conv_node,
     deserialize,
     dropout_node,
@@ -43,16 +44,7 @@ from helpers import random_genome
 
 
 def chain(middle, input_shape=(3, 32, 32), num_classes=10):
-    """input -> middle nodes in order -> head, as a plain path."""
-    nodes = {0: Node(INPUT)}
-    preds = {0: ()}
-    for i, nd in enumerate(middle, start=1):
-        nodes[i] = nd
-        preds[i] = (i - 1,)
-    last = len(nodes)
-    nodes[last] = Node(HEAD, {"classes": num_classes})
-    preds[last] = (last - 1,)
-    return Genome(input_shape, num_classes, nodes, preds)
+    return chain_genome(middle, input_shape, num_classes)
 
 
 def skip_genome(channels_a=32, channels_b=32, join=SKIP):
@@ -626,6 +618,26 @@ def test_deserialize_wrong_container_types(field, value):
     with pytest.raises(ParseError) as e:
         deserialize(json.dumps(doc))
     assert field in str(e.value)
+
+
+INTEGER_PARAMS = [(1, "channels"), (1, "filter"), (1, "stride"), (1, "pad"),
+                  (2, "kernel"), (2, "stride"), (3, "units"), (4, "classes")]
+
+
+@pytest.mark.parametrize("node_id,param", INTEGER_PARAMS,
+                         ids=[f"{i}-{p}" for i, p in INTEGER_PARAMS])
+@pytest.mark.parametrize("bad", [4.0, True], ids=["float", "bool"])
+def test_deserialize_requires_integer_params(node_id, param, bad):
+    doc = genome_doc(chain([conv_node(4), maxpool_node(), fc_node(8)]))
+    doc["nodes"][node_id]["params"][param] = bad
+    with pytest.raises(ParseError) as e:
+        genome_from_doc(doc)
+    assert f"node {node_id}" in str(e.value) and param in str(e.value)
+
+
+def test_deserialize_keeps_fractional_dropout_ratio():
+    g = chain([fc_node(8), dropout_node(0.25)])
+    assert deserialize(serialize(g)) == g
 
 
 # --------------------------------------------------------------------- dot

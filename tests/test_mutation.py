@@ -18,6 +18,7 @@ from evoarch.genome import (
     Node,
     _derived,
     canonical_node_sequence,
+    chain_genome,
     conv_node,
     dropout_node,
     fc_node,
@@ -46,15 +47,7 @@ from helpers import random_genome
 
 
 def chain(middle, input_shape=(3, 32, 32), num_classes=10):
-    nodes = {0: Node(INPUT)}
-    preds = {0: ()}
-    for i, nd in enumerate(middle, start=1):
-        nodes[i] = nd
-        preds[i] = (i - 1,)
-    last = len(nodes)
-    nodes[last] = Node(HEAD, {"classes": num_classes})
-    preds[last] = (last - 1,)
-    return Genome(input_shape, num_classes, nodes, preds)
+    return chain_genome(middle, input_shape, num_classes)
 
 
 def fig_chain():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import threading
@@ -14,11 +15,13 @@ from evoarch.genome import (
     SKIP,
     Genome,
     Node,
+    chain_genome,
     conv_node,
     dropout_node,
     fc_node,
     maxpool_node,
     new_seed_genome,
+    parameter_count,
 )
 from evoarch.trainer import (
     DivergedTraining,
@@ -36,18 +39,11 @@ from evoarch.trainer import (
     softmax_cross_entropy,
     train,
 )
+from helpers import random_genome
 
 
 def chain(middle, input_shape=(3, 8, 8), num_classes=10):
-    nodes = {0: Node(INPUT)}
-    preds = {0: ()}
-    for i, nd in enumerate(middle, start=1):
-        nodes[i] = nd
-        preds[i] = (i - 1,)
-    last = len(nodes)
-    nodes[last] = Node(HEAD, {"classes": num_classes})
-    preds[last] = (last - 1,)
-    return Genome(input_shape, num_classes, nodes, preds)
+    return chain_genome(middle, input_shape, num_classes)
 
 
 def synthetic_split(n_train=256, n_val=512, shape=(1, 8, 8), classes=10, seed=0):
@@ -151,6 +147,30 @@ def test_init_biases_and_batchnorm():
     assert not model.buffers[1]["mean"].any()
     assert (model.buffers[1]["var"] == 1).all()
     assert not model.velocity[1]["W"].any()
+
+
+def test_init_weights_and_parameter_counts_pinned():
+    # weights come from one rng in ascending node id, W then b, gamma, beta
+    h = hashlib.sha256()
+    for seed in range(60):
+        g = random_genome(np.random.default_rng(seed))
+        h.update(str(parameter_count(g)).encode())
+        for dtype in (np.float32, np.float64):
+            model = init_model(g, np.random.default_rng(seed), dtype)
+            for store in (model.params, model.buffers):
+                for i in sorted(store):
+                    for name in sorted(store[i]):
+                        a = store[i][name]
+                        h.update(f"{i}/{name}/{a.dtype}/{a.shape}".encode())
+                        h.update(a.tobytes())
+    assert h.hexdigest() == "a687cd50ee89042cdd7a76de27ab332b88d49e2af05cddf5d0834b7a614503ed"
+
+
+def test_parameter_count_is_the_size_of_the_initialized_model():
+    for seed in range(60):
+        g = random_genome(np.random.default_rng(seed))
+        model = init_model(g, np.random.default_rng(seed))
+        assert parameter_count(g) == sum(w.size for group in model.params.values() for w in group.values())
 
 
 def test_init_seed_genome_allocates_head_only():
