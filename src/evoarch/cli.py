@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from evoarch import data as datamod
 from evoarch import engine
@@ -23,11 +23,13 @@ from evoarch.trainer import TrainPlan, gradient_check_suite
 
 GRAD_TOL = 1e-4
 
-DEFAULT_STRATEGIES = "aggressive,tournament,sample_uniform,sample_by_fitness"
-
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad flags; here that is a config failure (1)."""
+    """Help lists each flag's default; a bad flag is a config failure (1), not argparse's 2."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -48,47 +50,42 @@ def _add_run_flags(p):
                    help="output directory (default derives from command and seed)")
 
 
+def _add_search_flags(p, k_help, generations_help):
+    p.add_argument("--k", type=int, default=1, help=k_help)
+    p.add_argument("--population", type=int, default=10, help="population size")
+    p.add_argument("--threshold", type=int, default=1, help="selection distance threshold")
+    p.add_argument("--generations", type=int, default=100, help=generations_help)
+
+
 def build_parser():
-    parser = _Parser(prog="evoarch", description=__doc__.splitlines()[0],
-                     formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    parser = _Parser(prog="evoarch", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("evolve", help="run one evolution",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("evolve", help="run one evolution")
     _add_run_flags(p)
-    p.add_argument("--k", type=int, default=1, help="survivors per generation")
-    p.add_argument("--population", type=int, default=10, help="population size")
-    p.add_argument("--threshold", type=int, default=1, help="selection distance threshold")
-    p.add_argument("--generations", type=int, default=100, help="generation cap")
+    _add_search_flags(p, "survivors per generation", "generation cap")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("compare-selection", help="race selection settings",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("compare-selection", help="race selection settings")
     _add_run_flags(p)
-    p.add_argument("--k", type=int, default=1, help="k for the aggressive entry")
-    p.add_argument("--population", type=int, default=10, help="population size")
-    p.add_argument("--threshold", type=int, default=1, help="selection distance threshold")
-    p.add_argument("--generations", type=int, default=100, help="generations per run")
+    _add_search_flags(p, "k for the aggressive entry", "generations per run")
     p.add_argument("--strategies", default=None,
-                   help=f"comma-separated strategy names (default: {DEFAULT_STRATEGIES})")
+                   help=f"comma-separated strategy names (default: {','.join(engine.STRATEGIES)})")
     p.add_argument("--seeds", type=int, default=20, help="seeds per entry")
     p.add_argument("--k-sweep", dest="k_sweep", default=None,
                    help="comma-separated k values; replaces --strategies")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("export-dot", help="print a genome as DOT",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("export-dot", help="print a genome as DOT")
     p.add_argument("genome", help="genome JSON file")
     p.set_defaults(func=cmd_export_dot)
 
-    p = sub.add_parser("eval-genome", help="evaluate one genome file",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("eval-genome", help="evaluate one genome file")
     _add_run_flags(p)
     p.add_argument("genome", help="genome JSON file")
     p.set_defaults(func=cmd_eval_genome)
 
-    p = sub.add_parser("grad-check", help="finite-difference gradient audit",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("grad-check", help="finite-difference gradient audit")
     p.add_argument("--seed", type=int, default=0, help="suite seed")
     p.set_defaults(func=cmd_grad_check)
     return parser
@@ -176,8 +173,8 @@ def cmd_compare(args):
             raise ConfigError(f"bad --k-sweep value: {err}") from err
         specs = engine.k_sweep_specs(ks, config)
     else:
-        strategies = DEFAULT_STRATEGIES if args.strategies is None else args.strategies
-        specs = engine.default_specs([s.strip() for s in strategies.split(",") if s.strip()], config)
+        names = engine.STRATEGIES if args.strategies is None else args.strategies.split(",")
+        specs = engine.default_specs([s.strip() for s in names if s.strip()], config)
     if not specs:
         flag = "--strategies" if args.k_sweep is None else "--k-sweep"
         raise ConfigError(f"{flag} names nothing to compare")
@@ -196,11 +193,7 @@ def cmd_compare(args):
         "generations": args.generations,
         "seeds": args.seeds,
         "seed": args.seed,
-        "specs": [
-            {"label": s.label, "strategy": s.strategy, "k": s.k,
-             "distance_threshold": s.distance_threshold}
-            for s in specs
-        ],
+        "specs": [asdict(s) for s in specs],
     }
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump(echo, fh, indent=2, sort_keys=True)

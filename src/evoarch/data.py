@@ -10,21 +10,22 @@ augmentation used on CIFAR training batches.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 MNIST_IMAGE_MAGIC = 0x00000803
 MNIST_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
+NUM_CLASSES = 10  # both datasets label their records 0-9
 
-MNIST_FILES = {
-    "train_images": "train-images-idx3-ubyte",
-    "train_labels": "train-labels-idx1-ubyte",
-    "test_images": "t10k-images-idx3-ubyte",
-    "test_labels": "t10k-labels-idx1-ubyte",
+MNIST_FILES = {  # (images, labels) of each part
+    "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+    "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
 }
 CIFAR_DIR = "cifar-10-batches-bin"
 CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
@@ -63,10 +64,9 @@ class DatasetSplit:
     val_y: np.ndarray
     test_x: np.ndarray | None = None
     test_y: np.ndarray | None = None
-    num_classes: int = 10
+    num_classes: int = NUM_CLASSES
     preprocessing: str = "scale"
     augment: str = "none"
-    seed: int = 0
 
     @property
     def input_shape(self):
@@ -74,44 +74,48 @@ class DatasetSplit:
 
 
 def _read_bytes(path):
-    if str(path).endswith(".gz"):
-        with gzip.open(path, "rb") as fh:
+    try:
+        if str(path).endswith(".gz"):
+            with gzip.open(path, "rb") as fh:
+                return fh.read()
+        with open(path, "rb") as fh:
             return fh.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+    except (OSError, EOFError, zlib.error) as err:
+        raise DataError(f"{path}: cannot read: {getattr(err, 'strerror', None) or err}") from err
 
 
-def _parse_idx_images(raw, path):
-    if len(raw) < 16:
-        raise TruncatedFile(f"{path}: header needs 16 bytes, file has {len(raw)}")
-    magic, count, rows, cols = struct.unpack(">iiii", raw[:16])
-    if magic != MNIST_IMAGE_MAGIC:
-        raise BadMagic(f"{path}: magic {magic:#010x}, expected {MNIST_IMAGE_MAGIC:#010x}")
-    need = 16 + count * rows * cols
+def _read_idx(path, magic, ndim):
+    """The uint8 payload of an IDX file, in the shape its header declares."""
+    raw = _read_bytes(path)
+    head = 4 + 4 * ndim
+    if len(raw) < head:
+        raise TruncatedFile(f"{path}: header needs {head} bytes, file has {len(raw)}")
+    found, *sizes = struct.unpack(f">{1 + ndim}i", raw[:head])
+    if found != magic:
+        raise BadMagic(f"{path}: magic {found:#010x}, expected {magic:#010x}")
+    sizes = tuple(sizes)
+    if min(sizes) < 0:
+        raise DataError(f"{path}: header sizes {sizes} must not be negative")
+    need = head + math.prod(sizes)
     if len(raw) < need:
-        raise TruncatedFile(f"{path}: expected {need} bytes for {count} images, got {len(raw)}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
-    return pixels.reshape(count, 1, rows, cols)
+        raise TruncatedFile(f"{path}: header sizes {sizes} need {need} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype=np.uint8, count=need - head, offset=head).reshape(sizes)
 
 
-def _parse_idx_labels(raw, path):
-    if len(raw) < 8:
-        raise TruncatedFile(f"{path}: header needs 8 bytes, file has {len(raw)}")
-    magic, count = struct.unpack(">ii", raw[:8])
-    if magic != MNIST_LABEL_MAGIC:
-        raise BadMagic(f"{path}: magic {magic:#010x}, expected {MNIST_LABEL_MAGIC:#010x}")
-    if len(raw) < 8 + count:
-        raise TruncatedFile(f"{path}: expected {8 + count} bytes for {count} labels, got {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8, count=count, offset=8)
+def _check_labels(labels, path):
+    bad = np.flatnonzero(labels >= NUM_CLASSES)
+    if bad.size:
+        raise LabelOutOfRange(f"{path}: record {bad[0]} has label {labels[bad[0]]}")
 
 
 def load_mnist(image_path, label_path):
     """(images, labels) from an IDX pair: float32 in [0, 1], shape (n, 1, r, c)."""
-    images = _parse_idx_images(_read_bytes(image_path), image_path)
-    labels = _parse_idx_labels(_read_bytes(label_path), label_path)
+    images = _read_idx(image_path, MNIST_IMAGE_MAGIC, 3)
+    labels = _read_idx(label_path, MNIST_LABEL_MAGIC, 1)
     if len(images) != len(labels):
         raise CountMismatch(f"{image_path} has {len(images)} images but {label_path} has {len(labels)} labels")
-    return images.astype(np.float32) / 255.0, labels.astype(np.int64)
+    _check_labels(labels, label_path)
+    return images[:, None].astype(np.float32) / 255.0, labels.astype(np.int64)
 
 
 def load_cifar10(batch_paths):
@@ -122,12 +126,9 @@ def load_cifar10(batch_paths):
         if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
             raise TruncatedFile(f"{path}: size {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}")
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        labels = records[:, 0]
-        bad = np.nonzero(labels > 9)[0]
-        if bad.size:
-            raise LabelOutOfRange(f"{path}: record {bad[0]} has label {labels[bad[0]]}")
+        _check_labels(records[:, 0], path)
         all_images.append(records[:, 1:].reshape(-1, 3, 32, 32))
-        all_labels.append(labels)
+        all_labels.append(records[:, 0])
     images = np.concatenate(all_images)
     labels = np.concatenate(all_labels)
     return images.astype(np.float32) / 255.0, labels.astype(np.int64)
@@ -165,22 +166,14 @@ def split_train_val(images, labels, fraction=0.1, seed=0, subset_n=None):
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("validation fraction must be in (0, 1)")
-    if subset_n is not None:
-        images = images[:subset_n]
-        labels = labels[:subset_n]
+    images, labels = images[:subset_n], labels[:subset_n]
     n = len(images)
     n_val = int(round(n * fraction))
     if n_val < 1 or n_val >= n:
         raise ValueError(f"cannot carve {n_val} validation samples out of {n}")
     perm = np.random.default_rng(seed).permutation(n)
     train_idx, val_idx = perm[: n - n_val], perm[n - n_val :]
-    return DatasetSplit(
-        train_x=images[train_idx],
-        train_y=labels[train_idx],
-        val_x=images[val_idx],
-        val_y=labels[val_idx],
-        seed=seed,
-    )
+    return DatasetSplit(images[train_idx], labels[train_idx], images[val_idx], labels[val_idx])
 
 
 def resolve_data_dir():
@@ -206,17 +199,10 @@ def load_dataset(name, data_dir, subset_n=None, seed=0):
     A tenth of the training records becomes the validation set.
     """
     if name == "mnist":
-        train_x, train_y = load_mnist(
-            _find(data_dir, MNIST_FILES["train_images"]), _find(data_dir, MNIST_FILES["train_labels"])
-        )
-        test_x, test_y = load_mnist(
-            _find(data_dir, MNIST_FILES["test_images"]), _find(data_dir, MNIST_FILES["test_labels"])
-        )
-        split = split_train_val(train_x, train_y, seed=seed, subset_n=subset_n)
-        split.test_x, split.test_y = test_x, test_y
-        split.preprocessing = "scale"
-        return split
-    if name == "cifar10":
+        train_x, train_y = load_mnist(*(_find(data_dir, f) for f in MNIST_FILES["train"]))
+        test_x, test_y = load_mnist(*(_find(data_dir, f) for f in MNIST_FILES["test"]))
+        preprocessing, augment = "scale", "none"
+    elif name == "cifar10":
         base = os.path.join(data_dir, CIFAR_DIR)
         root = base if os.path.isdir(base) else data_dir
         train_x, train_y = load_cifar10([_find(root, f) for f in CIFAR_TRAIN_FILES])
@@ -224,9 +210,8 @@ def load_dataset(name, data_dir, subset_n=None, seed=0):
         # GCN is per image, so normalizing only the records kept changes no value
         train_x = global_contrast_normalize(train_x[:subset_n])
         test_x = global_contrast_normalize(test_x)
-        split = split_train_val(train_x, train_y, seed=seed, subset_n=subset_n)
-        split.test_x, split.test_y = test_x, test_y
-        split.preprocessing = "gcn"
-        split.augment = "pad_crop4"
-        return split
-    raise ValueError(f"unknown dataset {name!r}")
+        preprocessing, augment = "gcn", "pad_crop4"
+    else:
+        raise ValueError(f"unknown dataset {name!r}")
+    split = split_train_val(train_x, train_y, seed=seed, subset_n=subset_n)
+    return replace(split, test_x=test_x, test_y=test_y, preprocessing=preprocessing, augment=augment)

@@ -14,6 +14,7 @@ side by side), and batchnorm and ReLU work in place on the conv output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,39 +60,38 @@ class TrainPlan:
     """Budget and optimizer settings for one training run.
 
     The learning rate decays as stage_lr * (1 + gamma * t_local) ** -alpha
-    within each of three stages; boundaries give the iterations where the
-    second and third stages begin and the local clock resets.
+    within each of three stages.  The second and third stages begin, and
+    the local clock resets, at the derived boundaries (max_iters // 2,
+    3 * max_iters // 4): a 50/25/25 split like the paper's 10k/5k/5k.
     """
 
+    gamma: ClassVar[float] = 0.001
+    alpha: ClassVar[float] = 0.75
+
     max_iters: int = 600
-    boundaries: tuple = (300, 450)
     stage_lrs: tuple = (1e-1, 1e-3, 1e-5)
-    gamma: float = 0.001
-    alpha: float = 0.75
     momentum: float = 0.9
     weight_decay: float = 5e-4
     batch_size: int = 64
     seed: int = 0
 
     def __post_init__(self):
-        b1, b2 = self.boundaries
-        if not 0 <= b1 <= b2:
-            raise ValueError("stage boundaries must be ascending and non-negative")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
         if len(self.stage_lrs) != 3:
             raise ValueError("exactly three stage learning rates required")
 
+    @property
+    def boundaries(self):
+        return self.max_iters // 2, 3 * self.max_iters // 4
+
     @classmethod
     def paper_scale(cls, **overrides):
-        base = dict(max_iters=20000, boundaries=(10000, 15000), batch_size=128)
-        base.update(overrides)
-        return cls(**base)
+        return cls(**{"max_iters": 20000, "batch_size": 128, **overrides})
 
     @classmethod
     def desk_scale(cls, max_iters=600, **overrides):
-        # stages split 50/25/25 like the full-scale 10k/5k/5k schedule
-        base = dict(max_iters=max_iters, boundaries=(max_iters // 2, (max_iters * 3) // 4))
-        base.update(overrides)
-        return cls(**base)
+        return cls(max_iters, **overrides)
 
 
 def lr_at(t, plan):
@@ -430,7 +430,7 @@ def train(genome, split, plan):
         cursor += bs
         bx = split.train_x[idx]
         by = split.train_y[idx]
-        if getattr(split, "augment", "none") == "pad_crop4":
+        if split.augment == "pad_crop4":
             bx = pad_and_random_crop(bx, 4, aug_rng)
         lr = lr_at(t, plan)
         # overflow on the way to a non-finite loss is the divergence path,

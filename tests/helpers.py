@@ -2,6 +2,7 @@
 independent selection oracle and synthetic dataset fixtures small enough
 to build in-memory."""
 
+import gzip
 import struct
 from itertools import zip_longest
 
@@ -115,3 +116,24 @@ def build_cifar_dir(root, per_batch=8, n_test=8, seed=0):
     imgs = rng.integers(0, 256, size=(n_test, 3, 32, 32), dtype=np.uint8)
     write_cifar_batch(d / "test_batch.bin", imgs, rng.integers(0, 10, n_test))
     return root
+
+
+def spoil_file(path, fault):
+    """Replace a dataset file with an unreadable stand-in; returns the path
+    the loader finds instead: a .gz that is not gzip ("not-gzip"), a gzip cut
+    short ("truncated-gzip"), a gzip whose first deflate block has the
+    reserved type ("corrupt-gzip"), or a directory ("directory")."""
+    raw = path.read_bytes()
+    path.unlink()
+    if fault == "directory":
+        path.mkdir()
+        return path
+    packed = gzip.compress(raw)
+    body = {
+        "not-gzip": raw,
+        "truncated-gzip": packed[: len(packed) // 2],
+        "corrupt-gzip": packed[:10] + bytes([0x07]) + packed[11:],
+    }[fault]
+    spoiled = path.with_name(path.name + ".gz")
+    spoiled.write_bytes(body)
+    return spoiled

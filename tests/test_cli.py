@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import evoarch.cli as cli
 from evoarch.fitness import TrainedEvaluator
 from evoarch.genome import new_seed_genome, serialize
 from evoarch.mutation import apply_mutation
-from helpers import build_mnist_dir
+from helpers import build_mnist_dir, spoil_file, write_idx_labels
 
 
 def one_conv_genome_file(tmp_path):
@@ -15,6 +16,12 @@ def one_conv_genome_file(tmp_path):
                        np.random.default_rng(0))
     path = tmp_path / "one_conv.json"
     path.write_text(serialize(g))
+    return path
+
+
+def mnist_genome_file(tmp_path):
+    path = tmp_path / "mnist_seed.json"
+    path.write_text(serialize(new_seed_genome("global_pool", (1, 28, 28), 10)))
     return path
 
 
@@ -219,6 +226,50 @@ def test_dataset_too_small_to_split_blames_the_data(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "out").exists()
 
 
+def trained_argv(tmp_path, command):
+    argv = [command, "--fitness", "trained", "--iters", "1"]
+    if command == "eval-genome":
+        return argv + [str(mnist_genome_file(tmp_path))]
+    return argv + ["--generations", "1", "--out-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command", ["eval-genome", "evolve"])
+def test_mnist_label_out_of_range_exits_two(tmp_path, monkeypatch, capsys, command):
+    data_dir = build_mnist_dir(tmp_path / "mnist")
+    labels = data_dir / "train-labels-idx1-ubyte"
+    values = np.frombuffer(labels.read_bytes(), np.uint8, offset=8).copy()
+    values[5] = 200
+    write_idx_labels(labels, values)
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(data_dir))
+    assert cli.main(trained_argv(tmp_path, command)) == 2
+    assert capsys.readouterr().err == f"error: {labels}: record 5 has label 200\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sizes", [(-1, 28, 28), (64, -28, 28)])
+def test_negative_idx_header_sizes_exit_two(tmp_path, monkeypatch, capsys, sizes):
+    data_dir = build_mnist_dir(tmp_path / "mnist")
+    images = data_dir / "train-images-idx3-ubyte"
+    raw = images.read_bytes()
+    images.write_bytes(raw[:4] + struct.pack(">iii", *sizes) + raw[16:])
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(data_dir))
+    assert cli.main(trained_argv(tmp_path, "eval-genome")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {images}: ") and str(sizes) in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fault", ["not-gzip", "truncated-gzip", "corrupt-gzip", "directory"])
+def test_unreadable_dataset_file_exits_two(tmp_path, monkeypatch, capsys, fault):
+    data_dir = build_mnist_dir(tmp_path / "mnist")
+    path = spoil_file(data_dir / "t10k-labels-idx1-ubyte", fault)
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(data_dir))
+    assert cli.main(trained_argv(tmp_path, "eval-genome")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: cannot read: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------- export and evaluate
 
 def test_export_dot(tmp_path, capsys):
@@ -245,9 +296,8 @@ def test_eval_genome_trained_uses_the_seed_flag(tmp_path, monkeypatch, capsys):
         return 0.25
 
     monkeypatch.setattr(cli, "evaluate_trained", record)
-    path = tmp_path / "mnist_seed.json"
-    path.write_text(serialize(new_seed_genome("global_pool", (1, 28, 28), 10)))
-    code = cli.main(["eval-genome", "--fitness", "trained", "--iters", "1", "--seed", "7", str(path)])
+    code = cli.main(["eval-genome", "--fitness", "trained", "--iters", "1", "--seed", "7",
+                     str(mnist_genome_file(tmp_path))])
     assert code == 0
     assert seeds == [7]
     assert capsys.readouterr().out.strip() == "0.250000"

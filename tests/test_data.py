@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import struct
 
 import numpy as np
@@ -19,7 +20,14 @@ from evoarch.data import (
     resolve_data_dir,
     split_train_val,
 )
-from helpers import build_cifar_dir, build_mnist_dir, write_cifar_batch, write_idx_images, write_idx_labels
+from helpers import (
+    build_cifar_dir,
+    build_mnist_dir,
+    spoil_file,
+    write_cifar_batch,
+    write_idx_images,
+    write_idx_labels,
+)
 
 
 class FixedOffsets:
@@ -95,6 +103,40 @@ def test_mnist_count_mismatch(tmp_path):
     write_idx_labels(tmp_path / "labs", rng.integers(0, 10, 4))
     with pytest.raises(CountMismatch):
         load_mnist(tmp_path / "imgs", tmp_path / "labs")
+
+
+@pytest.mark.parametrize("label", [10, 200])
+def test_mnist_label_out_of_range(tmp_path, label):
+    build_mnist_dir(tmp_path, n_train=8, n_test=2)
+    labels = tmp_path / "train-labels-idx1-ubyte"
+    write_idx_labels(labels, [1, 2, 3, 4, 5, label, 6, 7])
+    with pytest.raises(LabelOutOfRange) as err:
+        load_mnist(tmp_path / "train-images-idx3-ubyte", labels)
+    assert str(err.value) == f"{labels}: record 5 has label {label}"
+
+
+@pytest.mark.parametrize("kind,sizes", [("images", (-1, 28, 28)), ("images", (1, -28, 28)),
+                                        ("images", (1, 28, -28)), ("labels", (-1,))])
+def test_mnist_negative_header_sizes(tmp_path, kind, sizes):
+    write_idx_images(tmp_path / "images", np.zeros((1, 28, 28), np.uint8))
+    write_idx_labels(tmp_path / "labels", [0])
+    path = tmp_path / kind
+    raw = path.read_bytes()
+    magic = raw[:4]
+    path.write_bytes(magic + struct.pack(f">{len(sizes)}i", *sizes) + raw[4 + 4 * len(sizes):])
+    with pytest.raises(DataError) as err:
+        load_mnist(tmp_path / "images", tmp_path / "labels")
+    assert str(err.value).startswith(f"{path}: ") and str(sizes) in str(err.value)
+
+
+@pytest.mark.parametrize("fault", ["not-gzip", "truncated-gzip", "corrupt-gzip", "directory"])
+def test_unreadable_dataset_file_is_a_data_error(tmp_path, fault):
+    build_mnist_dir(tmp_path, n_train=20, n_test=5)
+    path = spoil_file(tmp_path / "train-images-idx3-ubyte", fault)
+    with pytest.raises(DataError) as err:
+        load_dataset("mnist", str(tmp_path))
+    assert str(err.value).startswith(f"{path}: cannot read: ")
+    assert "\n" not in str(err.value)
 
 
 # ----------------------------------------------------------------- cifar10
@@ -242,6 +284,7 @@ def test_load_dataset_mnist(tmp_path):
     assert len(split.test_x) == 10
     assert split.preprocessing == "scale"
     assert split.augment == "none"
+    assert not hasattr(split, "seed")
 
 
 def test_load_dataset_cifar(tmp_path):
@@ -274,6 +317,22 @@ def test_load_dataset_cifar_subset_normalizes_kept_records(tmp_path, monkeypatch
         assert np.array_equal(getattr(split, name), getattr(want, name)), name
     # the 20 records kept for the train/validation split, then the 8 test records
     assert normalized == [20, 8]
+
+
+def test_load_dataset_outputs_pinned(tmp_path):
+    """sha256 over every array (bytes, dtype, shape) and the provenance fields
+    of MNIST and CIFAR splits, each with and without a subset."""
+    dirs = {"mnist": build_mnist_dir(tmp_path / "mnist"), "cifar10": build_cifar_dir(tmp_path / "cifar")}
+    h = hashlib.sha256()
+    for name, root in dirs.items():
+        for subset_n in (None, 30):
+            split = load_dataset(name, str(root), subset_n=subset_n, seed=3)
+            for field in ("train_x", "train_y", "val_x", "val_y", "test_x", "test_y"):
+                arr = getattr(split, field)
+                h.update(f"{name} {subset_n} {field} {arr.dtype} {arr.shape}".encode())
+                h.update(arr.tobytes())
+            h.update(f"{split.preprocessing} {split.augment} {split.num_classes}".encode())
+    assert h.hexdigest() == "003c2dd8b085034e2fc04213e6c939b5e16ab3063f9a6db8b102e30294a77f03"
 
 
 def test_load_dataset_missing_file(tmp_path):

@@ -160,14 +160,14 @@ def test_surrogate_deterministic_and_seed_blind():
 
 def test_trained_divergence_scores_zero():
     g = new_seed_genome("fully_connected", (1, 8, 8), 10)
-    plan = TrainPlan(max_iters=40, boundaries=(20, 30), stage_lrs=(1e12, 1e12, 1e12))
+    plan = TrainPlan(max_iters=40, stage_lrs=(1e12, 1e12, 1e12))
     with np.errstate(all="ignore"):
         assert evaluate_trained(g, tiny_split(), plan) == 0.0
 
 
 def test_trained_deterministic_per_seed():
     g = new_seed_genome("fully_connected", (1, 8, 8), 10)
-    ev = TrainedEvaluator(tiny_split(), TrainPlan(max_iters=20, boundaries=(10, 15)))
+    ev = TrainedEvaluator(tiny_split(), TrainPlan(max_iters=20))
     assert ev.evaluate(g, 3, 1) == ev.evaluate(g, 3, 1)
 
 
@@ -179,7 +179,7 @@ def test_trained_evaluator_trains_under_the_individual_seed(monkeypatch):
         return 0.5
 
     monkeypatch.setattr(fitness, "evaluate_trained", record)
-    ev = TrainedEvaluator(tiny_split(), TrainPlan(max_iters=20, boundaries=(10, 15)))
+    ev = TrainedEvaluator(tiny_split(), TrainPlan(max_iters=20))
     g = new_seed_genome("fully_connected", (1, 8, 8), 10)
     assert ev.evaluate(g, 9, 4) == 0.5
     assert seeds == [individual_seed(9, 4)]
@@ -217,7 +217,7 @@ def test_batch_worker_count_invariant():
     rng = np.random.default_rng(4)
     pop = [make_individual(random_genome(rng, input_shape=(1, 8, 8)), i, None)
            for i in range(8)]
-    ev = TrainedEvaluator(tiny_split(), TrainPlan(max_iters=10, boundaries=(5, 7)))
+    ev = TrainedEvaluator(tiny_split(), TrainPlan(max_iters=10))
     f1 = [i.fitness for i in evaluate_batch(pop, ev, run_seed=9, workers=1)]
     f8 = [i.fitness for i in evaluate_batch(pop, ev, run_seed=9, workers=8)]
     assert f1 == f8

@@ -113,10 +113,28 @@ def test_lr_out_of_range():
         lr_at(-1, plan)
 
 
+def test_lr_schedule_pinned():
+    """sha256 over every learning rate of desk-scale plans and the paper plan."""
+    plans = [TrainPlan.desk_scale(n) for n in (0, 1, 7, 10, 600, 20000)] + [TrainPlan.paper_scale()]
+    h = hashlib.sha256()
+    for plan in plans:
+        h.update(repr([plan.max_iters] + [lr_at(t, plan) for t in range(plan.max_iters)]).encode())
+    assert h.hexdigest() == "75e41de701075cb209cdc0ed800480c14486f1ca0fac3396563984ea4bbff082"
+
+
 def test_desk_scale_preserves_stage_proportions():
     plan = TrainPlan.desk_scale(600)
     assert plan.boundaries == (300, 450)
     assert TrainPlan.desk_scale(200).boundaries == (100, 150)
+
+
+def test_plan_derives_its_schedule():
+    assert TrainPlan(max_iters=30).boundaries == (15, 22)
+    for knob in ("boundaries", "gamma", "alpha"):
+        with pytest.raises(TypeError):
+            TrainPlan(**{knob: 1})
+    with pytest.raises(ValueError, match="max_iters"):
+        TrainPlan(max_iters=-1)
 
 
 # -------------------------------------------------------------------- init
@@ -412,7 +430,7 @@ def test_sgd_weight_decay_skips_batchnorm():
 def test_untrained_accuracy_is_chance():
     g = new_seed_genome("fully_connected", (1, 8, 8), 10)
     split = synthetic_split(n_val=1000)
-    plan = TrainPlan(max_iters=0, boundaries=(0, 0))
+    plan = TrainPlan(max_iters=0)
     _, acc = train(g, split, plan)
     assert abs(acc - 0.1) < 0.03
 
@@ -420,7 +438,7 @@ def test_untrained_accuracy_is_chance():
 def test_train_deterministic():
     g = chain([conv_node(4), Node(GLOBALPOOL)], (1, 8, 8))
     split = synthetic_split(n_train=128, n_val=64)
-    plan = TrainPlan(max_iters=30, boundaries=(15, 22), seed=5)
+    plan = TrainPlan(max_iters=30, seed=5)
     m1, a1 = train(g, split, plan)
     m2, a2 = train(g, split, plan)
     assert a1 == a2
@@ -436,7 +454,7 @@ def test_concurrent_training_matches_serial():
     preds = {0: (), 1: (0,), 2: (1,), 3: (1, 2), 4: (3,), 5: (4,), 6: (5,)}
     g = Genome((1, 8, 8), 10, nodes, preds)
     split = synthetic_split(n_train=96, n_val=32)
-    plan = TrainPlan(max_iters=8, boundaries=(4, 6), batch_size=16, seed=7)
+    plan = TrainPlan(max_iters=8, batch_size=16, seed=7)
     want, _ = train(g, split, plan)
     models = [None] * 4
 
@@ -470,7 +488,7 @@ def test_train_learns_separable_data():
     split = DatasetSplit(train_x=x[:384], train_y=y[:384],
                          val_x=x[384:], val_y=y[384:], num_classes=2)
     g = new_seed_genome("fully_connected", (1, 4, 4), 2)
-    plan = TrainPlan(max_iters=200, boundaries=(100, 150), seed=6)
+    plan = TrainPlan(max_iters=200, seed=6)
     _, acc = train(g, split, plan)
     assert acc >= 0.9
 
@@ -478,7 +496,7 @@ def test_train_learns_separable_data():
 def test_train_divergence_reported():
     g = new_seed_genome("fully_connected", (1, 8, 8), 10)
     split = synthetic_split(n_train=128, n_val=64)
-    plan = TrainPlan(max_iters=50, boundaries=(25, 37), stage_lrs=(1e12, 1e12, 1e12))
+    plan = TrainPlan(max_iters=50, stage_lrs=(1e12, 1e12, 1e12))
     with pytest.raises(DivergedTraining):
         with np.errstate(all="ignore"):
             train(g, split, plan)
