@@ -24,11 +24,20 @@ from evoarch.trainer import TrainPlan, gradient_check_suite
 GRAD_TOL = 1e-4
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends a flag's default unless it is None or the help text states one."""
+
+    def _get_help_string(self, action):
+        if action.default is None or "(default" in (action.help or ""):
+            return action.help
+        return super()._get_help_string(action)
+
+
 class _Parser(argparse.ArgumentParser):
     """Help lists each flag's default; a bad flag is a config failure (1), not argparse's 2."""
 
     def __init__(self, *args, **kwargs):
-        kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
+        kwargs.setdefault("formatter_class", _HelpFormatter)
         super().__init__(*args, **kwargs)
 
     def error(self, message):

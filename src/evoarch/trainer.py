@@ -6,9 +6,12 @@ inverted scaling so evaluation is a no-op.  Gradients are reverse-mode
 through the DAG with multi-consumer outputs accumulating their
 consumers' gradients, in train mode only (the mode of every training
 step).  Float32 trains search runs; float64 verifies finite differences.
-Activations are NCHW; convolutions run one sample at a time so their
-buffers stay in cache and belong to one call (fitness worker threads train
-side by side), and batchnorm and ReLU work in place on the conv output.
+Activations are NCHW; convolutions run one sample at a time, lowered by
+filter rows, so their buffers stay in cache and belong to one call (fitness
+worker threads train side by side).  In train mode batchnorm and ReLU work
+in place on the conv output; in eval mode batchnorm is folded into the
+conv's weights and bias.  An activation is released once its last consumer
+has read it, and backward releases each node's cache once it is used.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from evoarch.genome import (
     maxpool_node,
     new_seed_genome,
     param_shapes,
+    successors,
     topological_order,
 )
 
@@ -140,34 +144,62 @@ def init_model(genome, rng, dtype=np.float32):
 
 
 # ---------------------------------------------------------------------------
-# convolution kernels, one sample at a time: its f*f filter taps gathered
-# into a (c*f*f, oh*ow) matrix (0.9 MB at 32 channels, 3x3, 28x28), one GEMM
-# each for its output and its share of dW; dx is the stride-1 correlation
-# of the stride-dilated dz with the transposed, flipped filter
+# convolution kernels, one sample at a time, lowered by filter rows as in MEC
+# (Cho & Brand, arXiv 1706.06873): the output, dW and dx each take one GEMM
+# per filter row, on a unit-stride column window of one gather of the
+# sample's row phases and column shifts (about f times less copying than all
+# f*f taps); dx is the stride-1 correlation of the stride-dilated dz with the
+# transposed, flipped filter rows
 
 
-def _taps(buf, f, stride):
-    """(c, f, f, oh, ow) window view of a (c, h, w) buffer, and an array to gather it into."""
-    win = sliding_window_view(buf, (f, f), axis=(1, 2))[:, ::stride, ::stride].transpose(0, 3, 4, 1, 2)
-    return win, np.empty(win.shape, buf.dtype)
+def _row_taps(buf, f, stride):
+    """Gather view, gather target and filter-row views of a (c, stride*hq, w) buffer.
+
+    After ``gathered[...] = window`` copies the buffer's contents,
+    ``rows[di]`` is the (c*f, oh*ow) matrix holding buf[ci, stride*y + di,
+    stride*x + dj] at row ci*f + dj, column y*ow + x, with oh = hq -
+    (f-1)//stride and ow = (w-f)//stride + 1.  Row phases from f on are
+    never read, so they are not gathered.
+    """
+    c, height, w = buf.shape
+    hq, phases = height // stride, min(stride, f)
+    window = sliding_window_view(buf.reshape(c, hq, stride, w)[:, :, :phases], f, axis=3)[:, :, :, ::stride]
+    window = window.transpose(2, 0, 4, 1, 3)  # (phase, c, dj, y, x)
+    gathered = np.empty(window.shape, buf.dtype)
+    oh, ow = hq - (f - 1) // stride, window.shape[-1]
+    flat = gathered.reshape(phases, c * f, hq * ow)
+    rows = [flat[di % stride, :, di // stride * ow :][:, : oh * ow] for di in range(f)]
+    return window, gathered, rows
 
 
-def _sample_taps(x, f, stride, pad):
-    """Each sample's (c*f*f, oh*ow) tap matrix in turn, gathered into one buffer."""
+def _sample_rows(x, f, stride, pad):
+    """Each sample's filter-row taps in turn, gathered into one buffer."""
     n, c, h, w = x.shape
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), x.dtype)
-    win, cols = _taps(xp, f, stride)
+    hq = (h + 2 * pad - f) // stride + 1 + (f - 1) // stride
+    xp = np.zeros((c, stride * hq, w + 2 * pad), x.dtype)
+    inner = xp[:, pad : pad + h, pad : pad + w]  # rows past the last window are cropped
+    window, gathered, rows = _row_taps(xp, f, stride)
     for s in range(n):
-        xp[:, pad : pad + h, pad : pad + w] = x[s]
-        cols[...] = win
-        yield cols.reshape(c * f * f, -1)
+        inner[...] = x[s, :, : inner.shape[1]]
+        gathered[...] = window
+        yield rows
+
+
+def _row_gemms(W_rows, rows, out, tmp):
+    """out = sum over filter rows di of W_rows[di] @ rows[di]."""
+    np.matmul(W_rows[0], rows[0], out=out)
+    for Wr, T in zip(W_rows[1:], rows[1:]):
+        out += np.matmul(Wr, T, out=tmp)
 
 
 def _conv_forward(x, W, b, stride, pad):
-    (n, _, h, w), (cout, _, f, _) = x.shape, W.shape
-    out = np.empty((n, cout, (h + 2 * pad - f) // stride + 1, (w + 2 * pad - f) // stride + 1), x.dtype)
-    for o, taps in zip(out.reshape(n, cout, -1), _sample_taps(x, f, stride, pad)):
-        np.matmul(W.reshape(cout, -1), taps, out=o)
+    (n, _, h, w), (cout, cin, f, _) = x.shape, W.shape
+    oh, ow = (h + 2 * pad - f) // stride + 1, (w + 2 * pad - f) // stride + 1
+    out = np.empty((n, cout, oh, ow), x.dtype)
+    W_rows = W.transpose(2, 0, 1, 3).reshape(f, cout, cin * f)
+    tmp = np.empty((cout, oh * ow), x.dtype)
+    for o, rows in zip(out.reshape(n, cout, -1), _sample_rows(x, f, stride, pad)):
+        _row_gemms(W_rows, rows, o, tmp)
         o += b[:, None]
     return out
 
@@ -175,23 +207,25 @@ def _conv_forward(x, W, b, stride, pad):
 def _conv_backward(x, W, stride, pad, dz, input_grad=True):
     """(dW, db, dx); dx is None unless input_grad."""
     (n, _, h, w), (cout, cin, f, _), (oh, ow) = x.shape, W.shape, dz.shape[2:]
-    dWt = np.zeros((cin * f * f, cout), x.dtype)
-    for dzs, taps in zip(dz.reshape(n, cout, -1), _sample_taps(x, f, stride, pad)):
-        dWt += taps @ dzs.T
+    dW_rows, tmp = np.zeros((f, cin * f, cout), x.dtype), np.empty((cin * f, cout), x.dtype)
+    for dzs, rows in zip(dz.reshape(n, cout, -1), _sample_rows(x, f, stride, pad)):
+        for dWr, T in zip(dW_rows, rows):
+            dWr += np.matmul(T, dzs.T, out=tmp)
     dx = None
     if input_grad:
         # dz[s], stride-dilated, sits f-1 rows and columns into g; from row and column
         # pad on, g is dz[s] padded by f-1-pad (cropped if negative), whose taps give dx[s]
         g = np.zeros((cout, h + 2 * pad + f - 1, w + 2 * pad + f - 1), dz.dtype)
         spots = g[:, f - 1 :: stride, f - 1 :: stride][:, :oh, :ow]
-        win, cols = _taps(g[:, pad : pad + h + f - 1, pad : pad + w + f - 1], f, 1)
-        Wflip = W.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(cin, -1)
+        window, gathered, rows = _row_taps(g[:, pad : pad + h + f - 1, pad : pad + w + f - 1], f, 1)
+        W_rows = W[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(f, cin, cout * f)
+        tmp = np.empty((cin, h * w), x.dtype)
         dx = np.empty_like(x)
         for dzs, dxs in zip(dz, dx.reshape(n, cin, -1)):
             spots[...] = dzs
-            cols[...] = win
-            np.matmul(Wflip, cols.reshape(cout * f * f, -1), out=dxs)
-    return dWt.T.reshape(W.shape), dz.sum(axis=(0, 2, 3)), dx
+            gathered[...] = window
+            _row_gemms(W_rows, rows, dxs, tmp)
+    return dW_rows.reshape(f, cin, f, cout).transpose(3, 1, 0, 2), dz.sum(axis=(0, 2, 3)), dx
 
 
 def _pool_forward(x, kernel, stride):
@@ -219,33 +253,46 @@ def _pool_backward(x, kernel, stride, am, dout):
 
 
 def _forward_pass(model, genome, x, mode, dropout_rng):
-    """Activations plus per-node caches and fresh batchnorm batch stats."""
+    """Head logits plus per-node caches and fresh batchnorm batch stats.
+
+    Each activation is dropped once its last consumer has read it.
+    """
     acts = {}
     caches = {}
     batch_stats = {}
+    readers = {i: len(s) for i, s in successors(genome).items()}
     x = np.ascontiguousarray(x, model.dtype)
     for i in topological_order(genome):
         node = genome.nodes[i]
         ins = [acts[p] for p in genome.preds[i]]
+        for j in genome.preds[i]:
+            readers[j] -= 1
+            if not readers[j]:
+                del acts[j]
         if node.kind == INPUT:
             acts[i] = x
         elif node.kind == CONV:
             p = model.params[i]
-            # batchnorm and ReLU in place: z becomes xhat
-            z = _conv_forward(ins[0], p["W"], p["b"], node.params["stride"], node.params["pad"])
+            stride, pad = node.params["stride"], node.params["pad"]
             if mode == "train":
+                # batchnorm and ReLU in place: z becomes xhat
+                z = _conv_forward(ins[0], p["W"], p["b"], stride, pad)
                 mu = z.mean(axis=(0, 2, 3))
                 z -= mu[:, None, None]
                 var = np.einsum("nchw,nchw->c", z, z) / (z.size // len(mu))
                 batch_stats[i] = (mu, var)
+                invstd = 1.0 / np.sqrt(var + BN_EPS)
+                z *= invstd[:, None, None]
+                out = z * p["gamma"][:, None, None]
+                acts[i] = np.maximum(np.add(out, p["beta"][:, None, None], out=out), 0.0, out=out)
+                caches[i] = (ins[0], z, invstd, out)
             else:
-                mu, var = model.buffers[i]["mean"], model.buffers[i]["var"]
-                z -= mu[:, None, None]
-            invstd = 1.0 / np.sqrt(var + BN_EPS)
-            z *= invstd[:, None, None]
-            out = z * p["gamma"][:, None, None]
-            acts[i] = np.maximum(np.add(out, p["beta"][:, None, None], out=out), 0.0, out=out)
-            caches[i] = (ins[0], z, invstd, out)
+                # eval batchnorm is a per-channel affine map, folded into W and b
+                bn = model.buffers[i]
+                a = p["gamma"] / np.sqrt(bn["var"] + BN_EPS)
+                b = (p["b"] - bn["mean"]) * a + p["beta"]
+                z = _conv_forward(ins[0], p["W"] * a[:, None, None, None], b, stride, pad)
+                acts[i] = np.maximum(z, 0.0, out=z)
         elif node.kind == MAXPOOL:
             out, am = _pool_forward(ins[0], node.params["kernel"], node.params["stride"])
             acts[i] = out
@@ -274,13 +321,12 @@ def _forward_pass(model, genome, x, mode, dropout_rng):
                 caches[i] = None
         else:
             raise ValueError(f"node {i}: no forward rule for {node.kind!r}")
-    return acts, caches, batch_stats
+    return acts[genome.head_id()], caches, batch_stats
 
 
 def forward(model, genome, x, mode="eval", dropout_seed=0):
     """Head logits for a batch; mode picks batchnorm/dropout behaviour."""
-    acts, _, _ = _forward_pass(model, genome, x, mode, np.random.default_rng(dropout_seed))
-    return acts[genome.head_id()]
+    return _forward_pass(model, genome, x, mode, np.random.default_rng(dropout_seed))[0]
 
 
 def softmax_cross_entropy(logits, labels):
@@ -295,19 +341,20 @@ def softmax_cross_entropy(logits, labels):
 
 
 def _backward_pass(model, genome, caches, dlogits):
-    """Parameter gradients of a train-mode forward pass from its caches."""
+    """Parameter gradients of a train-mode forward pass, popping each node's cache as it goes."""
     order = topological_order(genome)
     douts = {genome.head_id(): dlogits}
     grads = {}
     for i in reversed(order):
         node = genome.nodes[i]
+        cache = caches.pop(i, None)
         dout = douts.pop(i, None)
         if dout is None or node.kind == INPUT:
             continue
         preds = genome.preds[i]
         if node.kind == CONV:
             # dz = gamma*invstd*(dy - sum(dy)/m - xhat*sum(dy*xhat)/m), in place; uses up xhat
-            x_in, xhat, invstd, out = caches[i]
+            x_in, xhat, invstd, out = cache
             p = model.params[i]
             dz = dout * (out > 0)
             dbeta = dz.sum(axis=(0, 2, 3))
@@ -325,27 +372,27 @@ def _backward_pass(model, genome, caches, dlogits):
             if not from_input:
                 _accumulate(douts, preds[0], dx)
         elif node.kind == MAXPOOL:
-            x_in, am = caches[i]
+            x_in, am = cache
             dx = _pool_backward(x_in, node.params["kernel"], node.params["stride"], am, dout)
             _accumulate(douts, preds[0], dx)
         elif node.kind == SKIP:
             for p_id in preds:
                 _accumulate(douts, p_id, dout)
         elif node.kind == CONCAT:
-            split = caches[i]
+            split = cache
             _accumulate(douts, preds[0], dout[:, :split])
             _accumulate(douts, preds[1], dout[:, split:])
         elif node.kind == GLOBALPOOL:
-            shape = caches[i]
+            shape = cache
             scale = shape[2] * shape[3]
             _accumulate(douts, preds[0], np.broadcast_to(dout / scale, shape).copy())
         elif node.kind in (FC, HEAD):
-            flat, in_shape = caches[i]
+            flat, in_shape = cache
             p = model.params[i]
             grads[i] = {"W": dout.T @ flat, "b": dout.sum(axis=0)}
             _accumulate(douts, preds[0], (dout @ p["W"]).reshape(in_shape))
         elif node.kind == DROPOUT:
-            mask = caches[i]
+            mask = cache
             _accumulate(douts, preds[0], dout if mask is None else dout * mask)
     return grads
 
@@ -355,8 +402,8 @@ def _accumulate(douts, node_id, grad):
 
 
 def _loss_grads_stats(model, genome, x, labels, dropout_rng):
-    acts, caches, batch_stats = _forward_pass(model, genome, x, "train", dropout_rng)
-    loss, dlogits = softmax_cross_entropy(acts[genome.head_id()], labels)
+    logits, caches, batch_stats = _forward_pass(model, genome, x, "train", dropout_rng)
+    loss, dlogits = softmax_cross_entropy(logits, labels)
     grads = _backward_pass(model, genome, caches, dlogits)
     return loss, grads, batch_stats
 

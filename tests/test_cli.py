@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -35,6 +36,19 @@ def test_help_exits_zero(capsys):
         assert e.value.code == 0
     out = capsys.readouterr().out
     assert "--seed" in out
+
+
+def test_help_names_each_default_at_most_once(capsys):
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    for name in commands:
+        with pytest.raises(SystemExit):
+            cli.main([name, "--help"])
+        out = capsys.readouterr().out
+        assert "(default: None)" not in out, name
+        for entry in re.split(r"\n(?=  -)", out):
+            assert entry.count("(default") <= 1, (name, entry)
+        if name == "grad-check":
+            assert "(default: 0)" in out
 
 
 def test_unknown_flag_exits_one():

@@ -9,6 +9,7 @@ import pytest
 
 from evoarch.data import DatasetSplit
 from evoarch.genome import (
+    CONCAT,
     GLOBALPOOL,
     HEAD,
     INPUT,
@@ -24,10 +25,13 @@ from evoarch.genome import (
     parameter_count,
 )
 from evoarch.trainer import (
+    BN_EPS,
     DivergedTraining,
     TrainPlan,
+    _backward_pass,
     _conv_backward,
     _conv_forward,
+    _forward_pass,
     accuracy,
     forward,
     gradient_check,
@@ -218,6 +222,32 @@ def test_eval_mode_is_repeatable():
     assert np.array_equal(a, b)
 
 
+def test_eval_forward_matches_unfolded_batchnorm():
+    # a stride-2 conv whose output feeds both a second conv and the skip
+    # join after it; every batchnorm tensor and bias is non-trivial
+    nodes = {0: Node(INPUT), 1: conv_node(4, 3, 2, 1), 2: conv_node(4, 5, 1, 2), 3: Node(SKIP),
+             4: Node(GLOBALPOOL), 5: Node(HEAD, {"classes": 3})}
+    preds = {0: (), 1: (0,), 2: (1,), 3: (1, 2), 4: (3,), 5: (4,)}
+    g = Genome((3, 9, 9), 3, nodes, preds)
+    model = init_model(g, np.random.default_rng(30), np.float64)
+    rng = np.random.default_rng(31)
+    for i in (1, 2):
+        model.params[i].update(b=rng.normal(size=4), gamma=rng.uniform(0.5, 2.0, 4), beta=rng.normal(size=4))
+        model.buffers[i] = {"mean": rng.normal(size=4), "var": rng.uniform(0.2, 3.0, 4)}
+    x = rng.normal(size=(3, 3, 9, 9))
+
+    def conv_bn_relu(i, x_in):
+        p, bn, q = model.params[i], model.buffers[i], g.nodes[i].params
+        z = _conv_forward(x_in, p["W"], p["b"], q["stride"], q["pad"])
+        xhat = (z - bn["mean"][:, None, None]) / np.sqrt(bn["var"] + BN_EPS)[:, None, None]
+        return np.maximum(p["gamma"][:, None, None] * xhat + p["beta"][:, None, None], 0.0)
+
+    a1 = conv_bn_relu(1, x)
+    pooled = (a1 + conv_bn_relu(2, a1)).mean(axis=(2, 3))
+    want = pooled @ model.params[5]["W"].T + model.params[5]["b"]
+    np.testing.assert_allclose(forward(model, g, x, mode="eval"), want, rtol=1e-12, atol=1e-12)
+
+
 def test_skip_is_elementwise_sum():
     # skip(input, input) = 2x, and the shared linear head makes the
     # doubling visible in the logits
@@ -308,26 +338,55 @@ def direct_conv(x, W, b, stride, pad, dz):
     return out, dW, dz.sum(axis=(0, 2, 3)), dxp[:, :, pad : pad + h, pad : pad + w]
 
 
+def check_conv_against_definition(rng, x, cout, f, stride, pad):
+    W = rng.normal(size=(cout, x.shape[1], f, f))
+    b = rng.normal(size=cout)
+    out = _conv_forward(x, W, b, stride, pad)
+    dz = rng.normal(size=out.shape)
+    want_out, *want_grads = direct_conv(x, W, b, stride, pad, dz)
+    assert out.shape == want_out.shape
+    np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+    for got, want in zip(_conv_backward(x, W, stride, pad, dz), want_grads):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("cin", [1, 3])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("f", [1, 3, 5])
 def test_conv_matches_direct_definition(f, stride, cin):
     rng = np.random.default_rng(f * 10 + stride * 3 + cin)
-    pad = f // 2
     # on 8x8, side + 2 * pad - f is odd, so stride-2 windows stop one row
     # and column short of the padded input's end
     for side in ((9, 7), (8, 8)):
-        x = rng.normal(size=(2, cin, *side))
-        W = rng.normal(size=(4, cin, f, f))
-        b = rng.normal(size=4)
-        out = _conv_forward(x, W, b, stride, pad)
-        dz = rng.normal(size=out.shape)
-        want_out, *want_grads = direct_conv(x, W, b, stride, pad, dz)
-        assert out.shape == want_out.shape
-        np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
-        for got, want in zip(_conv_backward(x, W, stride, pad, dz), want_grads):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        check_conv_against_definition(rng, rng.normal(size=(2, cin, *side)), 4, f, stride, f // 2)
+
+
+# edges of the filter-row index arithmetic: row phases past the filter
+# (stride above f), windows stopping short of the padded end (at stride 3
+# and pad 0 the gathered rows end before the input's last rows), padding
+# so wide that whole filter rows read only zeros, and more input than
+# output channels
+@pytest.mark.parametrize("cin,cout,f,stride,pad,side", [
+    (3, 4, 3, 3, 1, (10, 8)),
+    (3, 4, 3, 3, 0, (8, 7)),
+    (2, 3, 1, 3, 0, (7, 8)),
+    (2, 3, 5, 3, 2, (11, 9)),
+    (3, 4, 3, 1, 0, (7, 9)),
+    (3, 4, 3, 2, 0, (8, 7)),
+    (2, 3, 1, 1, 1, (5, 6)),
+    (2, 3, 1, 2, 1, (6, 5)),
+    (2, 3, 3, 1, 3, (4, 5)),
+    (2, 3, 3, 2, 3, (5, 4)),
+    (6, 2, 3, 1, 1, (6, 6)),
+    (6, 2, 5, 2, 2, (9, 9)),
+    (3, 4, 3, 1, 1, (3, 12)),
+    (3, 4, 5, 2, 2, (13, 4)),
+], ids=["stride3", "stride3_pad0", "stride3_f1", "stride3_f5", "pad0", "pad0_stride2", "f1_pad1", "f1_pad1_stride2",
+        "f3_pad3", "f3_pad3_stride2", "cin_above_cout", "cin_above_cout_f5_stride2", "wide", "tall_stride2"])
+def test_conv_edges_match_direct_definition(cin, cout, f, stride, pad, side):
+    rng = np.random.default_rng(cin * 1000 + cout * 100 + f * 10 + stride + pad)
+    check_conv_against_definition(rng, rng.normal(size=(2, cin, *side)), cout, f, stride, pad)
 
 
 # --------------------------------------------------------------- gradients
@@ -353,6 +412,22 @@ def test_gradient_matches_finite_difference(name, middle):
     err = gradient_check(model, g, x, y, max_per_tensor=16,
                          rng=np.random.default_rng(1))
     assert err <= 1e-4, f"{name}: {err:.3e}"
+
+
+def test_backward_frees_every_cache():
+    cases = [chain([conv_node(4), maxpool_node(), fc_node(6), dropout_node(0.5)], (3, 8, 8), 4)]
+    for join in (SKIP, CONCAT):
+        nodes = {0: Node(INPUT), 1: conv_node(4), 2: conv_node(4), 3: Node(join),
+                 4: Node(GLOBALPOOL), 5: Node(HEAD, {"classes": 4})}
+        cases.append(Genome((3, 8, 8), 4, nodes, {0: (), 1: (0,), 2: (1,), 3: (1, 2), 4: (3,), 5: (4,)}))
+    for g in cases:
+        model = init_model(g, np.random.default_rng(20))
+        x = np.random.default_rng(21).normal(size=(2, 3, 8, 8))
+        logits, caches, _ = _forward_pass(model, g, x, "train", np.random.default_rng(0))
+        assert caches
+        _, dlogits = softmax_cross_entropy(logits, np.array([0, 1]))
+        _backward_pass(model, g, caches, dlogits)
+        assert caches == {}
 
 
 def test_gradient_through_joins():
