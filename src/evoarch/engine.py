@@ -498,13 +498,7 @@ def comparison_csv_text(result):
 
 
 def curves_csv_text(result):
-    labels = list(result.curves)
-    length = max(len(c) for c in result.curves.values())
-    lines = ["generation," + ",".join(labels)]
-    for g in range(length):
-        cells = [str(g)]
-        for label in labels:
-            curve = result.curves[label]
-            cells.append(f"{curve[g]:.9f}" if g < len(curve) else "")
-        lines.append(",".join(cells))
+    lines = ["generation," + ",".join(result.curves)]
+    for g, row in enumerate(zip(*result.curves.values())):
+        lines.append(",".join([str(g), *(f"{v:.9f}" for v in row)]))
     return "\n".join(lines) + "\n"

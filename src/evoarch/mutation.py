@@ -90,14 +90,13 @@ class ExhaustedRetries(Exception):
 
 @dataclass(frozen=True)
 class MutationWeights:
-    """Sampling weights per mutation kind plus the stage they encode.
+    """Sampling weights per mutation kind.
 
     The kinds (MUTATION_KINDS order first, then any others) and their
     cumulative weights are tabulated once, at construction.
     """
 
     weights: dict
-    stage: str = "custom"
     kinds: tuple = field(init=False, repr=False, compare=False)
     cumulative: tuple = field(init=False, repr=False, compare=False)
 
@@ -112,11 +111,11 @@ class MutationWeights:
 
     @classmethod
     def early(cls):
-        return cls({k: 2.0 if k in GROWTH_KINDS else 1.0 for k in MUTATION_KINDS}, "early")
+        return cls({k: 2.0 if k in GROWTH_KINDS else 1.0 for k in MUTATION_KINDS})
 
     @classmethod
     def late(cls):
-        return cls({k: 1.0 for k in MUTATION_KINDS}, "late")
+        return cls({k: 1.0 for k in MUTATION_KINDS})
 
 
 def sample_mutation(rng, weights):

@@ -12,6 +12,8 @@ worker threads train side by side).  In train mode batchnorm and ReLU work
 in place on the conv output; in eval mode batchnorm is folded into the
 conv's weights and bias.  An activation is released once its last consumer
 has read it, and backward releases each node's cache once it is used.
+Training updates its one model's weights, momentum and batchnorm running
+statistics in place.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from evoarch.genome import (
 
 BN_EPS = 1e-5
 BN_RUNNING_KEEP = 0.9  # running <- 0.9 * running + 0.1 * batch
+MOMENTUM = 0.9
+WEIGHT_DECAY = 5e-4  # not applied to batchnorm gamma and beta
 ACCURACY_BATCH = 256  # samples per eval-mode forward in accuracy
 FD_STEP = 1e-4  # central-difference step of the gradient checks
 FD_ATOL = 1e-8  # float64 rounding noise of fd numerators, around 1e-10 here
@@ -61,12 +65,14 @@ class DivergedTraining(Exception):
 
 @dataclass(frozen=True)
 class TrainPlan:
-    """Budget and optimizer settings for one training run.
+    """Budget, learning-rate schedule, batch size and seed of one training run.
 
     The learning rate decays as stage_lr * (1 + gamma * t_local) ** -alpha
     within each of three stages.  The second and third stages begin, and
     the local clock resets, at the derived boundaries (max_iters // 2,
     3 * max_iters // 4): a 50/25/25 split like the paper's 10k/5k/5k.
+    Momentum and weight decay are the module constants MOMENTUM and
+    WEIGHT_DECAY.
     """
 
     gamma: ClassVar[float] = 0.001
@@ -74,8 +80,6 @@ class TrainPlan:
 
     max_iters: int = 600
     stage_lrs: tuple = (1e-1, 1e-3, 1e-5)
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
     batch_size: int = 64
     seed: int = 0
 
@@ -114,7 +118,10 @@ def lr_at(t, plan):
 
 @dataclass
 class ModelState:
-    """Weights, batchnorm running stats and momentum buffers per node id."""
+    """Weights, batchnorm running stats and momentum buffers per node id.
+
+    Built once, by init_model; training updates these arrays in place.
+    """
 
     params: dict
     buffers: dict
@@ -418,32 +425,19 @@ def loss_and_grads(model, genome, x, labels):
     return loss, grads
 
 
-def sgd_step(model, grads, lr, plan):
-    """One momentum update; weight decay skips batchnorm scale and shift."""
-    params, velocity = {}, {}
+def sgd_step(model, grads, lr):
+    """One momentum step on model.params and model.velocity, in place.
+
+    Weight decay, skipping batchnorm scale and shift, is added into grads.
+    """
     for i, group in model.params.items():
-        params[i], velocity[i] = {}, {}
         for name, w in group.items():
-            g = grads.get(i, {}).get(name, 0.0)
+            g, v = grads[i][name], model.velocity[i][name]
             if name not in ("gamma", "beta"):
-                g = g + plan.weight_decay * w
-            v = plan.momentum * model.velocity[i][name] + g
-            velocity[i][name] = v.astype(model.dtype, copy=False)
-            params[i][name] = (w - lr * v).astype(model.dtype, copy=False)
-    return ModelState(params, dict(model.buffers), velocity, model.dtype)
-
-
-def _commit_bn_stats(model, batch_stats):
-    if not batch_stats:
-        return model
-    buffers = dict(model.buffers)
-    for i, (mu, var) in batch_stats.items():
-        old = buffers[i]
-        buffers[i] = {
-            "mean": (BN_RUNNING_KEEP * old["mean"] + (1 - BN_RUNNING_KEEP) * mu).astype(model.dtype),
-            "var": (BN_RUNNING_KEEP * old["var"] + (1 - BN_RUNNING_KEEP) * var).astype(model.dtype),
-        }
-    return ModelState(model.params, buffers, model.velocity, model.dtype)
+                g += WEIGHT_DECAY * w
+            v *= MOMENTUM
+            v += g
+            w -= lr * v
 
 
 def accuracy(model, genome, x, labels):
@@ -486,8 +480,12 @@ def train(genome, split, plan):
             loss, grads, stats = _loss_grads_stats(model, genome, bx, by, dropout_rng)
             if not np.isfinite(loss):
                 raise DivergedTraining(f"non-finite loss at iteration {t}")
-            model = sgd_step(model, grads, lr, plan)
-        model = _commit_bn_stats(model, stats)
+            sgd_step(model, grads, lr)
+        for i, (mu, var) in stats.items():
+            bn = model.buffers[i]
+            for running, batch in ((bn["mean"], mu), (bn["var"], var)):
+                running *= BN_RUNNING_KEEP
+                running += (1 - BN_RUNNING_KEEP) * batch
 
     with np.errstate(over="ignore", invalid="ignore"):
         return model, accuracy(model, genome, split.val_x, split.val_y)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evoarch import fitness
+from evoarch import fitness, trainer
 from evoarch.data import DatasetSplit
 from evoarch.fitness import (
     EvaluationError,
@@ -183,6 +183,27 @@ def test_trained_evaluator_trains_under_the_individual_seed(monkeypatch):
     g = new_seed_genome("fully_connected", (1, 8, 8), 10)
     assert ev.evaluate(g, 9, 4) == 0.5
     assert seeds == [individual_seed(9, 4)]
+
+
+def test_training_runs_through_the_traced_bindings(monkeypatch):
+    # the benchmark tracer counts iterations at trainer.sgd_step and
+    # trainings at fitness.train; each must be the binding actually called
+    calls = {"train": 0, "sgd_step": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(fitness, "train")
+    counted(trainer, "sgd_step")
+    plan = TrainPlan(max_iters=7, batch_size=16)
+    assert 0.0 <= evaluate_trained(conv_chain(1, input_shape=(1, 8, 8)), tiny_split(), plan) <= 1.0
+    assert calls == {"train": 1, "sgd_step": plan.max_iters}
 
 
 def test_individual_seed_stable_and_spread():

@@ -26,6 +26,8 @@ from evoarch.genome import (
 )
 from evoarch.trainer import (
     BN_EPS,
+    MOMENTUM,
+    WEIGHT_DECAY,
     DivergedTraining,
     TrainPlan,
     _backward_pass,
@@ -134,7 +136,7 @@ def test_desk_scale_preserves_stage_proportions():
 
 def test_plan_derives_its_schedule():
     assert TrainPlan(max_iters=30).boundaries == (15, 22)
-    for knob in ("boundaries", "gamma", "alpha"):
+    for knob in ("boundaries", "gamma", "alpha", "momentum", "weight_decay"):
         with pytest.raises(TypeError):
             TrainPlan(**{knob: 1})
     with pytest.raises(ValueError, match="max_iters"):
@@ -454,50 +456,68 @@ def test_relative_error_scales():
 
 # --------------------------------------------------------------------- sgd
 
+def zero_grads(model):
+    return {i: {k: np.zeros_like(v) for k, v in grp.items()}
+            for i, grp in model.params.items()}
+
+
 def test_sgd_scalar_oracle():
     g = new_seed_genome("fully_connected", (1, 4, 4), 10)
-    plan = TrainPlan(momentum=0.9, weight_decay=0.0005)
     model = init_model(g, np.random.default_rng(20), np.float64)
     model.params[1]["W"][0, 0] = 1.0
-    grads = {i: {k: np.zeros_like(v) for k, v in grp.items()}
-             for i, grp in model.params.items()}
+    grads = zero_grads(model)
     grads[1]["W"][0, 0] = 1.0
-    out = sgd_step(model, grads, 0.1, plan)
-    assert math.isclose(out.velocity[1]["W"][0, 0], 1.0005, rel_tol=1e-12)
-    assert math.isclose(out.params[1]["W"][0, 0], 0.89995, rel_tol=1e-12)
-
-
-def test_sgd_zero_grads_no_decay_is_identity():
-    g = new_seed_genome("global_pool")
-    plan = TrainPlan(weight_decay=0.0)
-    model = init_model(g, np.random.default_rng(21), np.float64)
-    out = sgd_step(model, {}, 0.1, plan)
-    assert np.array_equal(out.params[2]["W"], model.params[2]["W"])
+    assert sgd_step(model, grads, 0.1) is None
+    assert math.isclose(model.velocity[1]["W"][0, 0], 1.0005, rel_tol=1e-12)
+    assert math.isclose(model.params[1]["W"][0, 0], 0.89995, rel_tol=1e-12)
 
 
 def test_sgd_zero_grads_decay_closed_form():
     g = new_seed_genome("global_pool")
-    plan = TrainPlan(momentum=0.9, weight_decay=0.0005)
     model = init_model(g, np.random.default_rng(22), np.float64)
     w0 = model.params[2]["W"].copy()
     lr = 0.1
-    m1 = sgd_step(model, {}, lr, plan)
-    m2 = sgd_step(m1, {}, lr, plan)
-    v1 = plan.weight_decay * w0
+    sgd_step(model, zero_grads(model), lr)
+    sgd_step(model, zero_grads(model), lr)
+    v1 = WEIGHT_DECAY * w0
     w1 = w0 - lr * v1
-    v2 = plan.momentum * v1 + plan.weight_decay * w1
+    v2 = MOMENTUM * v1 + WEIGHT_DECAY * w1
     w2 = w1 - lr * v2
-    assert np.allclose(m2.params[2]["W"], w2, rtol=1e-12)
+    assert np.allclose(model.params[2]["W"], w2, rtol=1e-12)
 
 
 def test_sgd_weight_decay_skips_batchnorm():
     g = chain([conv_node(8), Node(GLOBALPOOL)])
-    plan = TrainPlan(weight_decay=0.1)
     model = init_model(g, np.random.default_rng(23), np.float64)
-    out = sgd_step(model, {}, 0.5, plan)
-    assert np.array_equal(out.params[1]["gamma"], model.params[1]["gamma"])
-    assert np.array_equal(out.params[1]["beta"], model.params[1]["beta"])
-    assert not np.array_equal(out.params[1]["W"], model.params[1]["W"])
+    before = {k: v.copy() for k, v in model.params[1].items()}
+    sgd_step(model, zero_grads(model), 0.5)
+    assert np.array_equal(model.params[1]["gamma"], before["gamma"])
+    assert np.array_equal(model.params[1]["beta"], before["beta"])
+    assert not np.array_equal(model.params[1]["W"], before["W"])
+
+
+def test_sgd_in_place_matches_out_of_place_update():
+    # float32, bit for bit: v = MOMENTUM * v + (g + WEIGHT_DECAY * w); w = w - lr * v
+    g = chain([conv_node(4), fc_node(6)], (2, 6, 6), 5)
+    model = init_model(g, np.random.default_rng(24))
+    params = {i: {k: v.copy() for k, v in grp.items()} for i, grp in model.params.items()}
+    velocity = {i: {k: v.copy() for k, v in grp.items()} for i, grp in model.velocity.items()}
+    rng, plan = np.random.default_rng(25), TrainPlan(max_iters=3)
+    for t in range(3):
+        grads = {i: {k: rng.normal(size=v.shape).astype(np.float32) for k, v in grp.items()}
+                 for i, grp in params.items()}
+        lr = lr_at(t, plan)
+        for i, grp in params.items():
+            for name, w in grp.items():
+                step = grads[i][name] if name in ("gamma", "beta") else grads[i][name] + WEIGHT_DECAY * w
+                velocity[i][name] = MOMENTUM * velocity[i][name] + step
+                grp[name] = w - lr * velocity[i][name]
+        sgd_step(model, grads, lr)
+    for i, grp in params.items():
+        for name, w in grp.items():
+            assert model.params[i][name].dtype == np.float32
+            assert model.params[i][name].tobytes() == w.tobytes()
+            assert model.velocity[i][name].tobytes() == velocity[i][name].tobytes()
 
 
 # ------------------------------------------------------------------- train
