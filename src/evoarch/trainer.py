@@ -7,17 +7,25 @@ through the DAG with multi-consumer outputs accumulating their
 consumers' gradients, in train mode only (the mode of every training
 step).  Float32 trains search runs; float64 verifies finite differences.
 Activations are NCHW; convolutions run one sample at a time, lowered by
-filter rows, so their buffers stay in cache and belong to one call (fitness
-worker threads train side by side).  In train mode batchnorm and ReLU work
-in place on the conv output; in eval mode batchnorm is folded into the
-conv's weights and bias.  An activation is released once its last consumer
-has read it, and backward releases each node's cache once it is used.
-Training updates its one model's weights, momentum and batchnorm running
-statistics in place.
+filter rows, so their buffers stay in cache and belong to one call part
+(fitness worker threads train side by side).  A training that runs while
+the process has a CPU to spare lends half of each conv forward and every
+conv's weight gradient to one helper thread; each value is computed by the
+same operations in the same order either way, so results are bit for bit
+the same.  In train mode batchnorm and ReLU work in place on the conv
+output; in eval mode batchnorm is folded into the conv's weights and bias.
+An activation is released once its last consumer has read it, and backward
+releases each node's cache once it is used.  Training updates its one
+model's weights, momentum and batchnorm running statistics in place.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -151,6 +159,45 @@ def init_model(genome, rng, dtype=np.float32):
 
 
 # ---------------------------------------------------------------------------
+# the helper thread: a training lends it conv work while the process runs
+# fewer trainings than it may use CPUs; its work never submits work itself
+
+
+def _new_helper():
+    global _HELPER
+    _HELPER = ThreadPoolExecutor(1, thread_name_prefix="evoarch-helper")
+
+
+_new_helper()
+os.register_at_fork(after_in_child=_new_helper)  # a forked child has no helper thread
+_trainings = 0  # trainings running in this process
+_trainings_lock = threading.Lock()
+
+
+@contextmanager
+def _counted_training():
+    """Counts a training as running in this process while it lasts."""
+    global _trainings
+    with _trainings_lock:
+        _trainings += 1
+    try:
+        yield
+    finally:
+        with _trainings_lock:
+            _trainings -= 1
+
+
+def _spare_cpu():
+    """True while fewer trainings run in this process than it may use CPUs."""
+    return _trainings < len(os.sched_getaffinity(0))
+
+
+def _lend(helper, fn, *args):
+    """Future of fn(*args) on the helper, under the caller's context and so its numpy error state."""
+    return helper.submit(contextvars.copy_context().run, fn, *args)
+
+
+# ---------------------------------------------------------------------------
 # convolution kernels, one sample at a time, lowered by filter rows as in MEC
 # (Cho & Brand, arXiv 1706.06873): the output, dW and dx each take one GEMM
 # per filter row, on a unit-stride column window of one gather of the
@@ -199,48 +246,74 @@ def _row_gemms(W_rows, rows, out, tmp):
         out += np.matmul(Wr, T, out=tmp)
 
 
-def _conv_forward(x, W, b, stride, pad):
+def _conv_samples(x, W_rows, b, stride, pad, out):
+    """out[s] = the conv of x[s] as (cout, oh*ow), sample after sample."""
+    tmp = np.empty(out.shape[1:], x.dtype)
+    for o, rows in zip(out, _sample_rows(x, len(W_rows), stride, pad)):
+        _row_gemms(W_rows, rows, o, tmp)
+        o += b[:, None]
+
+
+def _conv_forward(x, W, b, stride, pad, helper=None):
+    """Conv output; given a helper, it computes samples [n//2, n) meanwhile."""
     (n, _, h, w), (cout, cin, f, _) = x.shape, W.shape
     oh, ow = (h + 2 * pad - f) // stride + 1, (w + 2 * pad - f) // stride + 1
     out = np.empty((n, cout, oh, ow), x.dtype)
     W_rows = W.transpose(2, 0, 1, 3).reshape(f, cout, cin * f)
-    tmp = np.empty((cout, oh * ow), x.dtype)
-    for o, rows in zip(out.reshape(n, cout, -1), _sample_rows(x, f, stride, pad)):
-        _row_gemms(W_rows, rows, o, tmp)
-        o += b[:, None]
+    flat = out.reshape(n, cout, -1)
+    if helper is None:
+        _conv_samples(x, W_rows, b, stride, pad, flat)
+    else:
+        half = n // 2
+        lent = _lend(helper, _conv_samples, x[half:], W_rows, b, stride, pad, flat[half:])
+        _conv_samples(x[:half], W_rows, b, stride, pad, flat[:half])
+        lent.result()
     return out
 
 
-def _conv_backward(x, W, stride, pad, dz, input_grad=True):
-    """(dW, db, dx); dx is None unless input_grad."""
-    (n, _, h, w), (cout, cin, f, _), (oh, ow) = x.shape, W.shape, dz.shape[2:]
+def _conv_dW(x, f, stride, pad, dz):
+    """Weight gradient of an f x f conv, summed over the samples in order."""
+    n, cin, cout = len(x), x.shape[1], dz.shape[1]
     dW_rows, tmp = np.zeros((f, cin * f, cout), x.dtype), np.empty((cin * f, cout), x.dtype)
     for dzs, rows in zip(dz.reshape(n, cout, -1), _sample_rows(x, f, stride, pad)):
         for dWr, T in zip(dW_rows, rows):
             dWr += np.matmul(T, dzs.T, out=tmp)
-    dx = None
-    if input_grad:
-        # dz[s], stride-dilated, sits f-1 rows and columns into g; from row and column
-        # pad on, g is dz[s] padded by f-1-pad (cropped if negative), whose taps give dx[s]
-        g = np.zeros((cout, h + 2 * pad + f - 1, w + 2 * pad + f - 1), dz.dtype)
-        spots = g[:, f - 1 :: stride, f - 1 :: stride][:, :oh, :ow]
-        window, gathered, rows = _row_taps(g[:, pad : pad + h + f - 1, pad : pad + w + f - 1], f, 1)
-        W_rows = W[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(f, cin, cout * f)
-        tmp = np.empty((cin, h * w), x.dtype)
-        dx = np.empty_like(x)
-        for dzs, dxs in zip(dz, dx.reshape(n, cin, -1)):
-            spots[...] = dzs
-            gathered[...] = window
-            _row_gemms(W_rows, rows, dxs, tmp)
-    return dW_rows.reshape(f, cin, f, cout).transpose(3, 1, 0, 2), dz.sum(axis=(0, 2, 3)), dx
+    return dW_rows.reshape(f, cin, f, cout).transpose(3, 1, 0, 2)
 
 
-def _pool_forward(x, kernel, stride):
-    win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    n, c, oh, ow = win.shape[:4]
-    flat = win.reshape(n, c, oh, ow, kernel * kernel)
-    am = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, am[..., None], axis=-1)[..., 0]
+def _conv_dx(W, stride, pad, dz, size):
+    """Input gradient of a conv whose input has spatial size (h, w)."""
+    (n, cout, oh, ow), (_, cin, f, _), (h, w) = dz.shape, W.shape, size
+    # dz[s], stride-dilated, sits f-1 rows and columns into g; from row and column
+    # pad on, g is dz[s] padded by f-1-pad (cropped if negative), whose taps give dx[s]
+    g = np.zeros((cout, h + 2 * pad + f - 1, w + 2 * pad + f - 1), dz.dtype)
+    spots = g[:, f - 1 :: stride, f - 1 :: stride][:, :oh, :ow]
+    window, gathered, rows = _row_taps(g[:, pad : pad + h + f - 1, pad : pad + w + f - 1], f, 1)
+    W_rows = W[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(f, cin, cout * f)
+    tmp = np.empty((cin, h * w), dz.dtype)
+    dx = np.empty((n, cin, h, w), dz.dtype)
+    for dzs, dxs in zip(dz, dx.reshape(n, cin, -1)):
+        spots[...] = dzs
+        gathered[...] = window
+        _row_gemms(W_rows, rows, dxs, tmp)
+    return dx
+
+
+def _pool_forward(x, kernel, stride, mode):
+    """Window maxima, and in train mode the first argmax of each window's k*k taps."""
+    n, c, h, w = x.shape
+    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    taps = [
+        x[:, :, di : di + stride * (oh - 1) + 1 : stride, dj : dj + stride * (ow - 1) + 1 : stride]
+        for di in range(kernel)
+        for dj in range(kernel)
+    ]
+    out = taps[0].copy()
+    am = np.zeros(out.shape, np.intp) if mode == "train" else None
+    for j, t in enumerate(taps[1:], 1):
+        if am is not None:
+            np.copyto(am, j, where=t > out)
+        np.maximum(t, out, out=out)  # on a tie this returns out, the earlier tap, as argmax does
     return out, am
 
 
@@ -259,10 +332,11 @@ def _pool_backward(x, kernel, stride, am, dout):
 # whole-graph forward and backward
 
 
-def _forward_pass(model, genome, x, mode, dropout_rng):
+def _forward_pass(model, genome, x, mode, dropout_rng, helper=None):
     """Head logits plus per-node caches and fresh batchnorm batch stats.
 
-    Each activation is dropped once its last consumer has read it.
+    Each activation is dropped once its last consumer has read it; a
+    helper, if given, computes half of each conv's samples.
     """
     acts = {}
     caches = {}
@@ -283,7 +357,7 @@ def _forward_pass(model, genome, x, mode, dropout_rng):
             stride, pad = node.params["stride"], node.params["pad"]
             if mode == "train":
                 # batchnorm and ReLU in place: z becomes xhat
-                z = _conv_forward(ins[0], p["W"], p["b"], stride, pad)
+                z = _conv_forward(ins[0], p["W"], p["b"], stride, pad, helper)
                 mu = z.mean(axis=(0, 2, 3))
                 z -= mu[:, None, None]
                 var = np.einsum("nchw,nchw->c", z, z) / (z.size // len(mu))
@@ -298,10 +372,10 @@ def _forward_pass(model, genome, x, mode, dropout_rng):
                 bn = model.buffers[i]
                 a = p["gamma"] / np.sqrt(bn["var"] + BN_EPS)
                 b = (p["b"] - bn["mean"]) * a + p["beta"]
-                z = _conv_forward(ins[0], p["W"] * a[:, None, None, None], b, stride, pad)
+                z = _conv_forward(ins[0], p["W"] * a[:, None, None, None], b, stride, pad, helper)
                 acts[i] = np.maximum(z, 0.0, out=z)
         elif node.kind == MAXPOOL:
-            out, am = _pool_forward(ins[0], node.params["kernel"], node.params["stride"])
+            out, am = _pool_forward(ins[0], node.params["kernel"], node.params["stride"], mode)
             acts[i] = out
             caches[i] = (ins[0], am)
         elif node.kind == SKIP:
@@ -347,11 +421,15 @@ def softmax_cross_entropy(logits, labels):
     return loss, probs / n
 
 
-def _backward_pass(model, genome, caches, dlogits):
-    """Parameter gradients of a train-mode forward pass, popping each node's cache as it goes."""
+def _backward_pass(model, genome, caches, dlogits, helper=None):
+    """Parameter gradients of a train-mode forward pass, popping each node's cache as it goes.
+
+    A helper, if given, forms every conv's dW while this thread goes on.
+    """
     order = topological_order(genome)
     douts = {genome.head_id(): dlogits}
     grads = {}
+    lent = []
     for i in reversed(order):
         node = genome.nodes[i]
         cache = caches.pop(i, None)
@@ -371,13 +449,15 @@ def _backward_pass(model, genome, caches, dlogits):
             dz -= xhat
             dz -= (dbeta / m)[:, None, None]
             dz *= (p["gamma"] * invstd)[:, None, None]
-            from_input = genome.nodes[preds[0]].kind == INPUT
-            dW, db, dx = _conv_backward(
-                x_in, p["W"], node.params["stride"], node.params["pad"], dz, input_grad=not from_input
-            )
-            grads[i] = {"W": dW, "b": db, "gamma": dgamma, "beta": dbeta}
-            if not from_input:
-                _accumulate(douts, preds[0], dx)
+            stride, pad = node.params["stride"], node.params["pad"]
+            grads[i] = {"W": None, "b": dz.sum(axis=(0, 2, 3)), "gamma": dgamma, "beta": dbeta}
+            dW_args = (x_in, p["W"].shape[2], stride, pad, dz)
+            if helper is None:
+                grads[i]["W"] = _conv_dW(*dW_args)
+            else:
+                lent.append((i, _lend(helper, _conv_dW, *dW_args)))
+            if genome.nodes[preds[0]].kind != INPUT:
+                _accumulate(douts, preds[0], _conv_dx(p["W"], stride, pad, dz, x_in.shape[2:]))
         elif node.kind == MAXPOOL:
             x_in, am = cache
             dx = _pool_backward(x_in, node.params["kernel"], node.params["stride"], am, dout)
@@ -401,6 +481,8 @@ def _backward_pass(model, genome, caches, dlogits):
         elif node.kind == DROPOUT:
             mask = cache
             _accumulate(douts, preds[0], dout if mask is None else dout * mask)
+    for i, dW in lent:
+        grads[i]["W"] = dW.result()
     return grads
 
 
@@ -408,10 +490,10 @@ def _accumulate(douts, node_id, grad):
     douts[node_id] = douts[node_id] + grad if node_id in douts else grad
 
 
-def _loss_grads_stats(model, genome, x, labels, dropout_rng):
-    logits, caches, batch_stats = _forward_pass(model, genome, x, "train", dropout_rng)
+def _loss_grads_stats(model, genome, x, labels, dropout_rng, helper=None):
+    logits, caches, batch_stats = _forward_pass(model, genome, x, "train", dropout_rng, helper)
     loss, dlogits = softmax_cross_entropy(logits, labels)
-    grads = _backward_pass(model, genome, caches, dlogits)
+    grads = _backward_pass(model, genome, caches, dlogits, helper)
     return loss, grads, batch_stats
 
 
@@ -440,19 +522,22 @@ def sgd_step(model, grads, lr):
             w -= lr * v
 
 
-def accuracy(model, genome, x, labels):
+def accuracy(model, genome, x, labels, helper=None):
     """Fraction of correct argmax predictions, evaluated in eval mode."""
     hits = 0
     for s in range(0, len(x), ACCURACY_BATCH):
-        logits = forward(model, genome, x[s : s + ACCURACY_BATCH], mode="eval")
+        logits = _forward_pass(model, genome, x[s : s + ACCURACY_BATCH], "eval", None, helper)[0]
         hits += int((logits.argmax(axis=1) == labels[s : s + ACCURACY_BATCH]).sum())
     return hits / len(x)
 
 
+@_counted_training()
 def train(genome, split, plan):
     """Float32 SGD over shuffled minibatch epochs; returns (model, val accuracy).
 
     Raises DivergedTraining as soon as the minibatch loss goes non-finite.
+    Each iteration, and the accuracy pass, lends conv work to the helper
+    thread while the process runs fewer trainings than it may use CPUs.
     """
     seeds = np.random.SeedSequence(plan.seed).spawn(4)
     init_rng, shuffle_rng, dropout_rng, aug_rng = map(np.random.default_rng, seeds)
@@ -474,10 +559,11 @@ def train(genome, split, plan):
         if split.augment == "pad_crop4":
             bx = pad_and_random_crop(bx, 4, aug_rng)
         lr = lr_at(t, plan)
+        helper = _HELPER if _spare_cpu() else None
         # overflow on the way to a non-finite loss is the divergence path,
         # detected and raised below, so the fp warnings are suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads, stats = _loss_grads_stats(model, genome, bx, by, dropout_rng)
+            loss, grads, stats = _loss_grads_stats(model, genome, bx, by, dropout_rng, helper)
             if not np.isfinite(loss):
                 raise DivergedTraining(f"non-finite loss at iteration {t}")
             sgd_step(model, grads, lr)
@@ -487,8 +573,9 @@ def train(genome, split, plan):
                 running *= BN_RUNNING_KEEP
                 running += (1 - BN_RUNNING_KEEP) * batch
 
+    helper = _HELPER if _spare_cpu() else None
     with np.errstate(over="ignore", invalid="ignore"):
-        return model, accuracy(model, genome, split.val_x, split.val_y)
+        return model, accuracy(model, genome, split.val_x, split.val_y, helper)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+import warnings
 
 import mpmath
 import numpy as np
@@ -24,6 +25,7 @@ from evoarch.genome import (
     new_seed_genome,
     parameter_count,
 )
+from evoarch import trainer as trainer_module
 from evoarch.trainer import (
     BN_EPS,
     MOMENTUM,
@@ -31,9 +33,12 @@ from evoarch.trainer import (
     DivergedTraining,
     TrainPlan,
     _backward_pass,
-    _conv_backward,
+    _conv_dW,
+    _conv_dx,
     _conv_forward,
     _forward_pass,
+    _loss_grads_stats,
+    _pool_forward,
     accuracy,
     forward,
     gradient_check,
@@ -345,10 +350,11 @@ def check_conv_against_definition(rng, x, cout, f, stride, pad):
     b = rng.normal(size=cout)
     out = _conv_forward(x, W, b, stride, pad)
     dz = rng.normal(size=out.shape)
-    want_out, *want_grads = direct_conv(x, W, b, stride, pad, dz)
+    want_out, want_dW, _, want_dx = direct_conv(x, W, b, stride, pad, dz)
     assert out.shape == want_out.shape
     np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
-    for got, want in zip(_conv_backward(x, W, stride, pad, dz), want_grads):
+    got_grads = _conv_dW(x, f, stride, pad, dz), _conv_dx(W, stride, pad, dz, x.shape[2:])
+    for got, want in zip(got_grads, (want_dW, want_dx)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -389,6 +395,35 @@ def test_conv_matches_direct_definition(f, stride, cin):
 def test_conv_edges_match_direct_definition(cin, cout, f, stride, pad, side):
     rng = np.random.default_rng(cin * 1000 + cout * 100 + f * 10 + stride + pad)
     check_conv_against_definition(rng, rng.normal(size=(2, cin, *side)), cout, f, stride, pad)
+
+
+def pool_oracle(x, k, s):
+    """Window maxima and the first argmax of each window's k*k taps, one window at a time."""
+    n, c, h, w = x.shape
+    shape = (n, c, (h - k) // s + 1, (w - k) // s + 1)
+    out, am = np.empty(shape, x.dtype), np.empty(shape, np.intp)
+    for a, ch, i, j in np.ndindex(*shape):
+        window = x[a, ch, i * s : i * s + k, j * s : j * s + k].reshape(-1)
+        am[a, ch, i, j] = window.argmax()
+        out[a, ch, i, j] = window[am[a, ch, i, j]]
+    return out, am
+
+
+# overlapping windows (k=3 at s=1 and s=2) and odd sides
+@pytest.mark.parametrize("k,s,side", [(2, 2, (8, 8)), (2, 2, (7, 9)), (3, 1, (7, 6)), (3, 2, (9, 7)), (3, 2, (8, 8)),
+                                      (2, 1, (5, 5))])
+def test_pool_forward_matches_window_argmax(k, s, side):
+    rng = np.random.default_rng(k * 10 + s + side[0])
+    # five distinct values and signed zeros, so most windows hold ties
+    x = rng.integers(-2, 3, size=(2, 3, *side)).astype(np.float32)
+    x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+    want_out, want_am = pool_oracle(x, k, s)
+    out, am = _pool_forward(x, k, s, "train")
+    assert out.tobytes() == want_out.tobytes()
+    assert am.tobytes() == want_am.tobytes()
+    out, am = _pool_forward(x, k, s, "eval")
+    assert am is None
+    assert out.tobytes() == want_out.tobytes()
 
 
 # --------------------------------------------------------------- gradients
@@ -573,6 +608,91 @@ def test_concurrent_training_matches_serial():
             for i in ref:
                 for name in ref[i]:
                     assert mine[i][name].tobytes() == ref[i][name].tobytes(), (store, i, name)
+
+
+def helper_genome():
+    """A conv fed by the input, a 5x5 and a stride-2 conv, a skip, a concat and a pool."""
+    nodes = {0: Node(INPUT), 1: conv_node(4, 3, 1, 1), 2: conv_node(4, 5, 1, 2), 3: Node(SKIP),
+             4: conv_node(6, 3, 2, 1), 5: conv_node(3, 3, 1, 1), 6: Node(CONCAT), 7: maxpool_node(2, 2),
+             8: Node(GLOBALPOOL), 9: Node(HEAD, {"classes": 10})}
+    preds = {0: (), 1: (0,), 2: (1,), 3: (1, 2), 4: (3,), 5: (4,), 6: (4, 5), 7: (6,), 8: (7,), 9: (8,)}
+    return Genome((3, 9, 9), 10, nodes, preds)
+
+
+def assert_same_bytes(got, want):
+    assert got.keys() == want.keys()
+    for i in want:
+        for name in want[i]:
+            assert np.asarray(got[i][name]).tobytes() == np.asarray(want[i][name]).tobytes(), (i, name)
+
+
+# batch 1 leaves the calling thread an empty half
+@pytest.mark.parametrize("batch", [1, 5, 16])
+def test_helper_is_bit_identical(batch, monkeypatch):
+    lent = []
+    lend = trainer_module._lend
+    monkeypatch.setattr(trainer_module, "_lend", lambda *args: lent.append(args[1]) or lend(*args))
+    helper = trainer_module._HELPER
+    g = helper_genome()
+    model = init_model(g, np.random.default_rng(40))
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(batch, 3, 9, 9)).astype(np.float32)
+    y = rng.integers(0, 10, batch)
+
+    serial = forward(model, g, x, mode="eval")
+    assert _forward_pass(model, g, x, "eval", None, helper)[0].tobytes() == serial.tobytes()
+    loss, grads = loss_and_grads(model, g, x, y)
+    loss_lent, grads_lent, _ = _loss_grads_stats(model, g, x, y, np.random.default_rng(0), helper)
+    assert np.asarray(loss_lent).tobytes() == np.asarray(loss).tobytes()
+    assert_same_bytes(grads_lent, grads)
+    # the four convs' eval forward, train forward and dW
+    assert len(lent) == 4 + 4 + 4
+
+    split = synthetic_split(n_train=48, n_val=20, shape=(3, 9, 9))
+    plan = TrainPlan(max_iters=4, batch_size=batch, seed=8)
+    runs = []
+    for spare in (False, True):
+        lent.clear()
+        monkeypatch.setattr(trainer_module, "_spare_cpu", lambda: spare)
+        runs.append(train(g, split, plan))
+        assert len(lent) == (4 * (4 + 4) + 4 if spare else 0)
+    (want, want_acc), (got, got_acc) = runs
+    assert got_acc == want_acc
+    assert_same_bytes(got.params, want.params)
+    assert_same_bytes(got.buffers, want.buffers)
+
+
+def test_helper_runs_under_the_callers_error_state(monkeypatch):
+    # train ignores the overflow on the way to a non-finite loss, on the helper too
+    monkeypatch.setattr(trainer_module, "_spare_cpu", lambda: True)
+    g = chain([conv_node(4), Node(GLOBALPOOL)], (1, 8, 8))
+    split = synthetic_split(n_train=128, n_val=64)
+    plan = TrainPlan(max_iters=50, stage_lrs=(1e12,) * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergedTraining):
+            train(g, split, plan)
+    assert trainer_module._trainings == 0
+
+
+def test_running_trainings_count_returns_to_zero():
+    # more trainings than cores on threads switching every microsecond: a
+    # lost update of the running count would leave it off zero
+    g = chain([conv_node(4), Node(GLOBALPOOL)], (1, 8, 8))
+    split = synthetic_split(n_train=64, n_val=16)
+    plan = TrainPlan(max_iters=3, batch_size=16, seed=3)
+    threads = [threading.Thread(target=train, args=(g, split, plan)) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert trainer_module._trainings == 0
 
 
 def test_train_learns_separable_data():
