@@ -8,11 +8,11 @@ consumers' gradients, in train mode only (the mode of every training
 step).  Float32 trains search runs; float64 verifies finite differences.
 Activations are NCHW; convolutions run one sample at a time, lowered by
 filter rows, so their buffers stay in cache and belong to one call part
-(fitness worker threads train side by side).  A training that runs while
-the process has a CPU to spare lends half of each conv forward and every
-conv's weight gradient to one helper thread; each value is computed by the
-same operations in the same order either way, so results are bit for bit
-the same.  In train mode batchnorm and ReLU work in place on the conv
+(fitness worker threads train side by side).  A lone training in a process
+with several CPUs and a one-thread BLAS lends half of each conv forward and
+every conv's weight gradient to one helper thread; each value is computed
+by the same operations in the same order either way, so results are bit for
+bit the same.  In train mode batchnorm and ReLU work in place on the conv
 output; in eval mode batchnorm is folded into the conv's weights and bias.
 An activation is released once its last consumer has read it, and backward
 releases each node's cache once it is used.  Training updates its one
@@ -22,6 +22,9 @@ model's weights, momentum and batchnorm running statistics in place.
 from __future__ import annotations
 
 import contextvars
+import ctypes
+import functools
+import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -159,8 +162,34 @@ def init_model(genome, rng, dtype=np.float32):
 
 
 # ---------------------------------------------------------------------------
-# the helper thread: a training lends it conv work while the process runs
-# fewer trainings than it may use CPUs; its work never submits work itself
+# the helper thread: a lone training lends it conv work while a second CPU
+# would otherwise idle; its work never submits work itself
+
+
+@functools.cache
+def _openblas_thread_query():
+    """OpenBLAS's thread-count query in numpy's bundled library, or None if there is none."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            query = getattr(lib, name, None)
+            if query is not None:
+                query.restype, query.argtypes = ctypes.c_int, []
+                return query
+    return None
+
+
+def _blas_threads():
+    """Threads numpy's BLAS runs each call on, or None if it does not say."""
+    query = _openblas_thread_query()
+    return None if query is None else query()
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _new_helper():
@@ -169,7 +198,8 @@ def _new_helper():
 
 
 _new_helper()
-os.register_at_fork(after_in_child=_new_helper)  # a forked child has no helper thread
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_helper)  # a forked child has no helper thread
 _trainings = 0  # trainings running in this process
 _trainings_lock = threading.Lock()
 
@@ -188,8 +218,12 @@ def _counted_training():
 
 
 def _spare_cpu():
-    """True while fewer trainings run in this process than it may use CPUs."""
-    return _trainings < len(os.sched_getaffinity(0))
+    """True while this process runs one training, may use several CPUs, and runs BLAS on one thread.
+
+    A multithreaded BLAS already spreads the caller's GEMMs over the CPUs,
+    and a second caller of it slowed a lone eval-genome run down.
+    """
+    return _trainings == 1 and _CPUS > 1 and _blas_threads() == 1
 
 
 def _lend(helper, fn, *args):
@@ -300,7 +334,19 @@ def _conv_dx(W, stride, pad, dz, size):
 
 
 def _pool_forward(x, kernel, stride, mode):
-    """Window maxima, and in train mode the first argmax of each window's k*k taps."""
+    """Window maxima, and in train mode the first argmax of each window's k*k taps.
+
+    With neither NaN nor -0.0 in x, equal taps have equal bits, so k*k
+    strided maxima give np.argmax's values whichever tap np.maximum keeps on
+    a tie, and a later tap takes the argmax only if strictly greater.  Other
+    inputs go through np.argmax itself.
+    """
+    bits = x.view(f"i{x.itemsize}")  # -0.0 is the least integer of its width
+    if np.isnan(x.min()) or bits.min() == np.iinfo(bits.dtype).min:
+        win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+        flat = win.reshape(*win.shape[:4], kernel * kernel)
+        am = flat.argmax(axis=-1)
+        return np.take_along_axis(flat, am[..., None], axis=-1)[..., 0], am if mode == "train" else None
     n, c, h, w = x.shape
     oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
     taps = [
@@ -313,7 +359,7 @@ def _pool_forward(x, kernel, stride, mode):
     for j, t in enumerate(taps[1:], 1):
         if am is not None:
             np.copyto(am, j, where=t > out)
-        np.maximum(t, out, out=out)  # on a tie this returns out, the earlier tap, as argmax does
+        np.maximum(out, t, out=out)
     return out, am
 
 
@@ -537,7 +583,7 @@ def train(genome, split, plan):
 
     Raises DivergedTraining as soon as the minibatch loss goes non-finite.
     Each iteration, and the accuracy pass, lends conv work to the helper
-    thread while the process runs fewer trainings than it may use CPUs.
+    thread while _spare_cpu() holds.
     """
     seeds = np.random.SeedSequence(plan.seed).spawn(4)
     init_rng, shuffle_rng, dropout_rng, aug_rng = map(np.random.default_rng, seeds)

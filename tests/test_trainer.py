@@ -412,11 +412,15 @@ def pool_oracle(x, k, s):
 # overlapping windows (k=3 at s=1 and s=2) and odd sides
 @pytest.mark.parametrize("k,s,side", [(2, 2, (8, 8)), (2, 2, (7, 9)), (3, 1, (7, 6)), (3, 2, (9, 7)), (3, 2, (8, 8)),
                                       (2, 1, (5, 5))])
-def test_pool_forward_matches_window_argmax(k, s, side):
+@pytest.mark.parametrize("extra", ["none", "-0.0", "nan"])
+def test_pool_forward_matches_window_argmax(k, s, side, extra):
     rng = np.random.default_rng(k * 10 + s + side[0])
-    # five distinct values and signed zeros, so most windows hold ties
+    # five distinct values, so most windows hold ties; then signed zeros or NaNs
     x = rng.integers(-2, 3, size=(2, 3, *side)).astype(np.float32)
-    x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+    if extra == "-0.0":
+        x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+    elif extra == "nan":
+        x[rng.random(x.shape) < 0.1] = np.nan
     want_out, want_am = pool_oracle(x, k, s)
     out, am = _pool_forward(x, k, s, "train")
     assert out.tobytes() == want_out.tobytes()
@@ -660,6 +664,24 @@ def test_helper_is_bit_identical(batch, monkeypatch):
     assert got_acc == want_acc
     assert_same_bytes(got.params, want.params)
     assert_same_bytes(got.buffers, want.buffers)
+
+
+def test_helper_goes_to_a_lone_training_on_several_cpus_with_one_blas_thread(monkeypatch):
+    lent = []
+    lend = trainer_module._lend
+    monkeypatch.setattr(trainer_module, "_lend", lambda *args: lent.append(args[1]) or lend(*args))
+    monkeypatch.setattr(trainer_module, "_CPUS", 4)
+    monkeypatch.setattr(trainer_module, "_blas_threads", lambda: 1)
+    g = chain([conv_node(4), Node(GLOBALPOOL)], (1, 8, 8))
+    train(g, synthetic_split(n_train=32, n_val=8), TrainPlan(max_iters=1, batch_size=16))
+    assert lent
+    monkeypatch.setattr(trainer_module, "_trainings", 1)
+    assert trainer_module._spare_cpu()
+    # a second training, one CPU, a multithreaded BLAS or none that says
+    for name, value in [("_trainings", 2), ("_CPUS", 1), ("_blas_threads", lambda: 2), ("_blas_threads", lambda: None)]:
+        with monkeypatch.context() as m:
+            m.setattr(trainer_module, name, value)
+            assert not trainer_module._spare_cpu(), (name, value)
 
 
 def test_helper_runs_under_the_callers_error_state(monkeypatch):
