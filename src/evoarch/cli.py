@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 configuration, check or evaluation failure, 2
 unreadable or malformed data (dataset files, genome files).  All primary
 outputs are deterministic for a given flag set; wall-clock times live
-only in run_meta.json.
+only in run_meta.json.  BLAS runs each call on one thread unless
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS says otherwise: trainings use the
+other CPUs through fitness workers and the trainer's helper thread.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from evoarch import engine
 from evoarch.engine import ConfigError, EvolutionConfig
 from evoarch.fitness import EvaluationError, evaluate_surrogate, evaluate_trained
 from evoarch.genome import InvalidGenome, ParseError, ShapeError, deserialize, to_dot, validate
-from evoarch.trainer import TrainPlan, gradient_check_suite
+from evoarch.trainer import TrainPlan, gradient_check_suite, set_blas_threads
 
 GRAD_TOL = 1e-4
 
@@ -241,6 +243,8 @@ def cmd_grad_check(args):
 
 
 def main(argv=None):
+    if not any(var in os.environ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
+        set_blas_threads(1)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -68,15 +68,23 @@ FILTER_MENU = (1, 3, 5)
 STRIDE_MENU = (1, 2)
 
 
+# the kinds of fault a ShapeError names
+FLAT_INPUT = "flat input"
+NOT_POSITIVE = "not positive"
+SPATIAL_MISMATCH = "spatial mismatch"
+CHANNEL_MISMATCH = "channel mismatch"
+UNKNOWN_KIND = "unknown kind"
+
+
 class ShapeError(Exception):
     """Tensor shapes along the graph are inconsistent or degenerate.
 
-    infer_shapes attaches `shapes`, the shapes of the nodes it finished
-    before the fault.
+    `kind` names the fault (NOT_POSITIVE and so on); infer_shapes attaches
+    `shapes`, the shapes of the nodes it finished before the fault.
     """
 
-    def __init__(self, node_id, message):
-        self.node_id = node_id
+    def __init__(self, node_id, kind, message):
+        self.node_id, self.kind = node_id, kind
         super().__init__(f"node {node_id}: {message}")
 
 
@@ -261,26 +269,26 @@ def infer_shapes(genome):
             if kind in SPATIAL_OPS:
                 for q in ps:
                     if len(shapes[q]) != 3:
-                        raise ShapeError(i, f"needs a spatial input, got {shapes[q]}")
+                        raise ShapeError(i, FLAT_INPUT, f"needs a spatial input, got {shapes[q]}")
                 c, h, w = shapes[ps[0]]
             if kind == CONV:
                 f, st, pad = p["filter"], p["stride"], p["pad"]
                 oh, ow = (h + 2 * pad - f) // st + 1, (w + 2 * pad - f) // st + 1
                 if oh < 1 or ow < 1:
-                    raise ShapeError(i, f"conv output {oh}x{ow} not positive for input {h}x{w}")
+                    raise ShapeError(i, NOT_POSITIVE, f"conv output {oh}x{ow} not positive for input {h}x{w}")
                 shapes[i] = (p["channels"], oh, ow)
             elif kind == MAXPOOL:
                 k, st = p["kernel"], p["stride"]
                 oh, ow = (h - k) // st + 1, (w - k) // st + 1
                 if oh < 1 or ow < 1:
-                    raise ShapeError(i, f"pool output {oh}x{ow} not positive for input {h}x{w}")
+                    raise ShapeError(i, NOT_POSITIVE, f"pool output {oh}x{ow} not positive for input {h}x{w}")
                 shapes[i] = (c, oh, ow)
             elif kind == SKIP or kind == CONCAT:
                 a, b = [shapes[q] for q in ps]
                 if a[1:] != b[1:]:
-                    raise ShapeError(i, f"{kind} spatial mismatch {a} vs {b}")
+                    raise ShapeError(i, SPATIAL_MISMATCH, f"{kind} spatial mismatch {a} vs {b}")
                 if kind == SKIP and a[0] != b[0]:
-                    raise ShapeError(i, f"skip channel mismatch {a} vs {b}")
+                    raise ShapeError(i, CHANNEL_MISMATCH, f"skip channel mismatch {a} vs {b}")
                 shapes[i] = a if kind == SKIP else (a[0] + b[0], h, w)
             elif kind == GLOBALPOOL:
                 shapes[i] = (c, 1, 1)
@@ -293,7 +301,7 @@ def infer_shapes(genome):
             elif kind == INPUT:
                 shapes[i] = genome.input_shape
             else:
-                raise ShapeError(i, f"unknown kind {kind!r}")
+                raise ShapeError(i, UNKNOWN_KIND, f"unknown kind {kind!r}")
     except ShapeError as err:
         err.shapes = MappingProxyType(shapes)
         raise

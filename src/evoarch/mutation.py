@@ -21,6 +21,7 @@ from itertools import accumulate
 from types import MappingProxyType
 
 from evoarch.genome import (
+    CHANNEL_MISMATCH,
     CONCAT,
     CONV,
     DROPOUT,
@@ -28,7 +29,9 @@ from evoarch.genome import (
     FILTER_MENU,
     GLOBALPOOL,
     MAXPOOL,
+    NOT_POSITIVE,
     SKIP,
+    SPATIAL_MISMATCH,
     STRIDE_MENU,
     TRUNK_KINDS,
     Node,
@@ -430,22 +433,21 @@ def repair(genome):
 def _apply_fix(genome, err, bumps):
     i, shapes = err.node_id, err.shapes
     node = genome.nodes[i]
-    msg = str(err)
-    if "not positive" in msg:
+    if err.kind == NOT_POSITIVE:
         if node.kind == CONV:
             return _bump_pad(genome, i, bumps)
         producer = genome.preds[i][0]
         if genome.nodes[producer].kind == CONV:
             return _bump_pad(genome, producer, bumps)
         return None
-    if "spatial mismatch" in msg:
+    if err.kind == SPATIAL_MISMATCH:
         q1, q2 = genome.preds[i]
         s1, s2 = shapes[q1], shapes[q2]
         small = q1 if (s1[1] + s1[2], q1) < (s2[1] + s2[2], q2) else q2
         if genome.nodes[small].kind == CONV:
             return _bump_pad(genome, small, bumps)
         return None
-    if "channel mismatch" in msg:
+    if err.kind == CHANNEL_MISMATCH:
         q1, q2 = genome.preds[i]
         s1, s2 = shapes[q1], shapes[q2]
         small, need = (q1, s2[0]) if s1[0] < s2[0] else (q2, s1[0])

@@ -8,14 +8,15 @@ consumers' gradients, in train mode only (the mode of every training
 step).  Float32 trains search runs; float64 verifies finite differences.
 Activations are NCHW; convolutions run one sample at a time, lowered by
 filter rows, so their buffers stay in cache and belong to one call part
-(fitness worker threads train side by side).  A lone training in a process
-with several CPUs and a one-thread BLAS lends half of each conv forward and
-every conv's weight gradient to one helper thread; each value is computed
-by the same operations in the same order either way, so results are bit for
-bit the same.  In train mode batchnorm and ReLU work in place on the conv
-output; in eval mode batchnorm is folded into the conv's weights and bias.
-An activation is released once its last consumer has read it, and backward
-releases each node's cache once it is used.  Training updates its one
+(fitness worker threads train side by side).  Half of each conv forward
+and every weight gradient are lent: _lend runs each on a helper thread if
+the training is then the only one in a process with several CPUs and a
+one-thread BLAS, else on the calling thread, by the same operations in the
+same order, so results are bit for bit the same either way.  In train mode
+batchnorm and ReLU work in place on the conv output; in eval mode
+batchnorm is folded into the conv's weights and bias.  An activation is
+released once its last consumer has read it, and backward drops each
+node's arrays at their last use.  Training updates its one
 model's weights, momentum and batchnorm running statistics in place.
 """
 
@@ -27,7 +28,7 @@ import functools
 import glob
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar
@@ -162,31 +163,37 @@ def init_model(genome, rng, dtype=np.float32):
 
 
 # ---------------------------------------------------------------------------
-# the helper thread: a lone training lends it conv work while a second CPU
-# would otherwise idle; its work never submits work itself
+# the helper thread: a lone training lends it work while a second CPU would
+# otherwise idle; its work never lends work itself
 
 
 @functools.cache
-def _openblas_thread_query():
-    """OpenBLAS's thread-count query in numpy's bundled library, or None if there is none."""
+def _openblas(call, restype, *argtypes):
+    """OpenBLAS's openblas_<call> in numpy's bundled library, or None if there is none."""
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            query = getattr(lib, name, None)
-            if query is not None:
-                query.restype, query.argtypes = ctypes.c_int, []
-                return query
+        for name in (f"scipy_openblas_{call}64_", f"openblas_{call}64_", f"openblas_{call}"):
+            if hasattr(lib, name):
+                fn = getattr(lib, name)
+                fn.restype, fn.argtypes = restype, argtypes
+                return fn
     return None
 
 
 def _blas_threads():
     """Threads numpy's BLAS runs each call on, or None if it does not say."""
-    query = _openblas_thread_query()
+    query = _openblas("get_num_threads", ctypes.c_int)
     return None if query is None else query()
+
+
+def set_blas_threads(n):
+    """Has numpy's BLAS run each call on n threads, where it can be told to."""
+    setter = _openblas("set_num_threads", None, ctypes.c_int)
+    if setter is not None:
+        setter(n)
 
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -226,9 +233,16 @@ def _spare_cpu():
     return _trainings == 1 and _CPUS > 1 and _blas_threads() == 1
 
 
-def _lend(helper, fn, *args):
-    """Future of fn(*args) on the helper, under the caller's context and so its numpy error state."""
-    return helper.submit(contextvars.copy_context().run, fn, *args)
+def _lend(fn, *args):
+    """Future of fn(*args), on the helper if _spare_cpu() holds at this call, else already run here.
+
+    The helper runs fn under the caller's context, and so its numpy error state.
+    """
+    if _spare_cpu():
+        return _HELPER.submit(contextvars.copy_context().run, fn, *args)
+    done = Future()
+    done.set_result(fn(*args))
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +302,16 @@ def _conv_samples(x, W_rows, b, stride, pad, out):
         o += b[:, None]
 
 
-def _conv_forward(x, W, b, stride, pad, helper=None):
-    """Conv output; given a helper, it computes samples [n//2, n) meanwhile."""
+def _conv_forward(x, W, b, stride, pad):
+    """Conv output; samples [n//2, n) are lent."""
     (n, _, h, w), (cout, cin, f, _) = x.shape, W.shape
     oh, ow = (h + 2 * pad - f) // stride + 1, (w + 2 * pad - f) // stride + 1
     out = np.empty((n, cout, oh, ow), x.dtype)
     W_rows = W.transpose(2, 0, 1, 3).reshape(f, cout, cin * f)
-    flat = out.reshape(n, cout, -1)
-    if helper is None:
-        _conv_samples(x, W_rows, b, stride, pad, flat)
-    else:
-        half = n // 2
-        lent = _lend(helper, _conv_samples, x[half:], W_rows, b, stride, pad, flat[half:])
-        _conv_samples(x[:half], W_rows, b, stride, pad, flat[:half])
-        lent.result()
+    flat, half = out.reshape(n, cout, -1), n // 2
+    lent = _lend(_conv_samples, x[half:], W_rows, b, stride, pad, flat[half:])
+    _conv_samples(x[:half], W_rows, b, stride, pad, flat[:half])
+    lent.result()
     return out
 
 
@@ -378,11 +388,10 @@ def _pool_backward(x, kernel, stride, am, dout):
 # whole-graph forward and backward
 
 
-def _forward_pass(model, genome, x, mode, dropout_rng, helper=None):
+def _forward_pass(model, genome, x, mode, dropout_rng):
     """Head logits plus per-node caches and fresh batchnorm batch stats.
 
-    Each activation is dropped once its last consumer has read it; a
-    helper, if given, computes half of each conv's samples.
+    Each activation is dropped once its last consumer has read it.
     """
     acts = {}
     caches = {}
@@ -403,7 +412,7 @@ def _forward_pass(model, genome, x, mode, dropout_rng, helper=None):
             stride, pad = node.params["stride"], node.params["pad"]
             if mode == "train":
                 # batchnorm and ReLU in place: z becomes xhat
-                z = _conv_forward(ins[0], p["W"], p["b"], stride, pad, helper)
+                z = _conv_forward(ins[0], p["W"], p["b"], stride, pad)
                 mu = z.mean(axis=(0, 2, 3))
                 z -= mu[:, None, None]
                 var = np.einsum("nchw,nchw->c", z, z) / (z.size // len(mu))
@@ -418,7 +427,7 @@ def _forward_pass(model, genome, x, mode, dropout_rng, helper=None):
                 bn = model.buffers[i]
                 a = p["gamma"] / np.sqrt(bn["var"] + BN_EPS)
                 b = (p["b"] - bn["mean"]) * a + p["beta"]
-                z = _conv_forward(ins[0], p["W"] * a[:, None, None, None], b, stride, pad, helper)
+                z = _conv_forward(ins[0], p["W"] * a[:, None, None, None], b, stride, pad)
                 acts[i] = np.maximum(z, 0.0, out=z)
         elif node.kind == MAXPOOL:
             out, am = _pool_forward(ins[0], node.params["kernel"], node.params["stride"], mode)
@@ -467,79 +476,72 @@ def softmax_cross_entropy(logits, labels):
     return loss, probs / n
 
 
-def _backward_pass(model, genome, caches, dlogits, helper=None):
+def _backward_pass(model, genome, caches, dlogits):
     """Parameter gradients of a train-mode forward pass, popping each node's cache as it goes.
 
-    A helper, if given, forms every conv's dW while this thread goes on.
+    Every weight gradient is lent; they are collected once the pass is over.
     """
-    order = topological_order(genome)
     douts = {genome.head_id(): dlogits}
     grads = {}
-    lent = []
-    for i in reversed(order):
-        node = genome.nodes[i]
-        cache = caches.pop(i, None)
-        dout = douts.pop(i, None)
-        if dout is None or node.kind == INPUT:
-            continue
-        preds = genome.preds[i]
-        if node.kind == CONV:
-            # dz = gamma*invstd*(dy - sum(dy)/m - xhat*sum(dy*xhat)/m), in place; uses up xhat
-            x_in, xhat, invstd, out = cache
-            p = model.params[i]
-            dz = dout * (out > 0)
-            dbeta = dz.sum(axis=(0, 2, 3))
-            dgamma = np.einsum("nchw,nchw->c", dz, xhat)
-            m = dz.size // dz.shape[1]
-            xhat *= (dgamma / m)[:, None, None]
-            dz -= xhat
-            dz -= (dbeta / m)[:, None, None]
-            dz *= (p["gamma"] * invstd)[:, None, None]
-            stride, pad = node.params["stride"], node.params["pad"]
-            grads[i] = {"W": None, "b": dz.sum(axis=(0, 2, 3)), "gamma": dgamma, "beta": dbeta}
-            dW_args = (x_in, p["W"].shape[2], stride, pad, dz)
-            if helper is None:
-                grads[i]["W"] = _conv_dW(*dW_args)
-            else:
-                lent.append((i, _lend(helper, _conv_dW, *dW_args)))
-            if genome.nodes[preds[0]].kind != INPUT:
-                _accumulate(douts, preds[0], _conv_dx(p["W"], stride, pad, dz, x_in.shape[2:]))
-        elif node.kind == MAXPOOL:
-            x_in, am = cache
-            dx = _pool_backward(x_in, node.params["kernel"], node.params["stride"], am, dout)
-            _accumulate(douts, preds[0], dx)
-        elif node.kind == SKIP:
-            for p_id in preds:
-                _accumulate(douts, p_id, dout)
-        elif node.kind == CONCAT:
-            split = cache
-            _accumulate(douts, preds[0], dout[:, :split])
-            _accumulate(douts, preds[1], dout[:, split:])
-        elif node.kind == GLOBALPOOL:
-            shape = cache
-            scale = shape[2] * shape[3]
-            _accumulate(douts, preds[0], np.broadcast_to(dout / scale, shape).copy())
-        elif node.kind in (FC, HEAD):
-            flat, in_shape = cache
-            p = model.params[i]
-            grads[i] = {"W": dout.T @ flat, "b": dout.sum(axis=0)}
-            _accumulate(douts, preds[0], (dout @ p["W"]).reshape(in_shape))
-        elif node.kind == DROPOUT:
-            mask = cache
-            _accumulate(douts, preds[0], dout if mask is None else dout * mask)
-    for i, dW in lent:
-        grads[i]["W"] = dW.result()
+    for i in reversed(topological_order(genome)):
+        # handed over unbound, so a node's arrays go at their last use in _node_backward
+        _node_backward(model, genome, i, caches.pop(i, None), douts.pop(i, None), douts, grads)
+    for g in grads.values():
+        g["W"] = g["W"].result()
     return grads
+
+
+def _node_backward(model, genome, i, cache, dout, douts, grads):
+    """Node i's parameter gradients into grads, its input gradients into douts."""
+    node, preds = genome.nodes[i], genome.preds[i]
+    if dout is None or node.kind == INPUT:
+        return
+    if node.kind == CONV:
+        # dz = gamma*invstd*(dy - sum(dy)/m - xhat*sum(dy*xhat)/m), in place; uses up xhat
+        x_in, xhat, invstd, out = cache
+        dz = dout * (out > 0)
+        del cache, dout, out  # the ReLU mask was their last use
+        p = model.params[i]
+        dbeta = dz.sum(axis=(0, 2, 3))
+        dgamma = np.einsum("nchw,nchw->c", dz, xhat)
+        m = dz.size // dz.shape[1]
+        xhat *= (dgamma / m)[:, None, None]
+        dz -= xhat
+        del xhat
+        dz -= (dbeta / m)[:, None, None]
+        dz *= (p["gamma"] * invstd)[:, None, None]
+        stride, pad = node.params["stride"], node.params["pad"]
+        dW = _lend(_conv_dW, x_in, p["W"].shape[2], stride, pad, dz)
+        grads[i] = {"W": dW, "b": dz.sum(axis=(0, 2, 3)), "gamma": dgamma, "beta": dbeta}
+        if genome.nodes[preds[0]].kind != INPUT:
+            _accumulate(douts, preds[0], _conv_dx(p["W"], stride, pad, dz, x_in.shape[2:]))
+    elif node.kind == MAXPOOL:
+        x_in, am = cache
+        _accumulate(douts, preds[0], _pool_backward(x_in, node.params["kernel"], node.params["stride"], am, dout))
+    elif node.kind == SKIP:
+        for q in preds:
+            _accumulate(douts, q, dout)
+    elif node.kind == CONCAT:
+        _accumulate(douts, preds[0], dout[:, :cache])
+        _accumulate(douts, preds[1], dout[:, cache:])
+    elif node.kind == GLOBALPOOL:
+        _accumulate(douts, preds[0], np.broadcast_to(dout / (cache[2] * cache[3]), cache).copy())
+    elif node.kind in (FC, HEAD):
+        flat, in_shape = cache
+        grads[i] = {"W": _lend(np.matmul, dout.T, flat), "b": dout.sum(axis=0)}
+        _accumulate(douts, preds[0], (dout @ model.params[i]["W"]).reshape(in_shape))
+    elif node.kind == DROPOUT:
+        _accumulate(douts, preds[0], dout if cache is None else dout * cache)
 
 
 def _accumulate(douts, node_id, grad):
     douts[node_id] = douts[node_id] + grad if node_id in douts else grad
 
 
-def _loss_grads_stats(model, genome, x, labels, dropout_rng, helper=None):
-    logits, caches, batch_stats = _forward_pass(model, genome, x, "train", dropout_rng, helper)
+def _loss_grads_stats(model, genome, x, labels, dropout_rng):
+    logits, caches, batch_stats = _forward_pass(model, genome, x, "train", dropout_rng)
     loss, dlogits = softmax_cross_entropy(logits, labels)
-    grads = _backward_pass(model, genome, caches, dlogits, helper)
+    grads = _backward_pass(model, genome, caches, dlogits)
     return loss, grads, batch_stats
 
 
@@ -568,11 +570,11 @@ def sgd_step(model, grads, lr):
             w -= lr * v
 
 
-def accuracy(model, genome, x, labels, helper=None):
+def accuracy(model, genome, x, labels):
     """Fraction of correct argmax predictions, evaluated in eval mode."""
     hits = 0
     for s in range(0, len(x), ACCURACY_BATCH):
-        logits = _forward_pass(model, genome, x[s : s + ACCURACY_BATCH], "eval", None, helper)[0]
+        logits = _forward_pass(model, genome, x[s : s + ACCURACY_BATCH], "eval", None)[0]
         hits += int((logits.argmax(axis=1) == labels[s : s + ACCURACY_BATCH]).sum())
     return hits / len(x)
 
@@ -582,8 +584,8 @@ def train(genome, split, plan):
     """Float32 SGD over shuffled minibatch epochs; returns (model, val accuracy).
 
     Raises DivergedTraining as soon as the minibatch loss goes non-finite.
-    Each iteration, and the accuracy pass, lends conv work to the helper
-    thread while _spare_cpu() holds.
+    Conv forwards and weight gradients are lent, so once its peers finish a
+    training gets the helper thread at its next lend.
     """
     seeds = np.random.SeedSequence(plan.seed).spawn(4)
     init_rng, shuffle_rng, dropout_rng, aug_rng = map(np.random.default_rng, seeds)
@@ -605,11 +607,10 @@ def train(genome, split, plan):
         if split.augment == "pad_crop4":
             bx = pad_and_random_crop(bx, 4, aug_rng)
         lr = lr_at(t, plan)
-        helper = _HELPER if _spare_cpu() else None
         # overflow on the way to a non-finite loss is the divergence path,
         # detected and raised below, so the fp warnings are suppressed
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads, stats = _loss_grads_stats(model, genome, bx, by, dropout_rng, helper)
+            loss, grads, stats = _loss_grads_stats(model, genome, bx, by, dropout_rng)
             if not np.isfinite(loss):
                 raise DivergedTraining(f"non-finite loss at iteration {t}")
             sgd_step(model, grads, lr)
@@ -619,9 +620,8 @@ def train(genome, split, plan):
                 running *= BN_RUNNING_KEEP
                 running += (1 - BN_RUNNING_KEEP) * batch
 
-    helper = _HELPER if _spare_cpu() else None
     with np.errstate(over="ignore", invalid="ignore"):
-        return model, accuracy(model, genome, split.val_x, split.val_y, helper)
+        return model, accuracy(model, genome, split.val_x, split.val_y)
 
 
 # ---------------------------------------------------------------------------

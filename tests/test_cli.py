@@ -1,10 +1,14 @@
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import evoarch
 import evoarch.cli as cli
 from evoarch.fitness import TrainedEvaluator
 from evoarch.genome import new_seed_genome, serialize
@@ -293,6 +297,30 @@ def test_export_dot(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("digraph genome {")
     assert out.count("[label=") == 3
+
+
+def blas_threads_reported(tmp_path, cli_argv, **env):
+    """OpenBLAS's thread count in a fresh process under env, after cli.main(cli_argv) if cli_argv."""
+    script = ("import sys; from evoarch import cli, trainer\n"
+              "if sys.argv[1:]: cli.main(sys.argv[1:])\n"
+              "print(trainer._blas_threads())")
+    clean = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    clean["PYTHONPATH"] = os.path.dirname(os.path.dirname(evoarch.__file__))
+    out = subprocess.run([sys.executable, "-c", script, *cli_argv], env={**clean, **env}, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    return out.splitlines()[-1]
+
+
+def test_cli_runs_one_blas_thread_unless_the_user_sets_one(tmp_path):
+    path = tmp_path / "seed.json"
+    path.write_text(serialize(new_seed_genome("global_pool")))
+    if blas_threads_reported(tmp_path, []) == "None":
+        pytest.skip("numpy's BLAS does not report its thread count")
+    assert blas_threads_reported(tmp_path, ["export-dot", str(path)]) == "1"
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        # what the library makes of the user's value, without the CLI
+        theirs = blas_threads_reported(tmp_path, [], **{var: "2"})
+        assert blas_threads_reported(tmp_path, ["export-dot", str(path)], **{var: "2"}) == theirs
 
 
 def test_eval_genome_surrogate_value(tmp_path, capsys):

@@ -7,14 +7,19 @@ import numpy as np
 import pytest
 
 from evoarch.genome import (
+    CHANNEL_MISMATCH,
     CONCAT,
     CONV,
     FC,
+    FLAT_INPUT,
     GLOBALPOOL,
     HEAD,
     INPUT,
     MAXPOOL,
+    NOT_POSITIVE,
     SKIP,
+    SPATIAL_MISMATCH,
+    UNKNOWN_KIND,
     Genome,
     InvalidGenome,
     Node,
@@ -445,6 +450,23 @@ def test_infer_shapes_names_fault_and_keeps_prior_shapes(case):
     assert e.value.node_id == node_id
     assert str(e.value) == f"node {node_id}: {message}"
     assert list(e.value.shapes) == computed
+
+
+# one SHAPE_FAULTS case per fault kind
+FAULT_KIND_CASES = {
+    NOT_POSITIVE: "pool-collapse",
+    SPATIAL_MISMATCH: "concat-spatial",
+    CHANNEL_MISMATCH: "skip-channel",
+    FLAT_INPUT: "conv-on-flat",
+    UNKNOWN_KIND: "unknown-kind",
+}
+
+
+@pytest.mark.parametrize("kind", list(FAULT_KIND_CASES))
+def test_shape_error_names_its_fault_kind(kind):
+    with pytest.raises(ShapeError) as e:
+        infer_shapes(SHAPE_FAULTS[FAULT_KIND_CASES[kind]][0])
+    assert e.value.kind == kind
 
 
 def test_infer_shapes_every_rule_on_a_non_square_input():

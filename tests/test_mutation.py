@@ -8,14 +8,18 @@ import pytest
 
 from evoarch import mutation
 from evoarch.genome import (
+    CHANNEL_MISMATCH,
     CONCAT,
     CONV,
     GLOBALPOOL,
     HEAD,
     INPUT,
+    NOT_POSITIVE,
     SKIP,
+    SPATIAL_MISMATCH,
     Genome,
     Node,
+    ShapeError,
     _derived,
     canonical_node_sequence,
     chain_genome,
@@ -361,6 +365,42 @@ def test_repair_failure_when_unfixable():
     g = Genome((3, 16, 16), 10, nodes, preds)
     with pytest.raises(RepairFailure):
         repair(g)
+
+
+# one minimal genome per fault kind repair fixes, and the node the fix lands on
+REPAIRABLE = {
+    NOT_POSITIVE: (chain([conv_node(8, 5, 1, 0), Node(GLOBALPOOL)], input_shape=(3, 4, 4)), 1),
+    SPATIAL_MISMATCH: (Genome((3, 8, 8), 10, {0: Node(INPUT), 1: conv_node(8, 3, 1, 1), 2: conv_node(8, 3, 1, 0),
+                                              3: Node(CONCAT), 4: Node(GLOBALPOOL), 5: Node(HEAD, {"classes": 10})},
+                              {0: (), 1: (0,), 2: (0,), 3: (1, 2), 4: (3,), 5: (4,)}), 2),
+    CHANNEL_MISMATCH: (join_mismatch(8, 16), None),
+}
+
+
+@pytest.mark.parametrize("kind", list(REPAIRABLE))
+def test_repair_dispatches_on_the_fault_kind_not_its_message(kind, monkeypatch):
+    g, fixed_at = REPAIRABLE[kind]
+    with pytest.raises(ShapeError) as e:
+        infer_shapes(g)
+    assert e.value.kind == kind
+
+    def reworded(genome):
+        try:
+            return infer_shapes(genome)
+        except ShapeError as err:
+            other = ShapeError(err.node_id, err.kind, "reworded")
+            other.shapes = err.shapes
+            raise other from err
+
+    monkeypatch.setattr(mutation, "infer_shapes", reworded)
+    fixed, fixes = repair(g)
+    validate(fixed)
+    assert fixes == 1
+    if kind == CHANNEL_MISMATCH:  # a 1x1 conv to 16 channels on the narrow branch
+        assert [(fixed.nodes[i].params["filter"], fixed.nodes[i].params["channels"])
+                for i in fixed.nodes.keys() - g.nodes.keys()] == [(1, 16)]
+    else:
+        assert fixed.nodes[fixed_at].params["pad"] == g.nodes[fixed_at].params["pad"] + 1
 
 
 # ------------------------------------------------------------------ purity

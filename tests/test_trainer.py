@@ -3,6 +3,8 @@ import math
 import sys
 import threading
 import warnings
+import weakref
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -37,7 +39,6 @@ from evoarch.trainer import (
     _conv_dx,
     _conv_forward,
     _forward_pass,
-    _loss_grads_stats,
     _pool_forward,
     accuracy,
     forward,
@@ -471,6 +472,26 @@ def test_backward_frees_every_cache():
         assert caches == {}
 
 
+def test_backward_drops_a_nodes_arrays_at_their_last_use(monkeypatch):
+    g = chain([conv_node(4), conv_node(4), Node(GLOBALPOOL)])
+    model = init_model(g, np.random.default_rng(26))
+    x = np.random.default_rng(27).normal(size=(4, 3, 8, 8)).astype(np.float32)
+    logits, caches, _ = _forward_pass(model, g, x, "train", np.random.default_rng(0))
+    _, dlogits = softmax_cross_entropy(logits, np.arange(4))
+    refs = [weakref.ref(a) for a in caches[2][1::2]]  # node 2's xhat and ReLU output
+    alive, conv_dW = [], trainer_module._conv_dW
+
+    def spy(x_in, f, stride, pad, dz):
+        alive.append([r() is not None for r in refs])
+        refs.append(weakref.ref(dz))
+        return conv_dW(x_in, f, stride, pad, dz)
+
+    monkeypatch.setattr(trainer_module, "_conv_dW", spy)
+    _backward_pass(model, g, caches, dlogits)
+    # both are gone by node 2's dW, and node 2's dz by node 1's
+    assert alive == [[False, False], [False, False, False]]
+
+
 def test_gradient_through_joins():
     for join in (SKIP, "concat"):
         nodes = {0: Node(INPUT), 1: conv_node(4), 2: conv_node(4),
@@ -630,13 +651,23 @@ def assert_same_bytes(got, want):
             assert np.asarray(got[i][name]).tobytes() == np.asarray(want[i][name]).tobytes(), (i, name)
 
 
+@pytest.fixture
+def helper_calls(monkeypatch):
+    """Names of the functions lent to the helper thread, in order."""
+    calls, pool = [], trainer_module._HELPER
+
+    class Counting:
+        def submit(self, run, fn, *args):
+            calls.append(fn.__name__)
+            return pool.submit(run, fn, *args)
+
+    monkeypatch.setattr(trainer_module, "_HELPER", Counting())
+    return calls
+
+
 # batch 1 leaves the calling thread an empty half
 @pytest.mark.parametrize("batch", [1, 5, 16])
-def test_helper_is_bit_identical(batch, monkeypatch):
-    lent = []
-    lend = trainer_module._lend
-    monkeypatch.setattr(trainer_module, "_lend", lambda *args: lent.append(args[1]) or lend(*args))
-    helper = trainer_module._HELPER
+def test_helper_is_bit_identical(batch, monkeypatch, helper_calls):
     g = helper_genome()
     model = init_model(g, np.random.default_rng(40))
     rng = np.random.default_rng(41)
@@ -644,37 +675,36 @@ def test_helper_is_bit_identical(batch, monkeypatch):
     y = rng.integers(0, 10, batch)
 
     serial = forward(model, g, x, mode="eval")
-    assert _forward_pass(model, g, x, "eval", None, helper)[0].tobytes() == serial.tobytes()
     loss, grads = loss_and_grads(model, g, x, y)
-    loss_lent, grads_lent, _ = _loss_grads_stats(model, g, x, y, np.random.default_rng(0), helper)
+    assert helper_calls == []
+    monkeypatch.setattr(trainer_module, "_spare_cpu", lambda: True)
+    assert forward(model, g, x, mode="eval").tobytes() == serial.tobytes()
+    loss_lent, grads_lent = loss_and_grads(model, g, x, y)
     assert np.asarray(loss_lent).tobytes() == np.asarray(loss).tobytes()
     assert_same_bytes(grads_lent, grads)
-    # the four convs' eval forward, train forward and dW
-    assert len(lent) == 4 + 4 + 4
+    # the four convs' eval forward, train forward and dW, and the head's dW
+    assert Counter(helper_calls) == {"_conv_samples": 4 + 4, "_conv_dW": 4, "matmul": 1}
 
     split = synthetic_split(n_train=48, n_val=20, shape=(3, 9, 9))
     plan = TrainPlan(max_iters=4, batch_size=batch, seed=8)
     runs = []
     for spare in (False, True):
-        lent.clear()
+        helper_calls.clear()
         monkeypatch.setattr(trainer_module, "_spare_cpu", lambda: spare)
         runs.append(train(g, split, plan))
-        assert len(lent) == (4 * (4 + 4) + 4 if spare else 0)
+        assert len(helper_calls) == (4 * (4 + 4 + 1) + 4 if spare else 0)
     (want, want_acc), (got, got_acc) = runs
     assert got_acc == want_acc
     assert_same_bytes(got.params, want.params)
     assert_same_bytes(got.buffers, want.buffers)
 
 
-def test_helper_goes_to_a_lone_training_on_several_cpus_with_one_blas_thread(monkeypatch):
-    lent = []
-    lend = trainer_module._lend
-    monkeypatch.setattr(trainer_module, "_lend", lambda *args: lent.append(args[1]) or lend(*args))
+def test_helper_goes_to_a_lone_training_on_several_cpus_with_one_blas_thread(monkeypatch, helper_calls):
     monkeypatch.setattr(trainer_module, "_CPUS", 4)
     monkeypatch.setattr(trainer_module, "_blas_threads", lambda: 1)
     g = chain([conv_node(4), Node(GLOBALPOOL)], (1, 8, 8))
     train(g, synthetic_split(n_train=32, n_val=8), TrainPlan(max_iters=1, batch_size=16))
-    assert lent
+    assert helper_calls
     monkeypatch.setattr(trainer_module, "_trainings", 1)
     assert trainer_module._spare_cpu()
     # a second training, one CPU, a multithreaded BLAS or none that says
@@ -682,6 +712,29 @@ def test_helper_goes_to_a_lone_training_on_several_cpus_with_one_blas_thread(mon
         with monkeypatch.context() as m:
             m.setattr(trainer_module, name, value)
             assert not trainer_module._spare_cpu(), (name, value)
+
+
+def test_a_training_left_alone_lends_from_its_next_lend(monkeypatch, helper_calls):
+    # a peer training runs until this one's first conv forward is done
+    monkeypatch.setattr(trainer_module, "_CPUS", 4)
+    monkeypatch.setattr(trainer_module, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(trainer_module, "_trainings", 1)
+    conv_forward, peer = trainer_module._conv_forward, []
+
+    def conv_then_peer_ends(*args):
+        out = conv_forward(*args)
+        if not peer:
+            peer.append("ended")
+            with trainer_module._trainings_lock:
+                trainer_module._trainings -= 1
+        return out
+
+    monkeypatch.setattr(trainer_module, "_conv_forward", conv_then_peer_ends)
+    g = chain([conv_node(4), conv_node(4), Node(GLOBALPOOL)], (1, 8, 8))
+    train(g, synthetic_split(n_train=32, n_val=8), TrainPlan(max_iters=1, batch_size=16))
+    # the second conv forward and every weight gradient of the one iteration, then the accuracy pass
+    assert helper_calls == ["_conv_samples", "matmul", "_conv_dW", "_conv_dW", "_conv_samples", "_conv_samples"]
+    assert trainer_module._trainings == 0
 
 
 def test_helper_runs_under_the_callers_error_state(monkeypatch):
