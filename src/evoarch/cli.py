@@ -56,12 +56,12 @@ def _add_run_flags(p):
     p.add_argument("--iters", type=int, default=600,
                    help="training iterations per evaluated individual")
     p.add_argument("--seed", type=int, default=0, help="run seed")
-    p.add_argument("--workers", type=int, default=1, help="parallel evaluations")
-    p.add_argument("--out-dir", default=None,
-                   help="output directory (default derives from command and seed)")
 
 
 def _add_search_flags(p, k_help, generations_help):
+    p.add_argument("--workers", type=int, default=1, help="parallel evaluations")
+    p.add_argument("--out-dir", default=None,
+                   help="output directory (default derives from command and seed)")
     p.add_argument("--k", type=int, default=1, help=k_help)
     p.add_argument("--population", type=int, default=10, help="population size")
     p.add_argument("--threshold", type=int, default=1, help="selection distance threshold")

@@ -564,11 +564,7 @@ def to_dot(genome):
             c, h, w = genome.input_shape
             label = f"input {c}x{h}x{w}"
         lines.append(f'  n{i} [label="{label}"];')
-    edges = []
-    for dst in sorted(genome.preds):
-        for src in genome.preds[dst]:
-            edges.append((src, dst))
-    for src, dst in sorted(edges):
+    for src, dst in genome_doc(genome)["edges"]:
         lines.append(f"  n{src} -> n{dst};")
     lines.append("}")
     return "\n".join(lines) + "\n"

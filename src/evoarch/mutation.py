@@ -4,12 +4,17 @@ Fifteen operators: add/remove for convolution, pooling, dropout, skip,
 concatenate and fully connected layers, plus three hyperparameter
 alterations on convolutions.  Each operator picks its site uniformly
 from the legal candidates via the supplied rng and returns a new genome,
-or None when no legal site exists.  The candidate sites (trunk edges,
-node ids by kind, ancestors, depths, join pairs) are derived data of the
-parent genome: they are computed once per parent and shared, read-only,
-by every attempt on it.  Shape inconsistencies introduced by an edit are
-repaired (padding bumps and 1x1 channel-matching convs) before the result
-is handed back.
+or None when no legal site exists.  Nodes come and go through two
+primitives: `_insert` adds a node fed by given inputs and moves every
+consumer of the last input over to it, and `_remove` drops a node and
+hands its consumers back to a given input.  `_insert_on_edge` places a
+node on a single edge instead, for convolutions, the fc before the head
+and repairs.  The candidate sites (trunk edges, node ids by kind,
+ancestors, depths, join pairs) are derived data of the parent genome:
+they are computed once per parent and shared, read-only, by every
+attempt on it.  Shape inconsistencies introduced by an edit are
+repaired (padding bumps and 1x1 channel-matching convs) before the
+result is handed back.
 """
 
 from __future__ import annotations
@@ -133,7 +138,7 @@ def _choose(rng, items):
 
 
 # ---------------------------------------------------------------------------
-# graph edit primitives; each returns fresh node/pred dicts
+# graph edit primitives; each returns a new genome
 
 
 def _edit_copy(genome):
@@ -158,37 +163,18 @@ def _move_consumers(preds, old, new):
             preds[i] = tuple(new if p == old else p for p in ps)
 
 
-def _insert_after(genome, target, node):
-    """Place node after target; every former consumer of target moves over."""
+def _insert(genome, node, inputs):
+    """Add node fed by inputs; every former consumer of inputs[-1] moves to it."""
     nodes, preds = _edit_copy(genome)
     nid = genome.next_id()
     nodes[nid] = node
-    _move_consumers(preds, target, nid)
-    preds[nid] = (target,)
+    _move_consumers(preds, inputs[-1], nid)
+    preds[nid] = inputs
     return genome.replace(nodes, preds)
 
 
-def _insert_join(genome, top, bottom, node):
-    """Two-input join over (top, bottom); consumers of bottom move to it."""
-    nodes, preds = _edit_copy(genome)
-    nid = genome.next_id()
-    nodes[nid] = node
-    _move_consumers(preds, bottom, nid)
-    preds[nid] = (top, bottom)
-    return genome.replace(nodes, preds)
-
-
-def _splice_out(genome, target):
-    """Remove a single-predecessor node, rewiring consumers to its input."""
-    nodes, preds = _edit_copy(genome)
-    (parent,) = preds.pop(target)
-    del nodes[target]
-    _move_consumers(preds, target, parent)
-    return genome.replace(nodes, preds)
-
-
-def _remove_join(genome, target, restore_to):
-    """Remove a two-input join; its consumers go back to restore_to."""
+def _remove(genome, target, restore_to):
+    """Drop target; its consumers go back to restore_to."""
     nodes, preds = _edit_copy(genome)
     del nodes[target]
     del preds[target]
@@ -263,12 +249,12 @@ def _add_convolution(genome, rng):
     return _insert_on_edge(genome, src, dst, slot, conv_node(32, 3, 1, 1))
 
 
-def _remove_node(genome, rng, kind):
-    """Splice out one single-input node of the given kind."""
+def _add_after(genome, rng, kind, make):
+    """Place make() after one node of the given kind."""
     ids = _nodes_of_kind(genome, kind)
     if not ids:
         return None
-    return _ensure_flat_head(_splice_out(genome, _choose(rng, ids)))
+    return _insert(genome, make(), (_choose(rng, ids),))
 
 
 def _alter_conv(genome, rng, key, menu):
@@ -282,23 +268,7 @@ def _alter_conv(genome, rng, key, menu):
         return None
     params[key] = _choose(rng, options)
     params["pad"] = params["filter"] // 2
-    nodes, preds = _edit_copy(genome)
-    nodes[target] = Node(CONV, params)
-    return genome.replace(nodes, preds)
-
-
-def _add_dropout(genome, rng):
-    fcs = _nodes_of_kind(genome, FC)
-    if not fcs:
-        return None
-    return _insert_after(genome, _choose(rng, fcs), dropout_node(0.5))
-
-
-def _add_pooling(genome, rng):
-    convs = _nodes_of_kind(genome, CONV)
-    if not convs:
-        return None
-    return _insert_after(genome, _choose(rng, convs), maxpool_node(2, 2))
+    return genome.replace({**genome.nodes, target: Node(CONV, params)})
 
 
 @_derived
@@ -332,14 +302,15 @@ def _add_join(genome, rng, kind):
     pairs = _join_pairs(genome)[kind]
     if not pairs:
         return None
-    top, bottom = _choose(rng, pairs)
-    return _insert_join(genome, top, bottom, Node(kind))
+    return _insert(genome, Node(kind), _choose(rng, pairs))
 
 
 def _deeper_pred(genome, target):
-    """The join input whose wiring the join had taken over: the one the
-    other input is an ancestor of, falling back to the deeper node."""
-    q1, q2 = genome.preds[target]
+    """The input whose wiring target had taken over: its only input, or for
+    a join the one the other input is an ancestor of, falling back to the
+    deeper node."""
+    ps = genome.preds[target]
+    q1, q2 = ps[0], ps[-1]
     if q1 == q2:
         return q1
     anc = _ancestors(genome)
@@ -353,41 +324,41 @@ def _deeper_pred(genome, target):
     return max(q1, q2)
 
 
-def _remove_join_kind(genome, rng, kind):
-    joins = _nodes_of_kind(genome, kind)
-    if not joins:
+def _remove_kind(genome, rng, kind):
+    """Drop one node of the given kind; its consumers go back to _deeper_pred."""
+    ids = _nodes_of_kind(genome, kind)
+    if not ids:
         return None
-    target = _choose(rng, joins)
-    restore = _deeper_pred(genome, target)
-    return _ensure_flat_head(_remove_join(genome, target, restore))
+    target = _choose(rng, ids)
+    return _ensure_flat_head(_remove(genome, target, _deeper_pred(genome, target)))
 
 
 def _add_fully_connected(genome, rng):
-    head = genome.head_id()
-    sites = [("pre_head", head)] + [("after", f) for f in _nodes_of_kind(genome, FC)]
-    where, target = _choose(rng, sites)
-    units = _choose(rng, FC_UNITS_MENU)
-    if where == "pre_head":
-        return _insert_on_edge(genome, genome.preds[head][0], head, 0, fc_node(units))
-    return _insert_after(genome, target, fc_node(units))
+    """An fc after an existing fc, or at site None on the edge into the head."""
+    target = _choose(rng, (None,) + _nodes_of_kind(genome, FC))
+    node = fc_node(_choose(rng, FC_UNITS_MENU))
+    if target is None:
+        head = genome.head_id()
+        return _insert_on_edge(genome, genome.preds[head][0], head, 0, node)
+    return _insert(genome, node, (target,))
 
 
 _OPERATORS = {
     "add_convolution": _add_convolution,
-    "remove_convolution": partial(_remove_node, kind=CONV),
+    "remove_convolution": partial(_remove_kind, kind=CONV),
     "alter_channel_number": partial(_alter_conv, key="channels", menu=CHANNEL_MENU),
     "alter_filter_size": partial(_alter_conv, key="filter", menu=FILTER_MENU),
     "alter_stride": partial(_alter_conv, key="stride", menu=STRIDE_MENU),
-    "add_dropout": _add_dropout,
-    "remove_dropout": partial(_remove_node, kind=DROPOUT),
-    "add_pooling": _add_pooling,
-    "remove_pooling": partial(_remove_node, kind=MAXPOOL),
+    "add_dropout": partial(_add_after, kind=FC, make=partial(dropout_node, 0.5)),
+    "remove_dropout": partial(_remove_kind, kind=DROPOUT),
+    "add_pooling": partial(_add_after, kind=CONV, make=partial(maxpool_node, 2, 2)),
+    "remove_pooling": partial(_remove_kind, kind=MAXPOOL),
     "add_skip": partial(_add_join, kind=SKIP),
-    "remove_skip": partial(_remove_join_kind, kind=SKIP),
+    "remove_skip": partial(_remove_kind, kind=SKIP),
     "add_concatenate": partial(_add_join, kind=CONCAT),
-    "remove_concatenate": partial(_remove_join_kind, kind=CONCAT),
+    "remove_concatenate": partial(_remove_kind, kind=CONCAT),
     "add_fully_connected": _add_fully_connected,
-    "remove_fully_connected": partial(_remove_node, kind=FC),
+    "remove_fully_connected": partial(_remove_kind, kind=FC),
 }
 
 
@@ -401,9 +372,7 @@ def _bump_pad(genome, conv_id, bumps):
     params = dict(genome.nodes[conv_id].params)
     params["pad"] += 1
     bumps[conv_id] = bumps.get(conv_id, 0) + 1
-    nodes, preds = _edit_copy(genome)
-    nodes[conv_id] = Node(CONV, params)
-    return genome.replace(nodes, preds)
+    return genome.replace({**genome.nodes, conv_id: Node(CONV, params)})
 
 
 def repair(genome):

@@ -53,13 +53,7 @@ def aggressive_select(ranked, k, distance_threshold):
             admitted.append(ind)
     if len(admitted) < k:
         chosen = {ind.id for ind in admitted}
-        fills = k - len(admitted)
-        for ind in ranked:
-            if fills == 0:
-                break
-            if ind.id not in chosen:
-                chosen.add(ind.id)
-                fills -= 1
+        chosen.update([ind.id for ind in ranked if ind.id not in chosen][: k - len(admitted)])
         admitted = [ind for ind in ranked if ind.id in chosen]
     return admitted
 

@@ -11,7 +11,16 @@ import pytest
 import evoarch
 import evoarch.cli as cli
 from evoarch.fitness import TrainedEvaluator
-from evoarch.genome import new_seed_genome, serialize
+from evoarch.genome import (
+    chain_genome,
+    conv_node,
+    dropout_node,
+    fc_node,
+    genome_doc,
+    maxpool_node,
+    new_seed_genome,
+    serialize,
+)
 from evoarch.mutation import apply_mutation
 from helpers import build_mnist_dir, spoil_file, write_idx_labels
 
@@ -194,6 +203,39 @@ def test_bad_training_flags_exit_one(tmp_path, monkeypatch, capsys, command, fla
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--population", "1", "error: population size must be at least 2\n"),
+    ("--threshold", "-1", "error: distance threshold must be non-negative\n"),
+    ("--generations", "0", "error: need at least one generation\n"),
+    ("--workers", "0", "error: workers must be positive\n"),
+])
+@pytest.mark.parametrize("command", ["evolve", "compare-selection"])
+def test_bad_search_flags_exit_one(tmp_path, capsys, command, flag, value, message):
+    argv = [command, "--generations", "1", "--out-dir", str(tmp_path / "out"), flag, value]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_k_sweep_value_exits_one(tmp_path, capsys):
+    argv = ["compare-selection", "--k-sweep", "1,x", "--generations", "1", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --k-sweep value: ") and "'x'" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--workers", "2"), ("--out-dir", "elsewhere")])
+def test_eval_genome_refuses_run_only_flags(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["eval-genome", flag, value, str(one_conv_genome_file(tmp_path))])
+    assert e.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: " in captured.err and flag in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command,fitness", [("grad-check", None), ("evolve", "surrogate"),
                                              ("compare-selection", "surrogate"),
                                              ("eval-genome", "surrogate"), ("eval-genome", "trained")])
@@ -373,6 +415,65 @@ def test_float_genome_param_exits_two(tmp_path, monkeypatch, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: node {conv['id']}: param channels must be an integer\n"
+
+
+def test_eval_genome_shape_that_does_not_match_the_dataset_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
+    argv = ["eval-genome", "--fitness", "trained", "--iters", "1", str(one_conv_genome_file(tmp_path))]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: genome expects input (3, 32, 32) with 10 classes, "
+                            "dataset provides (1, 28, 28) with 10\n")
+
+
+def full_chain_doc():
+    """Document of input -> conv(1) -> maxpool(2) -> fc(3) -> dropout(4) -> head(5)."""
+    middle = [conv_node(4), maxpool_node(), fc_node(8), dropout_node(0.5)]
+    return genome_doc(chain_genome(middle, (3, 32, 32), 10))
+
+
+def _set_param(index, param, value):
+    def edit(doc):
+        doc["nodes"][index]["params"][param] = value
+        return doc
+    return edit
+
+
+def _edit_node(index, **fields):
+    return lambda doc: {**doc, "nodes": [{**n, **fields} if j == index else n for j, n in enumerate(doc["nodes"])]}
+
+
+# out-of-range params (caught by validate) and malformed documents (by the parser)
+BAD_GENOME_FILES = {
+    "conv-channels": (_set_param(1, "channels", 0), "node 1: conv channels must be positive"),
+    "conv-stride": (_set_param(1, "stride", 3), "node 1: conv stride must be one of (1, 2)"),
+    "conv-pad": (_set_param(1, "pad", -1), "node 1: conv pad must be non-negative"),
+    "pool-kernel": (_set_param(2, "kernel", 0), "node 2: pool kernel and stride must be positive"),
+    "pool-stride": (_set_param(2, "stride", 0), "node 2: pool kernel and stride must be positive"),
+    "fc-units": (_set_param(3, "units", 0), "node 3: fc units must be positive"),
+    "dropout-ratio": (_set_param(4, "ratio", 1.0), "node 4: dropout ratio must be in (0, 1)"),
+    "top-level-list": (lambda doc: [doc], "top level must be a JSON object"),
+    "input-shape": (lambda doc: {**doc, "input_shape": [3, 32]}, "input_shape must be three positive integers"),
+    "num-classes": (lambda doc: {**doc, "num_classes": 1}, "num_classes must be an integer of at least 2"),
+    "node-entry": (lambda doc: {**doc, "nodes": doc["nodes"] + [{"id": 9}]},
+                   "node entries need exactly id/kind/params, got {'id': 9}"),
+    "node-id": (_edit_node(1, id=-1), "node id must be a non-negative integer, got -1"),
+    "kind": (_edit_node(1, kind="deconv"), "node 1: unknown kind 'deconv'"),
+    "param-keys": (_edit_node(1, params={"channels": 4}),
+                   "node 1: params for conv must be ['channels', 'filter', 'pad', 'stride']"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GENOME_FILES))
+def test_bad_genome_file_exits_two(tmp_path, capsys, case):
+    edit, message = BAD_GENOME_FILES[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(full_chain_doc())))
+    assert cli.main(["export-dot", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_eval_genome_invalid_structure(tmp_path):

@@ -97,6 +97,17 @@ def test_mnist_truncated(tmp_path):
         load_mnist(path, tmp_path / "train-labels-idx1-ubyte")
 
 
+@pytest.mark.parametrize("kind,head", [("images", 16), ("labels", 8)])
+def test_mnist_shorter_than_its_header(tmp_path, kind, head):
+    write_idx_images(tmp_path / "images", np.zeros((1, 28, 28), np.uint8))
+    write_idx_labels(tmp_path / "labels", [0])
+    path = tmp_path / kind
+    path.write_bytes(path.read_bytes()[:6])
+    with pytest.raises(TruncatedFile) as err:
+        load_mnist(tmp_path / "images", tmp_path / "labels")
+    assert str(err.value) == f"{path}: header needs {head} bytes, file has 6"
+
+
 def test_mnist_count_mismatch(tmp_path):
     rng = np.random.default_rng(0)
     write_idx_images(tmp_path / "imgs", rng.integers(0, 256, (5, 28, 28), dtype=np.uint8))

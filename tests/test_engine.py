@@ -78,6 +78,13 @@ def test_config_rejects_negative_seed():
         EvolutionConfig(seed=-1).check()
 
 
+@pytest.mark.parametrize("field,message", [("saturation_window", "saturation window must be positive or None"),
+                                           ("mutation_retries", "mutation retry budget must be positive")])
+def test_config_rejects_a_zero_budget(field, message):
+    with pytest.raises(ConfigError, match=message):
+        EvolutionConfig(**{field: 0}).check()
+
+
 def test_config_defaults_valid():
     EvolutionConfig().check()
 

@@ -267,6 +267,21 @@ def test_batch_audit_rows():
         assert 0.0 <= row["fitness"] <= 1.0
 
 
+def test_batch_refuses_a_fitness_outside_the_unit_interval():
+    class TooGood:
+        kind = "too_good"
+
+        def evaluate(self, genome, run_seed, individual_id):
+            return 1.5
+
+    pop = [make_individual(random_genome(np.random.default_rng(7)), 3, None)]
+    with pytest.raises(EvaluationError) as e:
+        evaluate_batch(pop, TooGood())
+    [(ind, cause)] = e.value.failures
+    assert ind == 3 and isinstance(cause, ValueError)
+    assert str(cause) == "fitness 1.5 outside [0, 1]"
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_batch_aggregates_failures(workers):
     class Exploding:

@@ -263,3 +263,9 @@ def test_clone_counts_non_increasing():
 def test_clone_refill_empty_rejected():
     with pytest.raises(ValueError):
         clone_refill([], 10)
+
+
+def test_clone_refill_into_a_smaller_population_rejected():
+    pop = random_population(np.random.default_rng(13), 3)
+    with pytest.raises(ValueError, match="population size smaller than the selection"):
+        clone_refill(pop, 2)

@@ -5,12 +5,13 @@ import threading
 import warnings
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
-from evoarch.data import DatasetSplit
+from evoarch.data import DatasetSplit, load_dataset
 from evoarch.genome import (
     CONCAT,
     GLOBALPOOL,
@@ -51,7 +52,7 @@ from evoarch.trainer import (
     softmax_cross_entropy,
     train,
 )
-from helpers import random_genome
+from helpers import build_cifar_dir, random_genome
 
 
 def chain(middle, input_shape=(3, 8, 8), num_classes=10):
@@ -600,6 +601,17 @@ def test_train_deterministic():
     for i in m1.params:
         for name in m1.params[i]:
             assert np.array_equal(m1.params[i][name], m2.params[i][name])
+
+
+def test_train_augments_cifar_batches_deterministically(tmp_path):
+    split = load_dataset("cifar10", build_cifar_dir(tmp_path))
+    assert split.augment == "pad_crop4"
+    g = chain([conv_node(4), Node(GLOBALPOOL)], (3, 32, 32))
+    plan = TrainPlan(max_iters=3, batch_size=8, seed=2)
+    runs = [train(g, s, plan)[0] for s in (split, split, replace(split, augment="none"))]
+    a, b, plain = ([w.tobytes() for i in sorted(m.params) for _, w in sorted(m.params[i].items())] for m in runs)
+    assert a == b
+    assert a != plain
 
 
 def test_concurrent_training_matches_serial():
