@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
 
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"error: {message}\n")
 
 
 def _add_run_flags(p):
@@ -174,8 +174,6 @@ def cmd_evolve(args):
 def cmd_compare(args):
     if args.k_sweep is not None and args.strategies is not None:
         raise ConfigError("--k-sweep and --strategies are mutually exclusive")
-    if args.seeds < 1:
-        raise ConfigError("--seeds must be positive")
     config, evaluator = _run_config(args)
     if args.k_sweep is not None:
         try:
@@ -189,6 +187,7 @@ def cmd_compare(args):
     if not specs:
         flag = "--strategies" if args.k_sweep is None else "--k-sweep"
         raise ConfigError(f"{flag} names nothing to compare")
+    engine.check_comparison(specs, args.seeds)
 
     out_dir = _make_out_dir(args.out_dir or f"runs/compare-{args.fitness}-s{args.seed}")
     result = engine.compare_strategies(config, specs, args.seeds, evaluator=evaluator)
@@ -246,7 +245,9 @@ def main(argv=None):
     if not any(var in os.environ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
         set_blas_threads(1)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # an unknown flag's value may have filled a positional slot, so name only the flags
+        parser.error(f"unrecognized arguments: {' '.join([t for t in extra if t.startswith('-')] or extra)}")
     try:
         if getattr(args, "seed", 0) < 0:  # every command that takes --seed
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")

@@ -22,6 +22,7 @@ MNIST_IMAGE_MAGIC = 0x00000803
 MNIST_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
 NUM_CLASSES = 10  # both datasets label their records 0-9
+VAL_FRACTION = 0.1  # share of the training records held out for validation
 
 MNIST_FILES = {  # (images, labels) of each part
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
@@ -158,18 +159,16 @@ def pad_and_random_crop(x, pad, rng):
     return out
 
 
-def split_train_val(images, labels, fraction=0.1, seed=0, subset_n=None):
-    """Seeded shuffle split; the last fraction becomes validation.
+def split_train_val(images, labels, seed=0, subset_n=None):
+    """Seeded shuffle split; the last VAL_FRACTION becomes validation.
 
     subset_n truncates the data (in file order) before shuffling, so small
     desk-scale experiments stay nested inside larger ones.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("validation fraction must be in (0, 1)")
     images, labels = images[:subset_n], labels[:subset_n]
     n = len(images)
-    n_val = int(round(n * fraction))
-    if n_val < 1 or n_val >= n:
+    n_val = int(round(n * VAL_FRACTION))
+    if n_val < 1:
         raise ValueError(f"cannot carve {n_val} validation samples out of {n}")
     perm = np.random.default_rng(seed).permutation(n)
     train_idx, val_idx = perm[: n - n_val], perm[n - n_val :]
@@ -196,7 +195,7 @@ def load_dataset(name, data_dir, subset_n=None, seed=0):
 
     MNIST stays at plain [0, 1] scaling; CIFAR-10 gets per-image contrast
     normalization and pad-4 random-crop augmentation on the train side.
-    A tenth of the training records becomes the validation set.
+    VAL_FRACTION of the training records becomes the validation set.
     """
     if name == "mnist":
         train_x, train_y = load_mnist(*(_find(data_dir, f) for f in MNIST_FILES["train"]))

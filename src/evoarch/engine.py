@@ -22,6 +22,7 @@ import numpy as np
 
 from evoarch.fitness import SurrogateEvaluator, TrainedEvaluator, evaluate_batch
 from evoarch.genome import (
+    SEED_KINDS,
     Individual,
     ParseError,
     genome_doc,
@@ -51,7 +52,12 @@ LOG_NAMES = ("mutation", "selection", "fitness")
 # a comparison's target: this share of the best final fitness it saw
 TAU_FRACTION = 0.9
 
-CHECKPOINT_VERSION = 2
+# generations 1 to EARLY_STAGE_GENERATIONS mutate under the early weights, and a
+# run stops once the best fitness gains less than SATURATION_EPS over the window
+EARLY_STAGE_GENERATIONS = 10
+SATURATION_EPS = 1e-3
+
+CHECKPOINT_VERSION = 3
 
 # the GenerationStats fields a checkpoint keeps; wall_seconds stays out so
 # checkpoint bytes depend on the seed alone
@@ -72,16 +78,13 @@ class EvolutionConfig:
     k: int = 1
     distance_threshold: int = 1
     strategy: str = "aggressive"
-    early_stage_generations: int = 10
     max_generations: int = 100
     saturation_window: int | None = 10
-    saturation_eps: float = 0.001
     seed: int = 0
     evaluator: str = "surrogate"
     input_shape: tuple = (3, 32, 32)
     num_classes: int = 10
     workers: int = 1
-    mutation_retries: int = 25
 
     def check(self):
         if self.population_size < 2:
@@ -102,8 +105,6 @@ class EvolutionConfig:
             raise ConfigError(f"unknown evaluator {self.evaluator!r}")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
-        if self.mutation_retries < 1:
-            raise ConfigError("mutation retry budget must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -148,8 +149,7 @@ def initial_state(config, evaluator, fitness_log=None):
     forms, evaluated, with the rng seeded from config.seed."""
     population = []
     for i in range(config.population_size):
-        kind = "global_pool" if i % 2 == 0 else "fully_connected"
-        genome = new_seed_genome(kind, config.input_shape, config.num_classes)
+        genome = new_seed_genome(SEED_KINDS[i % 2], config.input_shape, config.num_classes)
         population.append(Individual(id=i, genome=genome, born_generation=0))
     population = evaluate_batch(population, evaluator, config.seed, config.workers, fitness_log)
     best = rank(population)[0]
@@ -179,17 +179,14 @@ def step_generation(state, evaluator, logs=None):
     config, rng, generation = state.config, state.rng, state.next_generation
     logs = logs or {}
     mutation_log, selection_log = logs.get("mutation"), logs.get("selection")
-    early = generation <= config.early_stage_generations
-    weights = MutationWeights.early() if early else MutationWeights.late()
+    weights = MutationWeights.early() if generation <= EARLY_STAGE_GENERATIONS else MutationWeights.late()
     next_id = max(ind.id for ind in state.population) + 1
 
     children = []
     for parent in state.population:
         attempts = []
         try:
-            child_genome = mutate_until_valid(
-                parent.genome, weights, rng, config.mutation_retries, attempts
-            )
+            child_genome = mutate_until_valid(parent.genome, weights, rng, attempts=attempts)
             child = Individual(next_id, child_genome, None, generation, parent.id)
         except ExhaustedRetries:
             # keep the slot occupied; the parent genome rides along unchanged
@@ -245,7 +242,7 @@ def _generation_stats(generation, best, scored, selected=(), wall_seconds=0.0):
     )
 
 
-def _saturated(stats, window, eps):
+def _saturated(stats, window):
     """True when the trailing window shows too little best-fitness gain.
 
     stats holds one row per generation starting at generation 0; the
@@ -254,7 +251,7 @@ def _saturated(stats, window, eps):
     """
     if window is None or len(stats) < window + 2:
         return False
-    return stats[-1].best_fitness - stats[-1 - window].best_fitness < eps
+    return stats[-1].best_fitness - stats[-1 - window].best_fitness < SATURATION_EPS
 
 
 def run(config, out_dir=None, evaluator=None, resume_from=None, checkpoint_every=5):
@@ -290,7 +287,7 @@ def run(config, out_dir=None, evaluator=None, resume_from=None, checkpoint_every
         if out_dir and checkpoint_every and generation % checkpoint_every == 0:
             os.makedirs(out_dir, exist_ok=True)
             checkpoint_save(state, os.path.join(out_dir, f"checkpoint_gen{generation}.json"))
-        if _saturated(state.stats, config.saturation_window, config.saturation_eps):
+        if _saturated(state.stats, config.saturation_window):
             break
 
     if out_dir:
@@ -438,6 +435,16 @@ class ComparisonResult:
     generations_to_tau: dict
 
 
+def check_comparison(specs, n_seeds):
+    """Raise ConfigError unless there are specs and seeds, each label once: results are keyed by label."""
+    if not specs or n_seeds < 1:
+        raise ConfigError(f"a comparison needs specs and seeds, got {len(specs)} specs and {n_seeds} seeds")
+    labels = [spec.label for spec in specs]
+    repeated = [label for i, label in enumerate(labels) if label in labels[:i]]
+    if repeated:
+        raise ConfigError(f"a comparison names {repeated[0]!r} more than once")
+
+
 def compare_strategies(config, specs, n_seeds, evaluator=None):
     """Race selection settings over shared seeds on fixed-length runs.
 
@@ -445,8 +452,7 @@ def compare_strategies(config, specs, n_seeds, evaluator=None):
     comparison; each run contributes the first generation whose best
     reaches tau (censored at max_generations + 1 when it never does).
     """
-    if not specs or n_seeds < 1:
-        raise ConfigError(f"a comparison needs specs and seeds, got {len(specs)} specs and {n_seeds} seeds")
+    check_comparison(specs, n_seeds)
     series = {}
     for spec in specs:
         for s in range(n_seeds):

@@ -29,8 +29,6 @@ CONCAT = "concat"
 GLOBALPOOL = "globalpool"
 HEAD = "head"
 
-ALL_KINDS = (INPUT, CONV, MAXPOOL, FC, DROPOUT, SKIP, CONCAT, GLOBALPOOL, HEAD)
-
 # One letter per kind; canonical sequences are strings over this alphabet.
 KIND_LETTERS = {
     INPUT: "I",
@@ -44,12 +42,13 @@ KIND_LETTERS = {
     HEAD: "H",
 }
 
-# Trunk nodes carry spatial (c, h, w) tensors; tail nodes carry flat vectors
-# (globalpool sits at the boundary and is grouped with the tail for placement).
+# Trunk nodes carry spatial (c, h, w) tensors; tail nodes, all other kinds, carry flat
+# vectors (globalpool sits at the boundary and is grouped with the tail for placement).
 TRUNK_KINDS = frozenset({INPUT, CONV, MAXPOOL, SKIP, CONCAT})
-TAIL_KINDS = frozenset({FC, DROPOUT, GLOBALPOOL, HEAD})
 # Layers whose every input must be spatial.
 SPATIAL_OPS = frozenset({CONV, MAXPOOL, SKIP, CONCAT, GLOBALPOOL})
+# The two seed forms; individual i of a seeded population starts as SEED_KINDS[i % 2].
+SEED_KINDS = ("global_pool", "fully_connected")
 
 # Required hyperparameter keys per kind.
 PARAM_KEYS = {
@@ -539,8 +538,10 @@ def genome_from_doc(doc):
     return Genome(tuple(shape), doc["num_classes"], nodes, {i: tuple(p) for i, p in preds.items()})
 
 
-def _dot_label(node):
+def _dot_label(node, input_shape):
     p = node.params
+    if node.kind == INPUT:
+        return "input " + "x".join(map(str, input_shape))
     if node.kind == CONV:
         return f"conv {p['channels']}c {p['filter']}x{p['filter']} s{p['stride']} p{p['pad']}"
     if node.kind == MAXPOOL:
@@ -558,12 +559,7 @@ def to_dot(genome):
     """Graphviz DOT text with one node per layer, edges in id order."""
     lines = ["digraph genome {", "  rankdir=TB;"]
     for i in sorted(genome.nodes):
-        node = genome.nodes[i]
-        label = _dot_label(node)
-        if node.kind == INPUT:
-            c, h, w = genome.input_shape
-            label = f"input {c}x{h}x{w}"
-        lines.append(f'  n{i} [label="{label}"];')
+        lines.append(f'  n{i} [label="{_dot_label(genome.nodes[i], genome.input_shape)}"];')
     for src, dst in genome_doc(genome)["edges"]:
         lines.append(f"  n{src} -> n{dst};")
     lines.append("}")

@@ -46,6 +46,7 @@ from evoarch.genome import (
     HEAD,
     INPUT,
     MAXPOOL,
+    SEED_KINDS,
     SKIP,
     Node,
     chain_genome,
@@ -636,12 +637,12 @@ def relative_error(a, f):
     return d / max(abs(a), abs(f), FD_ATOL)
 
 
-def gradient_check(model, genome, x, labels, max_per_tensor=None, rng=None):
+def gradient_check(model, genome, x, labels, max_per_tensor, rng):
     """Max relative error between loss_and_grads and central differences.
 
     Both run train mode, the only mode with gradients, over every tensor of
-    the genome.param_shapes layout: every element, unless max_per_tensor
-    caps it, in which case a seeded sample of positions is used.
+    the genome.param_shapes layout: every element of a tensor with at most
+    max_per_tensor of them, else max_per_tensor positions drawn from rng.
     """
     _, grads = loss_and_grads(model, genome, x, labels)
 
@@ -655,9 +656,8 @@ def gradient_check(model, genome, x, labels, max_per_tensor=None, rng=None):
             w = model.params[i][name]
             flat = w.reshape(-1)
             positions = range(flat.size)
-            if max_per_tensor is not None and flat.size > max_per_tensor:
-                sampler = rng if rng is not None else np.random.default_rng(0)
-                positions = sorted(sampler.choice(flat.size, size=max_per_tensor, replace=False))
+            if flat.size > max_per_tensor:
+                positions = sorted(rng.choice(flat.size, size=max_per_tensor, replace=False))
             for pos in positions:
                 orig = flat[pos]
                 lp, lm, lp_half, lm_half = [
@@ -736,8 +736,7 @@ def _composite_cases(seed):
     weights = MutationWeights.early()
     for i in range(SUITE_COMPOSITES):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        kind = "global_pool" if i % 2 == 0 else "fully_connected"
-        genome = new_seed_genome(kind, shape, 4)
+        genome = new_seed_genome(SEED_KINDS[i % 2], shape, 4)
         steps = int(rng.integers(1, 6 + 1))  # 1 to 6 mutations
         for _ in range(steps):
             try:
@@ -772,8 +771,6 @@ def gradient_check_suite(seed=0):
                 x, best_margin = cand, margin
             if margin > 10 * FD_STEP:
                 break
-        err = gradient_check(
-            model, genome, x, labels, max_per_tensor=SUITE_MAX_PER_TENSOR, rng=np.random.default_rng(streams[2])
-        )
+        err = gradient_check(model, genome, x, labels, SUITE_MAX_PER_TENSOR, np.random.default_rng(streams[2]))
         results.append((name, err))
     return results

@@ -159,6 +159,17 @@ def test_compare_empty_list_exits_one(tmp_path, capsys, flag, value):
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag,value,label", [("--k-sweep", "1,1", "k=1"),
+                                              ("--strategies", "tournament,tournament", "tournament")])
+def test_compare_repeated_entry_exits_one(tmp_path, capsys, flag, value, label):
+    code = cli.main(["compare-selection", flag, value, "--seeds", "2", "--generations", "3",
+                     "--population", "4", "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: a comparison names {label!r} more than once\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_compare_trained_mnist(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
     out = tmp_path / "cmp"
@@ -234,6 +245,17 @@ def test_eval_genome_refuses_run_only_flags(tmp_path, capsys, flag, value):
     assert captured.out == ""
     assert "error: unrecognized arguments: " in captured.err and flag in captured.err
     assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert "one_conv.json" not in captured.err
+
+
+def test_bad_flag_value_is_one_error_line(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["evolve", "--population", "x"])
+    assert e.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument --population: invalid int value: 'x'\n"
 
 
 @pytest.mark.parametrize("command,fitness", [("grad-check", None), ("evolve", "surrogate"),

@@ -242,7 +242,7 @@ def test_split_arithmetic():
     rng = np.random.default_rng(5)
     x = rng.uniform(size=(600, 1, 4, 4)).astype(np.float32)
     y = rng.integers(0, 10, 600)
-    split = split_train_val(x, y, fraction=0.1, seed=0)
+    split = split_train_val(x, y, seed=0)
     assert len(split.train_x) == 540
     assert len(split.val_x) == 60
 
@@ -253,8 +253,8 @@ def test_split_deterministic_and_disjoint():
     x = np.zeros((n, 1, 2, 2), np.float32)
     x[:, 0, 0, 0] = np.arange(n)
     y = np.arange(n) % 10
-    a = split_train_val(x, y, fraction=0.1, seed=7)
-    b = split_train_val(x, y, fraction=0.1, seed=7)
+    a = split_train_val(x, y, seed=7)
+    b = split_train_val(x, y, seed=7)
     assert np.array_equal(a.train_x, b.train_x)
     assert np.array_equal(a.val_x, b.val_x)
     train_ids = set(a.train_x[:, 0, 0, 0].astype(int))
@@ -268,20 +268,11 @@ def test_split_subset_truncates_before_shuffle():
     x = np.zeros((n, 1, 2, 2), np.float32)
     x[:, 0, 0, 0] = np.arange(n)
     y = np.arange(n) % 10
-    split = split_train_val(x, y, fraction=0.1, seed=3, subset_n=50)
+    split = split_train_val(x, y, seed=3, subset_n=50)
     used = set(split.train_x[:, 0, 0, 0].astype(int)) | set(split.val_x[:, 0, 0, 0].astype(int))
     assert used == set(range(50))
     assert len(split.train_x) == 45
     assert len(split.val_x) == 5
-
-
-def test_split_bad_fraction():
-    x = np.zeros((10, 1, 2, 2), np.float32)
-    y = np.zeros(10, np.int64)
-    with pytest.raises(ValueError):
-        split_train_val(x, y, fraction=0.0)
-    with pytest.raises(ValueError):
-        split_train_val(x, y, fraction=1.0)
 
 
 # ----------------------------------------------------------- load_dataset
@@ -315,7 +306,7 @@ def test_load_dataset_cifar_subset_normalizes_kept_records(tmp_path, monkeypatch
     raw_x, raw_y = load_cifar10(
         [tmp_path / "cifar-10-batches-bin" / f"data_batch_{i}.bin" for i in range(1, 6)]
     )
-    want = split_train_val(global_contrast_normalize(raw_x[:20]), raw_y[:20], 0.1, seed=3)
+    want = split_train_val(global_contrast_normalize(raw_x[:20]), raw_y[:20], seed=3)
     normalized = []
 
     def spy(images):

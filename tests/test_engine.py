@@ -78,8 +78,7 @@ def test_config_rejects_negative_seed():
         EvolutionConfig(seed=-1).check()
 
 
-@pytest.mark.parametrize("field,message", [("saturation_window", "saturation window must be positive or None"),
-                                           ("mutation_retries", "mutation retry budget must be positive")])
+@pytest.mark.parametrize("field,message", [("saturation_window", "saturation window must be positive or None")])
 def test_config_rejects_a_zero_budget(field, message):
     with pytest.raises(ConfigError, match=message):
         EvolutionConfig(**{field: 0}).check()
@@ -220,8 +219,8 @@ SEED0_DIGESTS = {
     "best_genome.json": "b6334d6f03c9de97bb572c47290df463d567758a73aa7a7e6a3db2de76d62213",
     "selection.jsonl": "66db1edeab5ff01a7ce2946cdfb2e656edd7c1fcb4705a1233283fc71375884a",
     "mutation.jsonl": "4a2c060ff9ef066b81efc2e172b7cb7c8415c8c5f6b83cf54f61bb8473955598",
-    "checkpoint_gen5.json": "398c9798ebc743ada675fa7793a73197027870607f9b24e21a03814904914148",
-    "checkpoint_gen55.json": "f28fa8bff3567e37c9f1a62333c89a981960ecb9a6e52f335b2f0de03a0383d7",
+    "checkpoint_gen5.json": "173e2539a94baae1d5220925bc4a6cca7ee1793a71bf8165b54957507755a5a2",
+    "checkpoint_gen55.json": "d5d22ff94373bebaec9856bf8a8b11b5689d6e6d9ec32b19a4d61a729f54d2f3",
 }
 
 
@@ -323,11 +322,11 @@ def _set_config(**fields):
 
 
 @pytest.mark.parametrize("edit", [_drop_config, _drop_genome_nodes, lambda doc: [doc], _drop_best,
-                                  lambda doc: {**doc, "version": 1},
+                                  lambda doc: {**doc, "version": 1}, lambda doc: {**doc, "version": 2},
                                   lambda doc: {**doc, "stats": doc["stats"][1:]},
                                   _set_config(strategy="nope"), _set_config(k=0)],
                          ids=["missing-key", "genome-without-nodes", "top-level-list", "missing-best", "version-1",
-                              "stats-gap", "unknown-strategy", "k-zero"])
+                              "version-2", "stats-gap", "unknown-strategy", "k-zero"])
 def test_checkpoint_malformed_raises_checkpoint_error(tmp_path, edit):
     path = _broken_checkpoint(tmp_path, edit)
     with pytest.raises(CheckpointError) as e:
@@ -413,6 +412,12 @@ def test_compare_needs_specs_and_seeds(ks, n_seeds):
     with pytest.raises(ConfigError, match="a comparison needs specs and seeds") as e:
         compare_strategies(config, k_sweep_specs(ks, config), n_seeds)
     assert "\n" not in str(e.value)
+
+
+def test_compare_refuses_a_repeated_label():
+    config = surrogate_config(max_generations=2)
+    with pytest.raises(ConfigError, match="names 'k=2' more than once"):
+        compare_strategies(config, k_sweep_specs([2, 1, 2], config), n_seeds=1)
 
 
 def test_comparison_csv_layout():

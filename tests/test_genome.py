@@ -678,6 +678,13 @@ def test_to_dot_join_has_two_incoming():
     assert "n2 -> n3;" in text
 
 
+def test_to_dot_labels_every_chain_kind():
+    g = chain([conv_node(32, 3, 1, 1), maxpool_node(2, 2), Node(GLOBALPOOL), fc_node(100), dropout_node(0.5)])
+    labels = re.findall(r'^  n\d+ \[label="([^"]+)"\];$', to_dot(g), re.M)
+    assert labels == ["input 3x32x32", "conv 32c 3x3 s1 p1", "maxpool 2x2 s2", "globalpool", "fc 100",
+                      "dropout 0.5", "head 10"]
+
+
 def test_to_dot_line_grammar():
     text = to_dot(random_genome(np.random.default_rng(6), steps=5))
     body = text.splitlines()[2:-1]
