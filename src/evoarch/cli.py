@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 configuration, check or evaluation failure, 2
 unreadable or malformed data (dataset files, genome files).  All primary
 outputs are deterministic for a given flag set; wall-clock times live
-only in run_meta.json.  BLAS runs each call on one thread unless
+only in run_meta.json and in the wall_seconds field of each
+fitness.jsonl row.  BLAS runs each call on one thread unless
 OPENBLAS_NUM_THREADS or OMP_NUM_THREADS says otherwise: trainings use the
 other CPUs through fitness workers and the trainer's helper thread.
 """

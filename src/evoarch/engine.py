@@ -24,6 +24,7 @@ from evoarch.fitness import SurrogateEvaluator, TrainedEvaluator, evaluate_batch
 from evoarch.genome import (
     SEED_KINDS,
     Individual,
+    InvalidGenome,
     ParseError,
     genome_doc,
     genome_from_doc,
@@ -31,6 +32,7 @@ from evoarch.genome import (
     new_seed_genome,
     parameter_count,
     serialize,
+    validate,
 )
 from evoarch.mutation import ExhaustedRetries, MutationWeights, mutate_until_valid
 from evoarch.selection import (
@@ -58,6 +60,7 @@ EARLY_STAGE_GENERATIONS = 10
 SATURATION_EPS = 1e-3
 
 CHECKPOINT_VERSION = 3
+CHECKPOINT_EVERY = 5  # a run with an out_dir writes checkpoint_gen{5,10,...}.json
 
 # the GenerationStats fields a checkpoint keeps; wall_seconds stays out so
 # checkpoint bytes depend on the seed alone
@@ -107,6 +110,10 @@ class EvolutionConfig:
             raise ConfigError("workers must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if self.num_classes < 2:
+            raise ConfigError("need at least two classes")
+        if len(self.input_shape) != 3 or not all(isinstance(d, int) and d > 0 for d in self.input_shape):
+            raise ConfigError(f"input shape must be three positive integers, got {self.input_shape}")
 
 
 @dataclass
@@ -254,14 +261,14 @@ def _saturated(stats, window):
     return stats[-1].best_fitness - stats[-1 - window].best_fitness < SATURATION_EPS
 
 
-def run(config, out_dir=None, evaluator=None, resume_from=None, checkpoint_every=5):
+def run(config, out_dir=None, evaluator=None, resume_from=None):
     """Full evolution run; returns the final RunState.
 
     With out_dir it writes logs, stats and a checkpoint every
-    checkpoint_every generations (None disables checkpoint files).
-    resume_from continues a checkpointed run under the config stored in
-    the checkpoint, and reproduces exactly what the uninterrupted run
-    would have produced; config may then be None, and a config that
+    CHECKPOINT_EVERY generations.  resume_from continues a checkpointed
+    run under the config stored in the checkpoint, and reproduces the
+    uninterrupted run's stats, best genome, later checkpoints and
+    post-checkpoint log rows; config may then be None, and a config that
     differs from the stored one raises ConfigError naming the fields.
     """
     state = None
@@ -284,7 +291,7 @@ def run(config, out_dir=None, evaluator=None, resume_from=None, checkpoint_every
     wall_start = time.perf_counter()
     for generation in range(state.next_generation, config.max_generations + 1):
         step_generation(state, evaluator, logs)
-        if out_dir and checkpoint_every and generation % checkpoint_every == 0:
+        if out_dir and generation % CHECKPOINT_EVERY == 0:
             os.makedirs(out_dir, exist_ok=True)
             checkpoint_save(state, os.path.join(out_dir, f"checkpoint_gen{generation}.json"))
         if _saturated(state.stats, config.saturation_window):
@@ -381,6 +388,12 @@ def checkpoint_load(path):
         config = EvolutionConfig(**cfg_doc)
         config.check()
         population = [_individual_from_doc(d) for d in doc["population"]]
+        best = _individual_from_doc(doc["best"])
+        for ind in population + [best]:
+            try:
+                validate(ind.genome)
+            except InvalidGenome as err:
+                raise CheckpointError(f"checkpoint {path}: individual {ind.id}: {err}") from err
         rng = np.random.default_rng()
         rng.bit_generator.state = doc["rng_state"]
         stats = [GenerationStats(**{f: row[f] for f in CHECKPOINT_STATS_FIELDS}) for row in doc["stats"]]
@@ -389,7 +402,7 @@ def checkpoint_load(path):
         next_generation = doc["next_generation"]
         if [st.generation for st in stats] != list(range(next_generation)):
             raise CheckpointError(f"checkpoint {path}: stats must cover generations 0 to {next_generation - 1}")
-        return RunState(config, population, rng, stats, _individual_from_doc(doc["best"]), next_generation)
+        return RunState(config, population, rng, stats, best, next_generation)
     except ConfigError as err:
         raise CheckpointError(f"checkpoint {path}: {err}") from err
     except (KeyError, TypeError, ValueError, ParseError) as err:

@@ -12,9 +12,13 @@ node on a single edge instead, for convolutions, the fc before the head
 and repairs.  The candidate sites (trunk edges, node ids by kind,
 ancestors, depths, join pairs) are derived data of the parent genome:
 they are computed once per parent and shared, read-only, by every
-attempt on it.  Shape inconsistencies introduced by an edit are
-repaired (padding bumps and 1x1 channel-matching convs) before the
-result is handed back.
+attempt on it.
+
+`apply_mutation` is the one mutation attempt the search makes: the
+operator's edit, then shape repair (padding bumps and 1x1
+channel-matching convs), then acceptance of a changed, valid child.
+`mutate_until_valid` samples kinds and attempts them until one is
+accepted.
 """
 
 from __future__ import annotations
@@ -51,24 +55,6 @@ from evoarch.genome import (
     topological_order,
 )
 
-MUTATION_KINDS = (
-    "add_convolution",
-    "remove_convolution",
-    "alter_channel_number",
-    "alter_filter_size",
-    "alter_stride",
-    "add_dropout",
-    "remove_dropout",
-    "add_pooling",
-    "remove_pooling",
-    "add_skip",
-    "remove_skip",
-    "add_concatenate",
-    "remove_concatenate",
-    "add_fully_connected",
-    "remove_fully_connected",
-)
-
 # Structure-growing operators favoured while the search is young.
 GROWTH_KINDS = frozenset(
     {
@@ -100,8 +86,8 @@ class ExhaustedRetries(Exception):
 class MutationWeights:
     """Sampling weights per mutation kind.
 
-    The kinds (MUTATION_KINDS order first, then any others) and their
-    cumulative weights are tabulated once, at construction.
+    The kinds, in MUTATION_KINDS order, and their cumulative weights are
+    tabulated once, at construction.  A kind no operator applies is refused.
     """
 
     weights: dict
@@ -109,8 +95,10 @@ class MutationWeights:
     cumulative: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        unknown = self.weights.keys() - _OPERATORS.keys()
+        if unknown:
+            raise ValueError(f"no mutation operator for {sorted(unknown)}")
         kinds = [k for k in MUTATION_KINDS if k in self.weights]
-        kinds += [k for k in self.weights if k not in MUTATION_KINDS]
         values = [self.weights[k] for k in kinds]
         if not kinds or any(v <= 0 for v in values):
             raise ValueError("weights must be a non-empty map of positive values")
@@ -361,6 +349,8 @@ _OPERATORS = {
     "remove_fully_connected": partial(_remove_kind, kind=FC),
 }
 
+MUTATION_KINDS = tuple(_OPERATORS)
+
 
 # ---------------------------------------------------------------------------
 # shape repair
@@ -429,40 +419,39 @@ def _apply_fix(genome, err, bumps):
 # public entry points
 
 
-def apply_mutation(genome, kind, rng):
-    """One local rewrite of the given kind, shape-repaired.
+def apply_mutation(genome, kind, rng, attempts=None):
+    """One mutation attempt: the operator's local rewrite, shape repair,
+    then acceptance of a changed, valid child.
 
-    Returns None (rejected) when the operator has no legal site or the
-    repair fails.  The input genome is never modified.
+    Returns the child, or None (rejected) when the operator has no legal
+    site, the repair fails, or the result is unchanged or invalid.
+    Appends a {kind, accepted, repair_fixes} record to `attempts` when
+    given.  The input genome is never modified.
     """
-    if kind not in _OPERATORS:
-        raise ValueError(f"unknown mutation kind {kind!r}")
-    child, _ = _apply_with_fixes(genome, kind, rng)
-    return child
-
-
-def _apply_with_fixes(genome, kind, rng):
-    edited = _OPERATORS[kind](genome, rng)
-    if edited is None:
-        return None, 0
     try:
-        return repair(edited)
-    except RepairFailure:
-        return None, 0
+        operator = _OPERATORS[kind]
+    except KeyError:
+        raise ValueError(f"unknown mutation kind {kind!r}") from None
+    child, fixes = operator(genome, rng), 0
+    if child is not None:
+        try:
+            child, fixes = repair(child)
+        except RepairFailure:
+            child = None
+    accepted = child is not None and child != genome and is_valid(child)
+    if attempts is not None:
+        attempts.append({"kind": kind, "accepted": accepted, "repair_fixes": fixes})
+    return child if accepted else None
 
 
 def mutate_until_valid(genome, weights, rng, max_retries=25, attempts=None):
-    """Sample kinds until one produces a valid, changed genome.
+    """Attempt sampled kinds until one is accepted; return that child.
 
     Appends one record per attempt to `attempts` when given.  Raises
     ExhaustedRetries after max_retries rejections.
     """
     for _ in range(max_retries):
-        kind = sample_mutation(rng, weights)
-        child, fixes = _apply_with_fixes(genome, kind, rng)
-        accepted = child is not None and child != genome and is_valid(child)
-        if attempts is not None:
-            attempts.append({"kind": kind, "accepted": bool(accepted), "repair_fixes": fixes})
-        if accepted:
+        child = apply_mutation(genome, sample_mutation(rng, weights), rng, attempts)
+        if child is not None:
             return child
     raise ExhaustedRetries(f"no valid mutation within {max_retries} attempts")

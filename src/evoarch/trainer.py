@@ -60,6 +60,7 @@ from evoarch.genome import (
     topological_order,
 )
 
+STAGE_LRS = (1e-1, 1e-3, 1e-5)  # the paper's learning rate at the start of each stage
 BN_EPS = 1e-5
 BN_RUNNING_KEEP = 0.9  # running <- 0.9 * running + 0.1 * batch
 MOMENTUM = 0.9
@@ -78,12 +79,13 @@ class DivergedTraining(Exception):
 
 @dataclass(frozen=True)
 class TrainPlan:
-    """Budget, learning-rate schedule, batch size and seed of one training run.
+    """Budget, batch size and seed of one training run.
 
-    The learning rate decays as stage_lr * (1 + gamma * t_local) ** -alpha
-    within each of three stages.  The second and third stages begin, and
-    the local clock resets, at the derived boundaries (max_iters // 2,
-    3 * max_iters // 4): a 50/25/25 split like the paper's 10k/5k/5k.
+    The learning rate decays as STAGE_LRS[stage] * (1 + gamma * t_local)
+    ** -alpha within each of three stages.  The second and third stages
+    begin, and the local clock resets, at the derived boundaries
+    (max_iters // 2, 3 * max_iters // 4): a 50/25/25 split like the
+    paper's 10k/5k/5k.
     Momentum and weight decay are the module constants MOMENTUM and
     WEIGHT_DECAY.
     """
@@ -92,23 +94,16 @@ class TrainPlan:
     alpha: ClassVar[float] = 0.75
 
     max_iters: int = 600
-    stage_lrs: tuple = (1e-1, 1e-3, 1e-5)
     batch_size: int = 64
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
-        if len(self.stage_lrs) != 3:
-            raise ValueError("exactly three stage learning rates required")
 
     @property
     def boundaries(self):
         return self.max_iters // 2, 3 * self.max_iters // 4
-
-    @classmethod
-    def paper_scale(cls, **overrides):
-        return cls(**{"max_iters": 20000, "batch_size": 128, **overrides})
 
     @classmethod
     def desk_scale(cls, max_iters=600, **overrides):
@@ -126,7 +121,7 @@ def lr_at(t, plan):
         stage, start = 1, b1
     else:
         stage, start = 2, b2
-    return plan.stage_lrs[stage] * (1.0 + plan.gamma * (t - start)) ** (-plan.alpha)
+    return STAGE_LRS[stage] * (1.0 + plan.gamma * (t - start)) ** (-plan.alpha)
 
 
 @dataclass

@@ -84,6 +84,13 @@ def test_config_rejects_a_zero_budget(field, message):
         EvolutionConfig(**{field: 0}).check()
 
 
+@pytest.mark.parametrize("fields", [{"num_classes": 1}, {"input_shape": (3, 0, 0)},
+                                    {"input_shape": (32, 32)}, {"input_shape": (3, 32.0, 32)}])
+def test_config_rejects_a_degenerate_task(fields):
+    with pytest.raises(ConfigError, match="classes|input shape"):
+        EvolutionConfig(**fields).check()
+
+
 def test_config_defaults_valid():
     EvolutionConfig().check()
 
@@ -212,6 +219,21 @@ def test_run_deterministic_stats_bytes(tmp_path):
     assert a == b
 
 
+def _jsonl_rows(path, drop=()):
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    return [{k: v for k, v in row.items() if k not in drop} for row in rows]
+
+
+def test_fitness_log_differs_only_in_wall_seconds(tmp_path):
+    config = surrogate_config(max_generations=3, seed=5)
+    run(config, out_dir=str(tmp_path / "a"))
+    run(config, out_dir=str(tmp_path / "b"))
+    paths = [tmp_path / side / "fitness.jsonl" for side in "ab"]
+    assert all("wall_seconds" in row for path in paths for row in _jsonl_rows(path))
+    a, b = (_jsonl_rows(path, drop=("wall_seconds",)) for path in paths)
+    assert a == b and len(a) == 4 * config.population_size
+
+
 # sha256 of the default seed-0 surrogate run's outputs: a change that only
 # makes the search faster must leave every one of these bytes alone
 SEED0_DIGESTS = {
@@ -294,9 +316,9 @@ def test_checkpoint_corrupt_file(tmp_path):
 
 
 def _broken_checkpoint(tmp_path, edit):
-    config = surrogate_config(max_generations=2)
-    run(config, out_dir=str(tmp_path), checkpoint_every=1)
-    path = tmp_path / "checkpoint_gen1.json"
+    config = surrogate_config(max_generations=5)
+    run(config, out_dir=str(tmp_path))
+    path = tmp_path / "checkpoint_gen5.json"
     doc = json.loads(path.read_text())
     path.write_text(json.dumps(edit(doc)))
     return str(path)
@@ -321,12 +343,21 @@ def _set_config(**fields):
     return lambda doc: {**doc, "config": {**doc["config"], **fields}}
 
 
+def _feed_the_global_pool_twice(doc):
+    # the first genome's node 1 is its global pool, already fed by one conv
+    doc["population"][0]["genome"]["edges"].append([6, 1])
+    return doc
+
+
 @pytest.mark.parametrize("edit", [_drop_config, _drop_genome_nodes, lambda doc: [doc], _drop_best,
                                   lambda doc: {**doc, "version": 1}, lambda doc: {**doc, "version": 2},
                                   lambda doc: {**doc, "stats": doc["stats"][1:]},
-                                  _set_config(strategy="nope"), _set_config(k=0)],
+                                  _set_config(strategy="nope"), _set_config(k=0),
+                                  _set_config(num_classes=1), _set_config(input_shape=[3, 0, 0]),
+                                  _feed_the_global_pool_twice],
                          ids=["missing-key", "genome-without-nodes", "top-level-list", "missing-best", "version-1",
-                              "version-2", "stats-gap", "unknown-strategy", "k-zero"])
+                              "version-2", "stats-gap", "unknown-strategy", "k-zero", "one-class",
+                              "empty-input", "invalid-genome"])
 def test_checkpoint_malformed_raises_checkpoint_error(tmp_path, edit):
     path = _broken_checkpoint(tmp_path, edit)
     with pytest.raises(CheckpointError) as e:
@@ -334,22 +365,37 @@ def test_checkpoint_malformed_raises_checkpoint_error(tmp_path, edit):
     assert path in str(e.value)
 
 
+def test_resume_refuses_an_invalid_genome_naming_its_individual(tmp_path):
+    path = _broken_checkpoint(tmp_path, _feed_the_global_pool_twice)
+    with pytest.raises(CheckpointError, match=r"individual 100: node 1 \(globalpool\) needs 1 predecessors"):
+        run(None, resume_from=path)
+
+
 def test_resume_equals_straight_run(tmp_path):
     config = surrogate_config(max_generations=12, seed=9)
     straight = tmp_path / "straight"
-    run(config, out_dir=str(straight), checkpoint_every=5)
+    run(config, out_dir=str(straight))
     resumed = tmp_path / "resumed"
     run(config, out_dir=str(resumed),
         resume_from=str(straight / "checkpoint_gen5.json"))
-    assert (straight / "stats.csv").read_bytes() == (resumed / "stats.csv").read_bytes()
-    assert (straight / "best_genome.json").read_bytes() == (resumed / "best_genome.json").read_bytes()
-    assert (straight / "checkpoint_gen10.json").read_bytes() == (resumed / "checkpoint_gen10.json").read_bytes()
+    for name in ("stats.csv", "best_genome.json", "config.json", "checkpoint_gen10.json"):
+        assert (straight / name).read_bytes() == (resumed / name).read_bytes(), name
+    # the resumed logs hold exactly the straight run's rows after generation 5
+    for name, count in (("mutation.jsonl", 121), ("selection.jsonl", 7)):
+        tail = [row for row in _jsonl_rows(straight / name) if row["generation"] > 5]
+        assert _jsonl_rows(resumed / name) == tail and len(tail) == count, name
+    fitness_rows = _jsonl_rows(resumed / "fitness.jsonl", drop=("wall_seconds",))
+    assert len(fitness_rows) == 7 * config.population_size
+    assert _jsonl_rows(straight / "fitness.jsonl", drop=("wall_seconds",))[-len(fitness_rows):] == fitness_rows
+    # the checkpoint keeps no wall-clock times
+    walls = json.loads((resumed / "run_meta.json").read_text())["per_generation_wall"]
+    assert walls[:6] == [0.0] * 6 and len(walls) == 13
 
 
 def test_resume_rejects_a_config_that_differs_from_the_checkpoint(tmp_path):
     config = surrogate_config(max_generations=5, seed=4)
     first = tmp_path / "first"
-    run(config, out_dir=str(first), checkpoint_every=5)
+    run(config, out_dir=str(first))
     path = str(first / "checkpoint_gen5.json")
     with pytest.raises(ConfigError, match=r"differs from checkpoint .* in k$"):
         run(EvolutionConfig(k=0, max_generations=5, saturation_window=None, seed=4), resume_from=path)

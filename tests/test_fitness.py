@@ -158,9 +158,10 @@ def test_surrogate_deterministic_and_seed_blind():
 
 # ----------------------------------------------------------------- trained
 
-def test_trained_divergence_scores_zero():
+def test_trained_divergence_scores_zero(monkeypatch):
+    monkeypatch.setattr(trainer, "STAGE_LRS", (1e12, 1e12, 1e12))
     g = new_seed_genome("fully_connected", (1, 8, 8), 10)
-    plan = TrainPlan(max_iters=40, stage_lrs=(1e12, 1e12, 1e12))
+    plan = TrainPlan(max_iters=40)
     with np.errstate(all="ignore"):
         assert evaluate_trained(g, tiny_split(), plan) == 0.0
 

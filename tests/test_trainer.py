@@ -76,32 +76,32 @@ def mp_lr(t, plan):
     """Arbitrary-precision restatement of the three-stage decay."""
     b1, b2 = plan.boundaries
     stage, start = (0, 0) if t < b1 else (1, b1) if t < b2 else (2, b2)
-    eta0 = mpmath.mpf(repr(plan.stage_lrs[stage]))
+    eta0 = mpmath.mpf(repr(trainer_module.STAGE_LRS[stage]))
     g = mpmath.mpf(repr(plan.gamma))
     a = mpmath.mpf(repr(plan.alpha))
     return eta0 * (1 + g * (t - start)) ** (-a)
 
 
 def test_lr_starts_at_tenth():
-    assert lr_at(0, TrainPlan.paper_scale()) == 0.1
+    assert lr_at(0, TrainPlan(20000, batch_size=128)) == 0.1
 
 
 def test_lr_thousand_iterations():
     # 0.1 * 2^(-0.75) at t=1000 with gamma 0.001
-    got = lr_at(1000, TrainPlan.paper_scale())
+    got = lr_at(1000, TrainPlan(20000, batch_size=128))
     assert math.isclose(got, 0.1 * 2 ** -0.75, rel_tol=1e-12)
     assert math.isclose(got, 0.0594603557501, rel_tol=1e-10)
 
 
 def test_lr_matches_arbitrary_precision():
     mpmath.mp.dps = 50
-    for plan in (TrainPlan.paper_scale(), TrainPlan.desk_scale(600)):
+    for plan in (TrainPlan(20000, batch_size=128), TrainPlan.desk_scale(600)):
         for t in range(0, plan.max_iters, 97):
             assert math.isclose(lr_at(t, plan), float(mp_lr(t, plan)), rel_tol=1e-12)
 
 
 def test_lr_stage_starts_exact():
-    plan = TrainPlan.paper_scale()
+    plan = TrainPlan(20000, batch_size=128)
     assert lr_at(10000, plan) == 1e-3
     assert lr_at(15000, plan) == 1e-5
     desk = TrainPlan.desk_scale(600)
@@ -128,7 +128,7 @@ def test_lr_out_of_range():
 
 def test_lr_schedule_pinned():
     """sha256 over every learning rate of desk-scale plans and the paper plan."""
-    plans = [TrainPlan.desk_scale(n) for n in (0, 1, 7, 10, 600, 20000)] + [TrainPlan.paper_scale()]
+    plans = [TrainPlan.desk_scale(n) for n in (0, 1, 7, 10, 600, 20000)] + [TrainPlan(20000, batch_size=128)]
     h = hashlib.sha256()
     for plan in plans:
         h.update(repr([plan.max_iters] + [lr_at(t, plan) for t in range(plan.max_iters)]).encode())
@@ -752,9 +752,10 @@ def test_a_training_left_alone_lends_from_its_next_lend(monkeypatch, helper_call
 def test_helper_runs_under_the_callers_error_state(monkeypatch):
     # train ignores the overflow on the way to a non-finite loss, on the helper too
     monkeypatch.setattr(trainer_module, "_spare_cpu", lambda: True)
+    monkeypatch.setattr(trainer_module, "STAGE_LRS", (1e12,) * 3)
     g = chain([conv_node(4), Node(GLOBALPOOL)], (1, 8, 8))
     split = synthetic_split(n_train=128, n_val=64)
-    plan = TrainPlan(max_iters=50, stage_lrs=(1e12,) * 3)
+    plan = TrainPlan(max_iters=50)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergedTraining):
@@ -795,10 +796,11 @@ def test_train_learns_separable_data():
     assert acc >= 0.9
 
 
-def test_train_divergence_reported():
+def test_train_divergence_reported(monkeypatch):
+    monkeypatch.setattr(trainer_module, "STAGE_LRS", (1e12, 1e12, 1e12))
     g = new_seed_genome("fully_connected", (1, 8, 8), 10)
     split = synthetic_split(n_train=128, n_val=64)
-    plan = TrainPlan(max_iters=50, stage_lrs=(1e12, 1e12, 1e12))
+    plan = TrainPlan(max_iters=50)
     with pytest.raises(DivergedTraining):
         with np.errstate(all="ignore"):
             train(g, split, plan)
