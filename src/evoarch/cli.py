@@ -12,10 +12,9 @@ other CPUs through fitness workers and the trainer's helper thread.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from evoarch import data as datamod
 from evoarch import engine
@@ -104,10 +103,6 @@ def build_parser():
 
 
 def _trained_pieces(args):
-    if args.iters < 1:
-        raise ConfigError(f"--iters must be positive, got {args.iters}")
-    if args.subset is not None and args.subset < 1:
-        raise ConfigError(f"--subset must be positive, got {args.subset}")
     data_dir = datamod.resolve_data_dir()
     try:
         split = datamod.load_dataset(args.dataset, data_dir, subset_n=args.subset, seed=args.seed)
@@ -188,27 +183,12 @@ def cmd_compare(args):
     if not specs:
         flag = "--strategies" if args.k_sweep is None else "--k-sweep"
         raise ConfigError(f"{flag} names nothing to compare")
-    engine.check_comparison(specs, args.seeds)
+    engine.check_comparison(config, specs, args.seeds)
 
     out_dir = _make_out_dir(args.out_dir or f"runs/compare-{args.fitness}-s{args.seed}")
     result = engine.compare_strategies(config, specs, args.seeds, evaluator=evaluator)
-    table = engine.comparison_csv_text(result)
-    sys.stdout.write(table)
-    with open(os.path.join(out_dir, "comparison.csv"), "w") as fh:
-        fh.write(table)
-    with open(os.path.join(out_dir, "curves.csv"), "w") as fh:
-        fh.write(engine.curves_csv_text(result))
-    echo = {
-        "command": "compare-selection",
-        "fitness": args.fitness,
-        "generations": args.generations,
-        "seeds": args.seeds,
-        "seed": args.seed,
-        "specs": [asdict(s) for s in specs],
-    }
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sys.stdout.write(engine.comparison_csv_text(result))
+    engine.write_comparison(result, out_dir)
     return 0
 
 
@@ -252,6 +232,10 @@ def main(argv=None):
     try:
         if getattr(args, "seed", 0) < 0:  # every command that takes --seed
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        if getattr(args, "iters", 1) < 1:  # refused whatever --fitness says
+            raise ConfigError(f"--iters must be positive, got {args.iters}")
+        if getattr(args, "subset", None) is not None and args.subset < 1:
+            raise ConfigError(f"--subset must be positive, got {args.subset}")
         return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

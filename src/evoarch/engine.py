@@ -312,6 +312,11 @@ def _config_doc(config):
     return doc
 
 
+def _json_text(doc):
+    """The layout of every config.json and run_meta.json."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def stats_csv_text(stats):
     lines = [",".join(STATS_COLUMNS)]
     for s in stats:
@@ -322,8 +327,7 @@ def stats_csv_text(stats):
 def _write_run_outputs(state, out_dir, logs, wall_total):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(_config_doc(state.config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(_config_doc(state.config)))
     with open(os.path.join(out_dir, "stats.csv"), "w") as fh:
         fh.write(stats_csv_text(state.stats))
     with open(os.path.join(out_dir, "best_genome.json"), "w") as fh:
@@ -337,8 +341,7 @@ def _write_run_outputs(state, out_dir, logs, wall_total):
         "best_individual_id": state.best.id,
     }
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(meta))
     for name in LOG_NAMES:
         with open(os.path.join(out_dir, f"{name}.jsonl"), "w") as fh:
             for row in logs[name]:
@@ -442,62 +445,59 @@ def k_sweep_specs(ks, config):
 
 @dataclass
 class ComparisonResult:
+    """tau, a row and a median best-fitness curve per label, and each label's first run config."""
+
     tau: float
     rows: list
     curves: dict
-    generations_to_tau: dict
+    configs: dict
 
 
-def check_comparison(specs, n_seeds):
-    """Raise ConfigError unless there are specs and seeds, each label once: results are keyed by label."""
+def _run_configs(config, spec, n_seeds):
+    """The fixed-length runs of one competitor, at seeds config.seed onward."""
+    base = replace(config, strategy=spec.strategy, k=spec.k, distance_threshold=spec.distance_threshold)
+    return [replace(base, seed=config.seed + s, saturation_window=None) for s in range(n_seeds)]
+
+
+def check_comparison(config, specs, n_seeds):
+    """Raise ConfigError unless there are specs and seeds, each label once
+    (results are keyed by label), and every competitor's run config passes
+    check(); a refused competitor's message starts with its label."""
     if not specs or n_seeds < 1:
         raise ConfigError(f"a comparison needs specs and seeds, got {len(specs)} specs and {n_seeds} seeds")
     labels = [spec.label for spec in specs]
     repeated = [label for i, label in enumerate(labels) if label in labels[:i]]
     if repeated:
         raise ConfigError(f"a comparison names {repeated[0]!r} more than once")
+    for spec in specs:
+        try:
+            _run_configs(config, spec, 1)[0].check()
+        except ConfigError as err:
+            raise ConfigError(f"{spec.label}: {err}") from err
 
 
 def compare_strategies(config, specs, n_seeds, evaluator=None):
     """Race selection settings over shared seeds on fixed-length runs.
 
-    tau is TAU_FRACTION times the best final fitness seen anywhere in the
+    check_comparison refuses a bad comparison before the first run.  tau
+    is TAU_FRACTION times the best final fitness seen anywhere in the
     comparison; each run contributes the first generation whose best
     reaches tau (censored at max_generations + 1 when it never does).
     """
-    check_comparison(specs, n_seeds)
-    series = {}
-    for spec in specs:
-        for s in range(n_seeds):
-            cfg = replace(
-                config,
-                strategy=spec.strategy,
-                k=spec.k,
-                distance_threshold=spec.distance_threshold,
-                seed=config.seed + s,
-                saturation_window=None,
-            )
-            result = run(cfg, evaluator=evaluator)
-            series[(spec.label, s)] = [st.best_fitness for st in result.stats]
+    check_comparison(config, specs, n_seeds)
+    configs = {spec.label: _run_configs(config, spec, n_seeds) for spec in specs}
+    series = {label: [[st.best_fitness for st in run(cfg, evaluator=evaluator).stats] for cfg in cfgs]
+              for label, cfgs in configs.items()}
 
-    tau = TAU_FRACTION * max(curve[-1] for curve in series.values())
+    tau = TAU_FRACTION * max(curve[-1] for runs in series.values() for curve in runs)
     censor = config.max_generations + 1
-    gens_to_tau = {}
-    for key, curve in series.items():
-        hit = next((g for g, v in enumerate(curve) if v >= tau), censor)
-        gens_to_tau[key] = hit
-
     rows = []
-    curves = {}
     for spec in specs:
-        vals = [gens_to_tau[(spec.label, s)] for s in range(n_seeds)]
+        vals = [next((g for g, v in enumerate(curve) if v >= tau), censor) for curve in series[spec.label]]
         q1, med, q3 = np.percentile(vals, [25, 50, 75])
         rows.append(
             {
-                "label": spec.label,
-                "strategy": spec.strategy,
-                "k": spec.k,
-                "distance_threshold": spec.distance_threshold,
+                **asdict(spec),
                 "seeds": n_seeds,
                 "tau": round(tau, 9),
                 "median_generations": float(med),
@@ -506,9 +506,22 @@ def compare_strategies(config, specs, n_seeds, evaluator=None):
                 "reached": sum(v <= config.max_generations for v in vals),
             }
         )
-        per_gen = np.array([series[(spec.label, s)] for s in range(n_seeds)])
-        curves[spec.label] = np.median(per_gen, axis=0).tolist()
-    return ComparisonResult(tau=tau, rows=rows, curves=curves, generations_to_tau=gens_to_tau)
+    curves = {label: np.median(np.array(runs), axis=0).tolist() for label, runs in series.items()}
+    return ComparisonResult(tau, rows, curves, {label: cfgs[0] for label, cfgs in configs.items()})
+
+
+def write_comparison(result, out_dir):
+    """Write comparison.csv, curves.csv and a config.json that holds the seed count
+    and each label's first run config (its other runs differ in seed alone)."""
+    configs = {label: _config_doc(cfg) for label, cfg in result.configs.items()}
+    texts = {
+        "comparison.csv": comparison_csv_text(result),
+        "curves.csv": curves_csv_text(result),
+        "config.json": _json_text({"seeds": result.rows[0]["seeds"], "configs": configs}),
+    }
+    for name, text in texts.items():
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(text)
 
 
 def comparison_csv_text(result):

@@ -72,6 +72,7 @@ FC_UNITS_MENU = (50, 100, 150, 200)
 
 MAX_REPAIR_FIXES = 8
 MAX_PAD_BUMP = 2
+MAX_RETRIES = 25  # mutation attempts per child before ExhaustedRetries
 
 
 class RepairFailure(Exception):
@@ -444,14 +445,14 @@ def apply_mutation(genome, kind, rng, attempts=None):
     return child if accepted else None
 
 
-def mutate_until_valid(genome, weights, rng, max_retries=25, attempts=None):
+def mutate_until_valid(genome, weights, rng, attempts=None):
     """Attempt sampled kinds until one is accepted; return that child.
 
     Appends one record per attempt to `attempts` when given.  Raises
-    ExhaustedRetries after max_retries rejections.
+    ExhaustedRetries after MAX_RETRIES rejections.
     """
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         child = apply_mutation(genome, sample_mutation(rng, weights), rng, attempts)
         if child is not None:
             return child
-    raise ExhaustedRetries(f"no valid mutation within {max_retries} attempts")
+    raise ExhaustedRetries(f"no valid mutation within {MAX_RETRIES} attempts")

@@ -125,7 +125,31 @@ def test_compare_k_sweep(tmp_path, capsys):
     assert table.splitlines()[1].startswith("k=1,aggressive,")
     curves = (out / "curves.csv").read_text()
     assert curves.splitlines()[0] == "generation,k=1,k=2"
-    assert json.loads((out / "config.json").read_text())["generations"] == 5
+    assert json.loads((out / "config.json").read_text())["configs"]["k=1"]["max_generations"] == 5
+
+
+def test_compare_config_records_each_entry_run_config(tmp_path):
+    out = tmp_path / "cmp"
+    code = cli.main(["compare-selection", "--population", "4", "--k-sweep", "1,2", "--seeds", "2",
+                     "--generations", "3", "--out-dir", str(out)])
+    assert code == 0
+    doc = json.loads((out / "config.json").read_text())
+    assert doc["seeds"] == 2
+    assert sorted(doc["configs"]) == ["k=1", "k=2"]
+    for label, config in doc["configs"].items():
+        assert config["population_size"] == 4 and config["saturation_window"] is None
+        assert config["k"] == int(label[2:]) and config["seed"] == 0
+
+
+def test_compare_refuses_a_bad_entry_before_any_run(tmp_path, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli.engine, "run", lambda *a, **kw: runs.append(a))
+    out = tmp_path / "out"
+    code = cli.main(["compare-selection", "--k-sweep", "1,2,11", "--seeds", "20", "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: k=11: k must not exceed population size\n"
+    assert not out.exists()
+    assert runs == []
 
 
 def test_compare_unknown_strategy(tmp_path, capsys):
@@ -202,16 +226,19 @@ def test_evaluation_failure_exits_one(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["eval-genome", "evolve", "compare-selection"])
 def test_bad_training_flags_exit_one(tmp_path, monkeypatch, capsys, command, flag, value):
     monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
-    argv = [command, "--fitness", "trained", "--dataset", "mnist", flag, value]
-    if command == "eval-genome":
-        argv.append(str(one_conv_genome_file(tmp_path)))
-    else:
-        argv += ["--generations", "1", "--out-dir", str(tmp_path / "out")]
-    code = cli.main(argv)
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
-    assert not (tmp_path / "out").exists()
+    # a value below one is refused under surrogate fitness too; --subset 1 is
+    # refused only by the dataset split, which surrogate fitness never loads
+    for fitness in ("trained",) if value == "1" else ("trained", "surrogate"):
+        argv = [command, "--fitness", fitness, "--dataset", "mnist", flag, value]
+        if command == "eval-genome":
+            argv.append(str(one_conv_genome_file(tmp_path)))
+        else:
+            argv += ["--generations", "1", "--out-dir", str(tmp_path / "out")]
+        code = cli.main(argv)
+        assert code == 1, fitness
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag,value,message", [

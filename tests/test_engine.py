@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from evoarch import engine
 from evoarch.engine import (
     STRATEGIES,
     CheckpointError,
@@ -426,10 +427,14 @@ def test_compare_censors_at_max_plus_one():
                                 evaluator=ConstantEvaluator())
     # flat landscape never crosses tau = 0.9 * 0.5 ... it starts there;
     # constant fitness means generation 0 already reaches tau
-    assert all(v == 0 for v in result.generations_to_tau.values())
+    quartiles = ("q1_generations", "median_generations", "q3_generations")
+    row = result.rows[0]
+    assert [row[q] for q in quartiles] == [0.0, 0.0, 0.0] and row["reached"] == 3
     zero = compare_strategies(config, k_sweep_specs([1], config), n_seeds=2,
                               evaluator=ConstantEvaluator(0.0))
-    assert all(v in (0, 5) for v in zero.generations_to_tau.values())
+    # tau is 0 here, so generation 0 reaches it too; no run counts as the censored 5
+    row = zero.rows[0]
+    assert [row[q] for q in quartiles] == [0.0, 0.0, 0.0] and row["reached"] == 2
 
 
 def test_compare_deterministic():
@@ -464,6 +469,15 @@ def test_compare_refuses_a_repeated_label():
     config = surrogate_config(max_generations=2)
     with pytest.raises(ConfigError, match="names 'k=2' more than once"):
         compare_strategies(config, k_sweep_specs([2, 1, 2], config), n_seeds=1)
+
+
+def test_compare_checks_every_entry_before_the_first_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(engine, "run", lambda *a, **kw: runs.append(a))
+    config = surrogate_config(max_generations=2)
+    with pytest.raises(ConfigError, match=r"^k=0: k must be at least 1$"):
+        compare_strategies(config, k_sweep_specs([1, 0], config), 2)
+    assert runs == []
 
 
 def test_comparison_csv_layout():

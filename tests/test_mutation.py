@@ -38,6 +38,7 @@ from evoarch.mutation import (
     CHANNEL_MENU,
     FC_UNITS_MENU,
     GROWTH_KINDS,
+    MAX_RETRIES,
     MUTATION_KINDS,
     ExhaustedRetries,
     MutationWeights,
@@ -436,8 +437,7 @@ def test_mutate_until_valid_on_seed():
 def test_mutate_until_valid_exhausts():
     w = MutationWeights({"remove_skip": 1.0})
     with pytest.raises(ExhaustedRetries):
-        mutate_until_valid(new_seed_genome("global_pool"), w, np.random.default_rng(0),
-                           max_retries=1)
+        mutate_until_valid(new_seed_genome("global_pool"), w, np.random.default_rng(0))
 
 
 def test_mutate_until_valid_attempt_audit():
@@ -445,10 +445,10 @@ def test_mutate_until_valid_attempt_audit():
     w = MutationWeights({"remove_skip": 1.0, "add_convolution": 1e-9})
     try:
         mutate_until_valid(new_seed_genome("global_pool"), w, np.random.default_rng(0),
-                           max_retries=5, attempts=attempts)
+                           attempts=attempts)
     except ExhaustedRetries:
         pass
-    assert 1 <= len(attempts) <= 5
+    assert len(attempts) == MAX_RETRIES
     for rec in attempts:
         assert set(rec) == {"kind", "accepted", "repair_fixes"}
 

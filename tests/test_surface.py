@@ -1,7 +1,9 @@
-"""Every public function, class and method of the package has a caller in it.
+"""Every public function, class and method of the package has a caller in
+it, and every name a module imports is used in that module.
 
 A name defined in src/evoarch but used only by tests is surface that the
-program does not need; this check fails on each such name.
+program does not need; an import nothing uses is a dependency the module
+does not have.  No linter runs on the package, so these checks do.
 """
 
 import ast
@@ -38,4 +40,28 @@ def test_every_public_name_has_a_caller_in_the_package():
         definitions += [(path.name, *d) for d in _public_definitions(ast.parse(path.read_text()))]
     defined = Counter(name for _, _, name in definitions)
     unused = [f"{module}: {qualified}" for module, qualified, name in definitions if uses[name] <= defined[name]]
+    assert unused == []
+
+
+def _imports(tree):
+    """(bound name, statement) of each import except from __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name.split(".")[0], node) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((alias.asname or alias.name, node) for alias in node.names)
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for path in _modules():
+        imports = list(_imports(ast.parse(path.read_text())))
+        import_lines = {line for _, node in imports for line in range(node.lineno, node.end_lineno + 1)}
+        with tokenize.open(path) as fh:
+            used = {
+                tok.string
+                for tok in tokenize.generate_tokens(fh.readline)
+                if tok.type == tokenize.NAME and tok.start[0] not in import_lines
+            }
+        unused += [f"{path.name}: {name}" for name, _ in imports if name not in used]
     assert unused == []
