@@ -1,31 +1,1 @@
 """Evolutionary search over CNN architectures under a compute budget."""
-
-from evoarch.genome import (
-    Genome,
-    Individual,
-    canonical_node_sequence,
-    deserialize,
-    hamming_distance,
-    infer_shapes,
-    new_seed_genome,
-    parameter_count,
-    serialize,
-    to_dot,
-    validate,
-)
-
-__all__ = [
-    "Genome",
-    "Individual",
-    "canonical_node_sequence",
-    "deserialize",
-    "hamming_distance",
-    "infer_shapes",
-    "new_seed_genome",
-    "parameter_count",
-    "serialize",
-    "to_dot",
-    "validate",
-]
-
-__version__ = "0.1.0"

@@ -133,16 +133,7 @@ def _read_genome(path):
 
 
 def _run_config(args):
-    """Checked EvolutionConfig and evaluator for evolve and compare-selection.
-
-    Trained fitness loads the dataset split, and the genomes take their
-    input shape and class count from it.
-    """
-    split = plan = None
-    dims = {}
-    if args.fitness == "trained":
-        split, plan = _trained_pieces(args)
-        dims = {"input_shape": split.input_shape, "num_classes": split.num_classes}
+    """Checked EvolutionConfig for evolve and compare-selection, from the flags alone."""
     config = EvolutionConfig(
         population_size=args.population,
         k=args.k,
@@ -151,14 +142,23 @@ def _run_config(args):
         seed=args.seed,
         evaluator=args.fitness,
         workers=args.workers,
-        **dims,
     )
     config.check()
+    return config
+
+
+def _with_evaluator(config, args):
+    """config and its evaluator.  Trained fitness loads the dataset split, and
+    the genomes take their input shape and class count from it."""
+    split = plan = None
+    if config.evaluator == "trained":
+        split, plan = _trained_pieces(args)
+        config = replace(config, input_shape=split.input_shape, num_classes=split.num_classes)
     return config, engine.make_evaluator(config, split, plan)
 
 
 def cmd_evolve(args):
-    config, evaluator = _run_config(args)
+    config, evaluator = _with_evaluator(_run_config(args), args)
     out_dir = _make_out_dir(args.out_dir or f"runs/evolve-{args.fitness}-s{args.seed}")
     state = engine.run(config, out_dir=out_dir, evaluator=evaluator)
     print(f"generations {state.stats[-1].generation}")
@@ -170,7 +170,7 @@ def cmd_evolve(args):
 def cmd_compare(args):
     if args.k_sweep is not None and args.strategies is not None:
         raise ConfigError("--k-sweep and --strategies are mutually exclusive")
-    config, evaluator = _run_config(args)
+    config = _run_config(args)
     if args.k_sweep is not None:
         try:
             ks = [int(v) for v in args.k_sweep.split(",") if v]
@@ -184,6 +184,7 @@ def cmd_compare(args):
         flag = "--strategies" if args.k_sweep is None else "--k-sweep"
         raise ConfigError(f"{flag} names nothing to compare")
     engine.check_comparison(config, specs, args.seeds)
+    config, evaluator = _with_evaluator(config, args)
 
     out_dir = _make_out_dir(args.out_dir or f"runs/compare-{args.fitness}-s{args.seed}")
     result = engine.compare_strategies(config, specs, args.seeds, evaluator=evaluator)

@@ -43,7 +43,6 @@ from evoarch.selection import (
     sample_uniform_select,
     tournament_select,
 )
-from evoarch.trainer import TrainPlan
 
 STRATEGIES = ("aggressive", "tournament", "sample_uniform", "sample_by_fitness")
 
@@ -144,23 +143,25 @@ class RunState:
 
 
 def make_evaluator(config, split=None, plan=None):
+    """The evaluator config.evaluator names; a trained one needs a dataset split and a TrainPlan."""
     if config.evaluator == "surrogate":
         return SurrogateEvaluator()
-    if split is None:
-        raise ConfigError("trained evaluator needs a dataset split")
-    return TrainedEvaluator(split, plan or TrainPlan())
+    if split is None or plan is None:
+        raise ConfigError("trained evaluator needs a dataset split and a training plan")
+    return TrainedEvaluator(split, plan)
 
 
 def initial_state(config, evaluator, fitness_log=None):
     """Generation 0: seed individuals alternating the two minimal genome
     forms, evaluated, with the rng seeded from config.seed."""
+    start = time.perf_counter()
     population = []
     for i in range(config.population_size):
         genome = new_seed_genome(SEED_KINDS[i % 2], config.input_shape, config.num_classes)
         population.append(Individual(id=i, genome=genome, born_generation=0))
     population = evaluate_batch(population, evaluator, config.seed, config.workers, fitness_log)
     best = rank(population)[0]
-    stats = [_generation_stats(0, best, population)]
+    stats = [_generation_stats(0, best, population, wall_seconds=time.perf_counter() - start)]
     return RunState(config, population, np.random.default_rng(config.seed), stats, best, 1)
 
 
@@ -285,10 +286,9 @@ def run(config, out_dir=None, evaluator=None, resume_from=None):
     logs = {name: [] for name in LOG_NAMES} if out_dir else None
     if evaluator is None:
         evaluator = make_evaluator(config)
+    wall_start = time.perf_counter()
     if state is None:
         state = initial_state(config, evaluator, logs["fitness"] if logs else None)
-
-    wall_start = time.perf_counter()
     for generation in range(state.next_generation, config.max_generations + 1):
         step_generation(state, evaluator, logs)
         if out_dir and generation % CHECKPOINT_EVERY == 0:

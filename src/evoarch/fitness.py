@@ -95,14 +95,14 @@ def evaluate_batch(individuals, evaluator, run_seed=0, workers=1, audit=None):
     """
 
     def attempt(ind):
-        """(fitness, wall seconds), or the exception the evaluation raised."""
+        """(ind with its fitness, wall seconds), or the exception the evaluation raised."""
         start = time.perf_counter()
         try:
             value = evaluator.evaluate(ind.genome, run_seed, ind.id)
             wall = time.perf_counter() - start
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"fitness {value} outside [0, 1]")
-            return value, wall
+            return replace(ind, fitness=value), wall
         except Exception as err:  # noqa: BLE001 aggregated below
             return err
 
@@ -112,25 +112,14 @@ def evaluate_batch(individuals, evaluator, run_seed=0, workers=1, audit=None):
             outcomes = list(pool.map(attempt, todo))
     else:
         outcomes = list(map(attempt, todo))
-    results = {ind.id: outcome for ind, outcome in zip(todo, outcomes)}
-    failures = [(i, err) for i, err in results.items() if isinstance(err, Exception)]
+    failures = [(ind.id, out) for ind, out in zip(todo, outcomes) if isinstance(out, Exception)]
     if failures:
         raise EvaluationError(failures)
-
-    out = []
-    for ind in individuals:
-        if ind.fitness is None:
-            value, wall = results[ind.id]
-            out.append(replace(ind, fitness=value))
-            if audit is not None:
-                audit.append(
-                    {
-                        "individual_id": ind.id,
-                        "evaluator": evaluator.kind,
-                        "fitness": value,
-                        "wall_seconds": round(wall, 6),
-                    }
-                )
-        else:
-            out.append(ind)
-    return out
+    if audit is not None:
+        audit.extend(
+            {"individual_id": ind.id, "evaluator": evaluator.kind,
+             "fitness": ind.fitness, "wall_seconds": round(wall, 6)}
+            for ind, wall in outcomes
+        )
+    scored = {ind.id: ind for ind, _ in outcomes}
+    return [scored.get(ind.id, ind) for ind in individuals]

@@ -456,9 +456,12 @@ def _forward_pass(model, genome, x, mode, dropout_rng):
     return acts[genome.head_id()], caches, batch_stats
 
 
-def forward(model, genome, x, mode="eval", dropout_seed=0):
-    """Head logits for a batch; mode picks batchnorm/dropout behaviour."""
-    return _forward_pass(model, genome, x, mode, np.random.default_rng(dropout_seed))[0]
+def forward(model, genome, x, mode="eval"):
+    """Head logits for a batch; mode picks batchnorm/dropout behaviour.
+
+    Train-mode dropout draws its masks from seed 0, as in loss_and_grads.
+    """
+    return _forward_pass(model, genome, x, mode, np.random.default_rng(0))[0]
 
 
 def softmax_cross_entropy(logits, labels):

@@ -112,6 +112,25 @@ def test_evolve_trained_without_data(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,named", [(["evolve", "--k", "0"], "k must be at least 1"),
+                                         (["compare-selection", "--k-sweep", "1,x"], "--k-sweep"),
+                                         (["compare-selection", "--strategies", "bogus"], "'bogus'"),
+                                         (["compare-selection", "--k-sweep", "1,11"], "k=11")],
+                         ids=["k-0", "k-sweep-not-int", "unknown-strategy", "k-sweep-over-population"])
+def test_trained_bad_flag_exits_one_before_reading_data(tmp_path, monkeypatch, capsys, argv, named):
+    argv = [*argv, "--fitness", "trained", "--generations", "1", "--out-dir", str(tmp_path / "out")]
+    monkeypatch.delenv("EVOARCH_DATA_DIR", raising=False)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    loads = []
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
+    monkeypatch.setattr("evoarch.data.load_dataset", lambda *a, **kw: loads.append(a))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == err
+    assert loads == [] and not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------- comparison
 
 def test_compare_k_sweep(tmp_path, capsys):

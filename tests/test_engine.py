@@ -101,6 +101,11 @@ def test_make_evaluator_trained_needs_split():
         make_evaluator(EvolutionConfig(evaluator="trained"))
 
 
+def test_make_evaluator_trained_needs_a_plan():
+    with pytest.raises(ConfigError, match="training plan"):
+        make_evaluator(EvolutionConfig(evaluator="trained"), split=object())
+
+
 # -------------------------------------------------------------- population
 
 def test_initial_state_alternates_seeds():
@@ -209,6 +214,15 @@ def test_run_writes_artifacts(tmp_path):
     for line in (out / "mutation.jsonl").read_text().splitlines():
         row = json.loads(line)
         assert {"generation", "parent_id", "kind", "accepted", "retries", "repair_fixes"} <= set(row)
+
+
+def test_run_meta_times_generation_zero(tmp_path):
+    out = tmp_path / "run"
+    run(surrogate_config(max_generations=3), out_dir=str(out))
+    meta = json.loads((out / "run_meta.json").read_text())
+    walls = meta["per_generation_wall"]
+    assert len(walls) == 4 and walls[0] > 0
+    assert meta["wall_seconds_total"] >= sum(walls)
 
 
 def test_run_deterministic_stats_bytes(tmp_path):
@@ -435,6 +449,19 @@ def test_compare_censors_at_max_plus_one():
     # tau is 0 here, so generation 0 reaches it too; no run counts as the censored 5
     row = zero.rows[0]
     assert [row[q] for q in quartiles] == [0.0, 0.0, 0.0] and row["reached"] == 2
+
+    class FirstSeedBest:
+        kind = "first-seed-best"
+
+        def evaluate(self, genome, run_seed, individual_id):
+            return 1.0 if run_seed == config.seed else 0.5
+
+    censored = compare_strategies(config, k_sweep_specs([1], config), n_seeds=2, evaluator=FirstSeedBest())
+    # tau is 0.9: the first seed reaches it at generation 0, the second never
+    # does and counts as generation 5
+    row = censored.rows[0]
+    assert row["tau"] == 0.9
+    assert [row[q] for q in quartiles] == [1.25, 2.5, 3.75] and row["reached"] == 1
 
 
 def test_compare_deterministic():

@@ -15,7 +15,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "evoarch"
 
 
 def _modules():
-    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    return sorted(PACKAGE.glob("*.py"))
 
 
 def _public_definitions(tree):

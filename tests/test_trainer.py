@@ -278,13 +278,15 @@ def test_dropout_active_only_in_train_mode():
     g = chain([fc_node(64), dropout_node(0.5)], (1, 8, 8))
     model = init_model(g, np.random.default_rng(12))
     x = np.random.default_rng(13).normal(size=(4, 1, 8, 8)).astype(np.float32)
-    e1 = forward(model, g, x, mode="eval")
-    e2 = forward(model, g, x, mode="eval", dropout_seed=99)
-    assert np.array_equal(e1, e2)
-    t1 = forward(model, g, x, mode="train", dropout_seed=0)
-    t2 = forward(model, g, x, mode="train", dropout_seed=1)
-    assert not np.array_equal(t1, t2)
-    assert np.array_equal(t1, forward(model, g, x, mode="train", dropout_seed=0))
+
+    def logits(mode, dropout_seed):
+        return trainer_module._forward_pass(model, g, x, mode, np.random.default_rng(dropout_seed))[0]
+
+    assert np.array_equal(forward(model, g, x, mode="eval"), logits("eval", 99))
+    assert not np.array_equal(logits("train", 0), logits("train", 1))
+    t = forward(model, g, x, mode="train")
+    assert np.array_equal(t, forward(model, g, x, mode="train"))
+    assert np.array_equal(t, logits("train", 0))
 
 
 def test_forward_rejects_wrong_shape():
