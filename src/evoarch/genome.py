@@ -7,6 +7,13 @@ fully connected layers and dropout layers.  A genome's node and
 predecessor maps are read-only, so every edit builds a new Genome, and
 derived data (successors, topological order, shapes, parameter layout and
 count, canonical sequence) is computed once per Genome object and kept on it.
+
+Sharing rule: data that reads only ids, kinds and edges is declared with
+`_graph_derived`; everything else, which may read params or shapes, with
+`_derived`.  `Genome.with_params`, the one params-only edit, starts its
+child with the parent's already computed graph-derived entries, read name
+by name; shape-derived data is always computed afresh, and `replace()`
+shares nothing.  Only this module touches a genome's memo.
 """
 
 from __future__ import annotations
@@ -172,6 +179,19 @@ class Genome:
             self.preds if preds is None else preds,
         )
 
+    def with_params(self, i, params):
+        """This genome with node i's params replaced: the same ids, kinds and
+        edges, so the child shares the parent's read-only preds map and
+        starts with its graph-derived data."""
+        child = Genome.__new__(Genome)
+        child.input_shape, child.num_classes, child.preds = self.input_shape, self.num_classes, self.preds
+        child.nodes = MappingProxyType({**self.nodes, i: Node(self.nodes[i].kind, params)})
+        # by name from a fixed list: a worker thread may be adding entries to
+        # the parent's memo, which is never iterated; entries are never removed
+        memo = self._memo
+        child._memo = {name: memo[name] for name in _GRAPH_DERIVED if name in memo}
+        return child
+
 
 def _derived(fn):
     """Store fn's first result on the genome and return it on later calls.
@@ -191,7 +211,18 @@ def _derived(fn):
     return derived
 
 
-@_derived
+# names of the derived data that reads only ids, kinds and edges
+_GRAPH_DERIVED = []
+
+
+def _graph_derived(fn):
+    """_derived for data that reads only ids, kinds and edges, which
+    Genome.with_params hands from parent to child."""
+    _GRAPH_DERIVED.append(fn.__name__)
+    return _derived(fn)
+
+
+@_graph_derived
 def successors(genome):
     """Map node id -> sorted tuple of consumer ids (duplicates kept)."""
     succ = {i: [] for i in genome.nodes}
@@ -202,7 +233,7 @@ def successors(genome):
     return MappingProxyType({i: tuple(s) for i, s in succ.items()})
 
 
-@_derived
+@_graph_derived
 def topological_order(genome):
     """Node ids in topological order, ready set drained smallest id first.
 
@@ -215,13 +246,15 @@ def topological_order(genome):
     heapq.heapify(ready)
     succ = successors(genome)
     order = []
+    pop, push, append = heapq.heappop, heapq.heappush, order.append
     while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
+        i = pop(ready)
+        append(i)
         for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
+            d = indeg[j] - 1
+            indeg[j] = d
+            if not d:
+                push(ready, j)
     if len(order) != len(genome.nodes):
         raise InvalidGenome("graph has a cycle")
     return tuple(order)
@@ -307,7 +340,7 @@ def infer_shapes(genome):
     return MappingProxyType(shapes)
 
 
-@_derived
+@_graph_derived
 def canonical_node_sequence(genome):
     """Kind letters in topological order, ids breaking ties."""
     return "".join(KIND_LETTERS[genome.nodes[i].kind] for i in topological_order(genome))
@@ -331,8 +364,8 @@ def param_shapes(genome):
 
     A conv holds W (cout, cin, f, f), bias b, batchnorm scale gamma and
     shift beta; an fc node or the head W (nout, nin) over its flattened
-    input, then b.  The trainer allocates exactly these tensors and
-    parameter_count sums their sizes.
+    input, then b.  The trainer allocates exactly these tensors, and
+    parameter_count totals their sizes.
     """
     shapes = infer_shapes(genome)
     nodes, preds = genome.nodes, genome.preds
@@ -350,10 +383,19 @@ def param_shapes(genome):
 
 @_derived
 def parameter_count(genome):
-    """Trainable parameter total: the summed sizes of the param_shapes tensors."""
+    """Trainable parameter total: the summed sizes of the param_shapes
+    tensors, from the shapes alone (a conv cout*cin*f*f + 3*cout, an fc or
+    the head nout*nin + nout)."""
+    shapes = infer_shapes(genome)
+    preds = genome.preds
     total = 0
-    for group in param_shapes(genome).values():
-        total += sum(map(math.prod, group.values()))
+    for i, node in genome.nodes.items():
+        kind = node.kind
+        if kind == CONV:
+            f = node.params["filter"]
+            total += shapes[i][0] * (shapes[preds[i][0]][0] * f * f + 3)
+        elif kind == FC or kind == HEAD:
+            total += shapes[i][0] * (math.prod(shapes[preds[i][0]]) + 1)
     return total
 
 
@@ -486,8 +528,9 @@ def deserialize(text):
 def genome_from_doc(doc):
     """Build a Genome from a genome_doc() document.
 
-    Raises ParseError with a field diagnostic on malformed input; shape and
-    placement problems are left to validate().
+    Raises ParseError with a field diagnostic on malformed input (JSON
+    true/false is not an integer here); shape and placement problems are
+    left to validate().
     """
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
@@ -496,9 +539,9 @@ def genome_from_doc(doc):
             raise ParseError(f"missing field {key!r}")
 
     shape = doc["input_shape"]
-    if not (isinstance(shape, list) and len(shape) == 3 and all(isinstance(d, int) and d > 0 for d in shape)):
+    if not (isinstance(shape, list) and len(shape) == 3 and all(_is_int(d) and d > 0 for d in shape)):
         raise ParseError("input_shape must be three positive integers")
-    if not isinstance(doc["num_classes"], int) or doc["num_classes"] < 2:
+    if not _is_int(doc["num_classes"]) or doc["num_classes"] < 2:
         raise ParseError("num_classes must be an integer of at least 2")
     for key in ("nodes", "edges"):
         if not isinstance(doc[key], list):
@@ -509,7 +552,7 @@ def genome_from_doc(doc):
         if not isinstance(entry, dict) or set(entry) != {"id", "kind", "params"}:
             raise ParseError(f"node entries need exactly id/kind/params, got {entry!r}")
         i = entry["id"]
-        if not isinstance(i, int) or i < 0:
+        if not _is_int(i) or i < 0:
             raise ParseError(f"node id must be a non-negative integer, got {i!r}")
         if i in nodes:
             raise ParseError(f"duplicate node id {i}")
@@ -521,7 +564,7 @@ def genome_from_doc(doc):
             raise ParseError(f"node {i}: params for {kind} must be {sorted(PARAM_KEYS[kind])}")
         for k, v in params.items():
             ratio = k == "ratio"  # dropout's, the one param that is not a count or size
-            if isinstance(v, bool) or not isinstance(v, (int, float) if ratio else int):
+            if not (_is_int(v) or ratio and isinstance(v, float)):
                 raise ParseError(f"node {i}: param {k} must be {'a number' if ratio else 'an integer'}")
         nodes[i] = Node(kind, dict(params))
     if not any(n.kind == INPUT for n in nodes.values()):
@@ -529,13 +572,18 @@ def genome_from_doc(doc):
 
     preds = {i: [] for i in nodes}
     for edge in doc["edges"]:
-        if not (isinstance(edge, list) and len(edge) == 2 and all(isinstance(e, int) for e in edge)):
+        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
             raise ParseError(f"edges must be [src, dst] pairs of node ids, got {edge!r}")
         src, dst = edge
         if src not in nodes or dst not in nodes:
             raise ParseError(f"edge {edge} references an unknown node id")
         preds[dst].append(src)
     return Genome(tuple(shape), doc["num_classes"], nodes, {i: tuple(p) for i, p in preds.items()})
+
+
+def _is_int(value):
+    """A JSON integer: bool is an int subclass, but true/false are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _dot_label(node, input_shape):

@@ -9,10 +9,12 @@ primitives: `_insert` adds a node fed by given inputs and moves every
 consumer of the last input over to it, and `_remove` drops a node and
 hands its consumers back to a given input.  `_insert_on_edge` places a
 node on a single edge instead, for convolutions, the fc before the head
-and repairs.  The candidate sites (trunk edges, node ids by kind,
-ancestors, depths, join pairs) are derived data of the parent genome:
-they are computed once per parent and shared, read-only, by every
-attempt on it.
+and repairs.  `Genome.with_params` is the fourth edit: it replaces one
+node's params (conv alterations and padding bumps) and keeps the graph,
+so the child starts with the parent's graph-derived data.  The candidate
+sites (trunk edges, node ids by kind, ancestors, depths, join pairs) are
+derived data of the parent genome: they are computed once per parent and
+shared, read-only, by every attempt on it.
 
 `apply_mutation` is the one mutation attempt the search makes: the
 operator's edit, then shape repair (padding bumps and 1x1
@@ -46,6 +48,7 @@ from evoarch.genome import (
     Node,
     ShapeError,
     _derived,
+    _graph_derived,
     conv_node,
     dropout_node,
     fc_node,
@@ -180,7 +183,7 @@ def _ensure_flat_head(genome):
     return genome
 
 
-@_derived
+@_graph_derived
 def _ancestors(genome):
     """Read-only map of node id -> frozenset of its ancestors."""
     anc = {}
@@ -193,7 +196,7 @@ def _ancestors(genome):
     return MappingProxyType(anc)
 
 
-@_derived
+@_graph_derived
 def _depths(genome):
     """Read-only map of the longest path length from the input to each node."""
     depth = {}
@@ -203,7 +206,7 @@ def _depths(genome):
     return MappingProxyType(depth)
 
 
-@_derived
+@_graph_derived
 def _ids_by_kind(genome):
     """Read-only map of kind -> ascending tuple of the ids of that kind."""
     ids = {}
@@ -216,7 +219,7 @@ def _nodes_of_kind(genome, kind):
     return _ids_by_kind(genome).get(kind, ())
 
 
-@_derived
+@_graph_derived
 def _trunk_edges(genome):
     edges = []
     for dst in sorted(genome.preds):
@@ -257,7 +260,7 @@ def _alter_conv(genome, rng, key, menu):
         return None
     params[key] = _choose(rng, options)
     params["pad"] = params["filter"] // 2
-    return genome.replace({**genome.nodes, target: Node(CONV, params)})
+    return genome.with_params(target, params)
 
 
 @_derived
@@ -363,7 +366,7 @@ def _bump_pad(genome, conv_id, bumps):
     params = dict(genome.nodes[conv_id].params)
     params["pad"] += 1
     bumps[conv_id] = bumps.get(conv_id, 0) + 1
-    return genome.replace({**genome.nodes, conv_id: Node(CONV, params)})
+    return genome.with_params(conv_id, params)
 
 
 def repair(genome):

@@ -523,10 +523,15 @@ BAD_GENOME_FILES = {
     "dropout-ratio": (_set_param(4, "ratio", 1.0), "node 4: dropout ratio must be in (0, 1)"),
     "top-level-list": (lambda doc: [doc], "top level must be a JSON object"),
     "input-shape": (lambda doc: {**doc, "input_shape": [3, 32]}, "input_shape must be three positive integers"),
+    "input-shape-bool": (lambda doc: {**doc, "input_shape": [True, 32, 32]},
+                         "input_shape must be three positive integers"),
     "num-classes": (lambda doc: {**doc, "num_classes": 1}, "num_classes must be an integer of at least 2"),
     "node-entry": (lambda doc: {**doc, "nodes": doc["nodes"] + [{"id": 9}]},
                    "node entries need exactly id/kind/params, got {'id': 9}"),
     "node-id": (_edit_node(1, id=-1), "node id must be a non-negative integer, got -1"),
+    "node-id-bool": (_edit_node(1, id=True), "node id must be a non-negative integer, got True"),
+    "edge-endpoint-bool": (lambda doc: {**doc, "edges": [[True, 2] if e == [1, 2] else e for e in doc["edges"]]},
+                           "edges must be [src, dst] pairs of node ids, got [True, 2]"),
     "kind": (_edit_node(1, kind="deconv"), "node 1: unknown kind 'deconv'"),
     "param-keys": (_edit_node(1, params={"channels": 4}),
                    "node 1: params for conv must be ['channels', 'filter', 'pad', 'stride']"),

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from evoarch.genome import (
     is_valid,
     maxpool_node,
     new_seed_genome,
+    param_shapes,
     parameter_count,
     serialize,
     successors,
@@ -190,6 +193,21 @@ def test_parameter_count_fc():
     g = new_seed_genome("fully_connected", (1, 28, 28), 10)
     # fc: 100*784 + 100, head: 10*100 + 10
     assert parameter_count(g) == 78400 + 100 + 1000 + 10
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+
+def test_parameter_count_is_the_param_shapes_total():
+    genomes = [new_seed_genome(k, (1, 28, 28)) for k in ("global_pool", "fully_connected")]
+    genomes += [skip_genome(), skip_genome(16, 48, CONCAT),
+                chain([conv_node(8, 5, 2, 2), maxpool_node(), fc_node(50), dropout_node()])]
+    genomes += [deserialize(path.read_text()) for path in sorted(FIXTURES.rglob("*.json"))]
+    rng = np.random.default_rng(25)
+    genomes += [random_genome(rng, steps=n % 15) for n in range(200)]
+    for g in genomes:
+        layout = sum(math.prod(shape) for group in param_shapes(g).values() for shape in group.values())
+        assert parameter_count(g) == layout
 
 
 # ------------------------------------------------------------------ shapes
@@ -544,6 +562,18 @@ def test_derived_data_computed_once_per_genome():
     assert twin == g and topological_order(twin) is not topological_order(g)
     assert topological_order(twin) == topological_order(g)
     assert parameter_count(twin) == parameter_count(g)
+
+
+def test_with_params_replaces_one_nodes_params_and_keeps_the_graph():
+    g = skip_genome()
+    order, sequence, shapes = topological_order(g), canonical_node_sequence(g), infer_shapes(g)
+    child = g.with_params(2, {**g.nodes[2].params, "channels": 48})
+    assert child == g.replace({**g.nodes, 2: conv_node(48)})
+    assert g.nodes[2] == conv_node(32) and infer_shapes(g) is shapes
+    assert topological_order(child) is order and canonical_node_sequence(child) is sequence
+    with pytest.raises(ShapeError) as e:  # the skip's inputs now disagree on channels
+        infer_shapes(child)
+    assert (e.value.node_id, e.value.kind) == (3, CHANNEL_MISMATCH)
 
 
 def test_pickle_round_trip_leaves_memo_behind():

@@ -31,7 +31,11 @@ from evoarch.genome import (
     is_valid,
     maxpool_node,
     new_seed_genome,
+    param_shapes,
+    parameter_count,
     serialize,
+    successors,
+    topological_order,
     validate,
 )
 from evoarch.mutation import (
@@ -542,6 +546,65 @@ def test_sites_match_a_memo_free_copy_and_the_old_sites():
     assert sites["_join_pairs"][SKIP] == ((3, 4), (3, 5), (4, 5))
     assert sites["_join_pairs"][CONCAT] == ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4),
                                             (2, 4), (3, 4), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5))
+
+
+# ------------------------------------------------------- params-only edits
+
+GRAPH_DERIVED = (successors, topological_order, canonical_node_sequence,
+                 mutation._ancestors, mutation._depths, mutation._trunk_edges, mutation._ids_by_kind)
+SHAPE_DERIVED = (infer_shapes, param_shapes, parameter_count, mutation._join_pairs)
+ALTER_KINDS = ("alter_channel_number", "alter_filter_size", "alter_stride")
+
+
+def params_only_children(seed, parents=40):
+    """(parent, child) pairs from the three alter kinds and a pad bump on
+    random parents, every derived entry of each parent computed first."""
+    rng = np.random.default_rng(seed)
+    for _ in range(parents):
+        parent = random_genome(rng, steps=int(rng.integers(1, 12)))
+        convs = mutation._nodes_of_kind(parent, CONV)
+        if not convs:
+            continue
+        for fn in GRAPH_DERIVED + SHAPE_DERIVED:
+            fn(parent)
+        for kind in ALTER_KINDS:
+            child = mutation._OPERATORS[kind](parent, rng)
+            if child is not None:
+                yield parent, child
+        yield parent, mutation._bump_pad(parent, convs[int(rng.integers(len(convs)))], {})
+
+
+def shape_fault(fn, genome):
+    """fn(genome), or the (node, kind, shapes) of the ShapeError it raises."""
+    try:
+        return fn(genome)
+    except ShapeError as err:
+        return err.node_id, err.kind, dict(err.shapes)
+
+
+def test_params_only_children_share_the_parents_graph_data():
+    pairs = list(params_only_children(25))
+    assert len(pairs) > 100
+    shape_names = {fn.__name__ for fn in SHAPE_DERIVED}
+    for parent, child in pairs:
+        assert not child._memo.keys() & shape_names
+        fresh = pickle.loads(pickle.dumps(child))
+        for fn in GRAPH_DERIVED:
+            assert fn(child) is fn(parent), fn.__name__
+            assert fn(child) == fn(fresh), fn.__name__
+        for fn in SHAPE_DERIVED:
+            assert shape_fault(fn, child) == shape_fault(fn, fresh), fn.__name__
+
+
+def test_params_only_child_of_a_faulty_genome_raises_the_same_shape_error():
+    parent = join_mismatch(32, 48)
+    topological_order(parent)
+    for params in (parent.nodes[1].params, {**parent.nodes[1].params, "pad": 2}):
+        child = parent.with_params(1, dict(params))
+        assert topological_order(child) is topological_order(parent)
+        fault = shape_fault(infer_shapes, pickle.loads(pickle.dumps(child)))
+        assert fault[:2] == (3, CHANNEL_MISMATCH)
+        assert shape_fault(infer_shapes, child) == fault
 
 
 def test_mutate_until_valid_closure():

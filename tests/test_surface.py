@@ -3,7 +3,9 @@ it, and every name a module imports is used in that module.
 
 A name defined in src/evoarch but used only by tests is surface that the
 program does not need; an import nothing uses is a dependency the module
-does not have.  No linter runs on the package, so these checks do.
+does not have.  No linter runs on the package, so these checks do.  A
+genome's memo is touched only in genome.py, where the rule for which
+derived data a params-only edit hands on is stated.
 """
 
 import ast
@@ -65,3 +67,13 @@ def test_every_import_is_used_in_its_module():
             }
         unused += [f"{path.name}: {name}" for name, _ in imports if name not in used]
     assert unused == []
+
+
+def test_only_genome_py_touches_the_memo():
+    touching = []
+    for path in _modules():
+        with tokenize.open(path) as fh:
+            if any(tok.type == tokenize.NAME and tok.string == "_memo"
+                   for tok in tokenize.generate_tokens(fh.readline)):
+                touching.append(path.name)
+    assert touching == ["genome.py"]
