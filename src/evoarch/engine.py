@@ -26,6 +26,7 @@ from evoarch.genome import (
     Individual,
     InvalidGenome,
     ParseError,
+    _is_int,
     genome_doc,
     genome_from_doc,
     hamming_distance,
@@ -360,6 +361,24 @@ def _individual_from_doc(doc):
     return Individual(**{**doc, "genome": genome_from_doc(doc["genome"])})
 
 
+def _individual_fault(ind):
+    """Why a checkpointed individual cannot take part in a run, or None."""
+    if not (_is_int(ind.id) and ind.id >= 0):
+        return "id must be a non-negative integer"
+    if not (_is_int(ind.born_generation) and ind.born_generation >= 0):
+        return "born_generation must be a non-negative integer"
+    if not (ind.parent_id is None or _is_int(ind.parent_id) and ind.parent_id >= 0):
+        return "parent_id must be null or a non-negative integer"
+    f = ind.fitness
+    if not (isinstance(f, (int, float)) and not isinstance(f, bool) and 0.0 <= f <= 1.0):
+        return "fitness must be a finite number in [0, 1]"  # NaN fails the range test too
+    try:
+        validate(ind.genome)
+    except InvalidGenome as err:
+        return str(err)
+    return None
+
+
 def checkpoint_save(state, path):
     doc = {
         "version": CHECKPOINT_VERSION,
@@ -376,6 +395,10 @@ def checkpoint_save(state, path):
 
 
 def checkpoint_load(path):
+    """The RunState a checkpoint file holds; CheckpointError if it cannot be
+    read or resumed from.  Every individual must have a non-negative integer
+    id and born_generation, a null or non-negative integer parent_id, a
+    finite fitness in [0, 1] and a valid genome."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -393,10 +416,9 @@ def checkpoint_load(path):
         population = [_individual_from_doc(d) for d in doc["population"]]
         best = _individual_from_doc(doc["best"])
         for ind in population + [best]:
-            try:
-                validate(ind.genome)
-            except InvalidGenome as err:
-                raise CheckpointError(f"checkpoint {path}: individual {ind.id}: {err}") from err
+            fault = _individual_fault(ind)
+            if fault is not None:
+                raise CheckpointError(f"checkpoint {path}: individual {ind.id!r}: {fault}")
         rng = np.random.default_rng()
         rng.bit_generator.state = doc["rng_state"]
         stats = [GenerationStats(**{f: row[f] for f in CHECKPOINT_STATS_FIELDS}) for row in doc["stats"]]

@@ -12,8 +12,17 @@ Sharing rule: data that reads only ids, kinds and edges is declared with
 `_graph_derived`; everything else, which may read params or shapes, with
 `_derived`.  `Genome.with_params`, the one params-only edit, starts its
 child with the parent's already computed graph-derived entries, read name
-by name; shape-derived data is always computed afresh, and `replace()`
-shares nothing.  Only this module touches a genome's memo.
+by name.  Every edit child (`Genome.edit` and `with_params`) also holds an
+edit record: its base, the nearest ancestor whose shapes are computed
+(reached through shape-faulty repair intermediates), and the ids touched
+on the way, which include every id whose Node object or predecessor tuple
+differs from the base's and every id the base has and the child lacks.
+`infer_shapes` copies the base's shape of every untouched node whose
+inputs kept their shapes; `validate`, when the base was validated, runs the
+node-local checks on the touched ids alone.  A child drops its record once
+it validates, so a kept genome holds none of its ancestors.  `replace()`,
+pickle and parsed files share nothing and derive everything from scratch.
+Only this module touches a genome's memo.
 """
 
 from __future__ import annotations
@@ -179,18 +188,59 @@ class Genome:
             self.preds if preds is None else preds,
         )
 
+    def edit(self, nodes, preds):
+        """The edit child of this genome with the given maps.
+
+        The touched ids are found here: those whose Node object or pred tuple
+        is not this genome's, and those this genome has and the maps lack.
+        Only their pred tuples are sorted; every other one is this genome's
+        own, already normalized.  Maps that disagree on ids get replace().
+        """
+        if nodes.keys() != preds.keys():
+            return self.replace(nodes, preds)
+        # plain dict copies: get() on a read-only view is several times slower
+        old_nodes, old_preds = self.nodes.copy(), self.preds.copy()
+        nodes, preds = dict(nodes), dict(preds)
+        touched = {i for i, n in nodes.items() if n is not old_nodes.get(i) or preds[i] is not old_preds.get(i)}
+        for i in touched:
+            preds[i] = tuple(sorted(preds[i]))
+        touched.update(old_nodes.keys() - nodes.keys())
+        return self._child(MappingProxyType(nodes), MappingProxyType(preds), touched)
+
     def with_params(self, i, params):
         """This genome with node i's params replaced: the same ids, kinds and
         edges, so the child shares the parent's read-only preds map and
         starts with its graph-derived data."""
-        child = Genome.__new__(Genome)
-        child.input_shape, child.num_classes, child.preds = self.input_shape, self.num_classes, self.preds
-        child.nodes = MappingProxyType({**self.nodes, i: Node(self.nodes[i].kind, params)})
+        nodes = self.nodes.copy()
+        nodes[i] = Node(nodes[i].kind, params)
+        child = self._child(MappingProxyType(nodes), self.preds, {i})
         # by name from a fixed list: a worker thread may be adding entries to
-        # the parent's memo, which is never iterated; entries are never removed
+        # the parent's memo, which is never iterated; these are never removed
         memo = self._memo
-        child._memo = {name: memo[name] for name in _GRAPH_DERIVED if name in memo}
+        child._memo.update({name: memo[name] for name in _GRAPH_DERIVED if name in memo})
         return child
+
+    def _child(self, nodes, preds, touched):
+        """A genome over these read-only, normalized maps whose edit record
+        names this genome if its shapes are computed, else this genome's own
+        base, with the touched ids of both edits."""
+        child = Genome.__new__(Genome)
+        child.input_shape, child.num_classes = self.input_shape, self.num_classes
+        child.nodes, child.preds = nodes, preds
+        memo = self._memo
+        record = memo.get(_EDIT)
+        if "infer_shapes" in memo:
+            record = self, frozenset(touched)
+        elif record is not None:
+            record = record[0], record[1] | touched
+        child._memo = {} if record is None else {_EDIT: record}
+        return child
+
+
+# memo keys: an edit child's (base, touched ids), dropped once it validates,
+# and the mark of a genome that passed validate
+_EDIT = "_edit"
+_VALID = "_valid"
 
 
 def _derived(fn):
@@ -289,13 +339,22 @@ def infer_shapes(genome):
 
     Raises ShapeError on inconsistent joins, non-positive spatial dims, or
     spatial ops applied to flat vectors; the error carries the shapes
-    computed before the fault.
+    computed before the fault.  An edit child takes its base's shape tuple
+    for each node it did not touch whose inputs kept their base shapes;
+    that is the value a pass from scratch computes.
     """
     order = topological_order(genome)
-    nodes, preds = genome.nodes, genome.preds
+    nodes, preds, succ = genome.nodes, genome.preds, successors(genome)
+    record = genome._memo.get(_EDIT)
+    # dirty: the ids to compute, those touched and those fed by a shape
+    # that is not the base's
+    base, dirty = (record[0]._memo["infer_shapes"], set(record[1])) if record else ({}, set(nodes))
     shapes = {}
     try:
         for i in order:
+            if i not in dirty:
+                shapes[i] = base[i]
+                continue
             node, ps = nodes[i], preds[i]
             kind, p = node.kind, node.params
             if kind in SPATIAL_OPS:
@@ -308,32 +367,38 @@ def infer_shapes(genome):
                 oh, ow = (h + 2 * pad - f) // st + 1, (w + 2 * pad - f) // st + 1
                 if oh < 1 or ow < 1:
                     raise ShapeError(i, NOT_POSITIVE, f"conv output {oh}x{ow} not positive for input {h}x{w}")
-                shapes[i] = (p["channels"], oh, ow)
+                s = (p["channels"], oh, ow)
             elif kind == MAXPOOL:
                 k, st = p["kernel"], p["stride"]
                 oh, ow = (h - k) // st + 1, (w - k) // st + 1
                 if oh < 1 or ow < 1:
                     raise ShapeError(i, NOT_POSITIVE, f"pool output {oh}x{ow} not positive for input {h}x{w}")
-                shapes[i] = (c, oh, ow)
+                s = (c, oh, ow)
             elif kind == SKIP or kind == CONCAT:
                 a, b = [shapes[q] for q in ps]
                 if a[1:] != b[1:]:
                     raise ShapeError(i, SPATIAL_MISMATCH, f"{kind} spatial mismatch {a} vs {b}")
                 if kind == SKIP and a[0] != b[0]:
                     raise ShapeError(i, CHANNEL_MISMATCH, f"skip channel mismatch {a} vs {b}")
-                shapes[i] = a if kind == SKIP else (a[0] + b[0], h, w)
+                s = a if kind == SKIP else (a[0] + b[0], h, w)
             elif kind == GLOBALPOOL:
-                shapes[i] = (c, 1, 1)
+                s = (c, 1, 1)
             elif kind == FC:
-                shapes[i] = (p["units"],)
+                s = (p["units"],)
             elif kind == DROPOUT:
-                shapes[i] = shapes[ps[0]]
+                s = shapes[ps[0]]
             elif kind == HEAD:
-                shapes[i] = (p["classes"],)
+                s = (p["classes"],)
             elif kind == INPUT:
-                shapes[i] = genome.input_shape
+                s = genome.input_shape
             else:
                 raise ShapeError(i, UNKNOWN_KIND, f"unknown kind {kind!r}")
+            old = base.get(i)
+            if s == old:
+                s = old
+            else:
+                dirty.update(succ[i])
+            shapes[i] = s
     except ShapeError as err:
         err.shapes = MappingProxyType(shapes)
         raise
@@ -401,7 +466,14 @@ def parameter_count(genome):
 
 def validate(genome):
     """Raise InvalidGenome unless the genome is structurally sound,
-    shape-consistent and obeys the layer placement rules."""
+    shape-consistent and obeys the layer placement rules.
+
+    The node-local checks visit the nodes in map order, so the first fault
+    named does not depend on the path taken.  An edit child of a validated
+    base runs them only on the touched ids and on the untouched consumers of
+    ids it removed or gave a new kind: every other node has the base's Node
+    object and predecessors, and the base passed them.
+    """
     nodes, preds = genome.nodes, genome.preds
     if nodes.keys() != preds.keys():
         raise InvalidGenome("nodes and preds disagree on ids")
@@ -413,7 +485,22 @@ def validate(genome):
         raise InvalidGenome(f"expected exactly one head node, found {len(heads)}")
     head = heads[0]
 
-    for i, n in nodes.items():
+    memo = genome._memo
+    record = memo.get(_EDIT)
+    if record and _VALID in record[0]._memo:
+        base, touched = record
+        shared, base_succ = base.nodes, successors(base)
+        check = set(touched)
+        for t in touched:
+            old = shared.get(t)
+            if old is not None and (t not in nodes or nodes[t].kind != old.kind):
+                check.update(base_succ[t])
+        local = [i for i in nodes if i in check]
+    else:
+        shared, local = {}, nodes
+
+    for i in local:
+        n = nodes[i]
         kind, ps = n.kind, preds[i]
         if kind not in KIND_LETTERS:
             raise InvalidGenome(f"node {i}: unknown kind {kind!r}")
@@ -423,7 +510,8 @@ def validate(genome):
         for p in ps:
             if p not in nodes:
                 raise InvalidGenome(f"node {i} references missing predecessor {p}")
-        _check_params(i, n)
+        if n is not shared.get(i):
+            _check_params(i, n)
 
     # raises on cycles; with one input, the only node without
     # predecessors, every node is then reachable from it
@@ -438,8 +526,8 @@ def validate(genome):
 
     # placement: the flat tail (fc/dropout/globalpool/head) never feeds a
     # trunk node, the head sees a flat vector, dropout stays in the tail
-    for i, n in nodes.items():
-        kind, ps = n.kind, preds[i]
+    for i in local:
+        kind, ps = nodes[i].kind, preds[i]
         if kind in (CONV, MAXPOOL, SKIP, CONCAT):
             for p in ps:
                 if nodes[p].kind not in TRUNK_KINDS:
@@ -460,6 +548,8 @@ def validate(genome):
 
     if nodes[head].params["classes"] != genome.num_classes:
         raise InvalidGenome("head class count disagrees with genome num_classes")
+    memo[_VALID] = True
+    memo.pop(_EDIT, None)
 
 
 def _check_params(i, node):

@@ -9,9 +9,13 @@ primitives: `_insert` adds a node fed by given inputs and moves every
 consumer of the last input over to it, and `_remove` drops a node and
 hands its consumers back to a given input.  `_insert_on_edge` places a
 node on a single edge instead, for convolutions, the fc before the head
-and repairs.  `Genome.with_params` is the fourth edit: it replaces one
-node's params (conv alterations and padding bumps) and keeps the graph,
-so the child starts with the parent's graph-derived data.  The candidate
+and repairs.  All three build their child through `Genome.edit`, which
+finds the ids the edit touched, so the child derives its shapes and
+validity from the parent's instead of from scratch (the sharing rule is
+stated in genome.py).  `Genome.with_params` is the fourth edit: it
+replaces one node's params (conv alterations and padding bumps) and keeps
+the graph, so the child also starts with the parent's graph-derived
+data.  The candidate
 sites (trunk edges, node ids by kind, ancestors, depths, join pairs) are
 derived data of the parent genome: they are computed once per parent and
 shared, read-only, by every attempt on it.
@@ -130,11 +134,12 @@ def _choose(rng, items):
 
 
 # ---------------------------------------------------------------------------
-# graph edit primitives; each returns a new genome
+# graph edit primitives; each returns an edit child of the genome
 
 
 def _edit_copy(genome):
-    return dict(genome.nodes), dict(genome.preds)
+    # copy() of a read-only view copies its dict whole; dict(view) goes key by key
+    return genome.nodes.copy(), genome.preds.copy()
 
 
 def _insert_on_edge(genome, src, dst, slot, node):
@@ -145,7 +150,7 @@ def _insert_on_edge(genome, src, dst, slot, node):
     preds[nid] = (src,)
     ps = preds[dst]
     preds[dst] = ps[:slot] + (nid,) + ps[slot + 1:]
-    return genome.replace(nodes, preds)
+    return genome.edit(nodes, preds)
 
 
 def _move_consumers(preds, old, new):
@@ -162,7 +167,7 @@ def _insert(genome, node, inputs):
     nodes[nid] = node
     _move_consumers(preds, inputs[-1], nid)
     preds[nid] = inputs
-    return genome.replace(nodes, preds)
+    return genome.edit(nodes, preds)
 
 
 def _remove(genome, target, restore_to):
@@ -171,7 +176,7 @@ def _remove(genome, target, restore_to):
     del nodes[target]
     del preds[target]
     _move_consumers(preds, target, restore_to)
-    return genome.replace(nodes, preds)
+    return genome.edit(nodes, preds)
 
 
 def _ensure_flat_head(genome):

@@ -386,6 +386,41 @@ def test_resume_refuses_an_invalid_genome_naming_its_individual(tmp_path):
         run(None, resume_from=path)
 
 
+def _set_member(field, value):
+    def edit(doc):
+        doc["population"][0][field] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("value", [None, "0.5", 7.0, -0.25, float("nan"), float("inf"), True])
+def test_checkpoint_refuses_a_fitness_outside_zero_to_one(tmp_path, value):
+    path = _broken_checkpoint(tmp_path, _set_member("fitness", value))
+    with pytest.raises(CheckpointError, match=r"individual \d+: fitness must be a finite number in \[0, 1\]$"):
+        run(None, resume_from=path)
+
+
+@pytest.mark.parametrize("value", ["x", -1, 2.0, False])
+def test_checkpoint_refuses_an_id_that_is_not_a_count(tmp_path, value):
+    path = _broken_checkpoint(tmp_path, _set_member("id", value))
+    with pytest.raises(CheckpointError, match=r"id must be a non-negative integer$"):
+        checkpoint_load(path)
+
+
+@pytest.mark.parametrize("value", [None, "3", -1, 1.5])
+def test_checkpoint_refuses_a_born_generation_that_is_not_a_count(tmp_path, value):
+    path = _broken_checkpoint(tmp_path, _set_member("born_generation", value))
+    with pytest.raises(CheckpointError, match=r"born_generation must be a non-negative integer$"):
+        checkpoint_load(path)
+
+
+@pytest.mark.parametrize("value", ["7", -3, 4.0, True])
+def test_checkpoint_refuses_a_parent_id_that_is_not_null_or_a_count(tmp_path, value):
+    path = _broken_checkpoint(tmp_path, _set_member("parent_id", value))
+    with pytest.raises(CheckpointError, match=r"parent_id must be null or a non-negative integer$"):
+        checkpoint_load(path)
+
+
 def test_resume_equals_straight_run(tmp_path):
     config = surrogate_config(max_generations=12, seed=9)
     straight = tmp_path / "straight"

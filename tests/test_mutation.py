@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import pickle
 from collections import Counter
@@ -6,6 +7,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
+from evoarch import genome as genome_module
 from evoarch import mutation
 from evoarch.genome import (
     CHANNEL_MISMATCH,
@@ -18,6 +20,7 @@ from evoarch.genome import (
     SKIP,
     SPATIAL_MISMATCH,
     Genome,
+    InvalidGenome,
     Node,
     ShapeError,
     _derived,
@@ -605,6 +608,139 @@ def test_params_only_child_of_a_faulty_genome_raises_the_same_shape_error():
         fault = shape_fault(infer_shapes, pickle.loads(pickle.dumps(child)))
         assert fault[:2] == (3, CHANNEL_MISMATCH)
         assert shape_fault(infer_shapes, child) == fault
+
+
+# ------------------------------------------------------------ edit children
+
+def derived_view(genome):
+    """Successors, order, shapes in order (or the ShapeError's node, kind and
+    shapes) and the validate verdict with its message."""
+    try:
+        shapes = list(infer_shapes(genome).items())
+    except ShapeError as err:
+        shapes = err.node_id, err.kind, list(err.shapes.items())
+    try:
+        validate(genome)
+        verdict = None
+    except InvalidGenome as err:
+        verdict = str(err)
+    return dict(successors(genome)), topological_order(genome), shapes, verdict
+
+
+def edit_attempts(seed, parents, monkeypatch):
+    """(validated parent, every edit child one operator and its repair made,
+    in creation order) for every operator on random parents."""
+    made = []
+    child_of = Genome._child
+    monkeypatch.setattr(Genome, "_child", lambda *args: made.append(child_of(*args)) or made[-1])
+    rng = np.random.default_rng(seed)
+    for _ in range(parents):
+        parent = random_genome(rng, steps=int(rng.integers(0, 30)), input_shape=(3, 32, 32))
+        validate(parent)
+        for kind in MUTATION_KINDS:
+            made.clear()
+            child = mutation._OPERATORS[kind](parent, rng)
+            if child is not None:
+                try:
+                    repair(child)
+                except RepairFailure:
+                    pass
+                yield parent, list(made)
+
+
+def test_edit_children_derive_what_a_memo_free_copy_derives(monkeypatch):
+    checked = 0
+    for _, children in edit_attempts(31, 250, monkeypatch):
+        for child in children:
+            assert derived_view(child) == derived_view(pickle.loads(pickle.dumps(child)))
+            checked += 1
+    assert checked > 2500
+
+
+def test_accepted_edit_children_reuse_their_parents_data(monkeypatch):
+    counted = []
+    check_params = genome_module._check_params
+    monkeypatch.setattr(genome_module, "_check_params", lambda i, n: counted.append(n) or check_params(i, n))
+    accepted = 0
+    for parent, children in edit_attempts(32, 40, monkeypatch):
+        child = children[-1]
+        counted.clear()
+        if child == parent or not is_valid(child):
+            continue
+        accepted += 1
+        assert len(counted) == sum(n is not parent.nodes.get(i) for i, n in child.nodes.items())
+        shapes, parent_shapes = infer_shapes(child), infer_shapes(parent)
+        touched = {i for i in child.nodes
+                   if child.nodes[i] is not parent.nodes.get(i) or child.preds[i] != parent.preds.get(i)}
+        changed = {i for i, s in shapes.items() if s != parent_shapes.get(i)}
+        for i in shapes:
+            if i not in touched and changed.isdisjoint(child.preds[i]):
+                assert shapes[i] is parent_shapes[i]
+        assert genomes_referenced(child._memo) == []
+        assert child.replace()._memo == {} and pickle.loads(pickle.dumps(child))._memo == {}
+    assert accepted > 200
+
+
+def genomes_referenced(obj):
+    """Every Genome reachable from obj through containers."""
+    found, seen, stack = [], set(), [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, Genome):
+            found.append(o)
+        elif isinstance(o, (dict, list, tuple, set, frozenset, MappingProxyType)):
+            stack.extend(gc.get_referents(o))
+    return found
+
+
+def tail_parent():
+    """input -> conv -> globalpool -> dropout -> fc -> head, validated."""
+    g = chain([conv_node(8), Node(GLOBALPOOL), dropout_node(), fc_node(50)])
+    validate(g)
+    return g
+
+
+def without(genome, i):
+    return {j: n for j, n in genome.nodes.items() if j != i}, {j: p for j, p in genome.preds.items() if j != i}
+
+
+def _left_naming_a_removed_id(g):
+    return g.edit(*without(g, 2))  # the dropout still reads the removed globalpool
+
+
+def _dropout_fed_by_the_trunk(g):
+    nodes, preds = without(g, 2)
+    return g.edit(nodes, {**preds, 3: (1,)})
+
+
+def _dropout_fed_by_a_retyped_node(g):
+    return g.edit({**g.nodes, 2: maxpool_node()}, g.preds)  # the dropout itself is untouched
+
+
+def _no_path_to_the_head(g):
+    return g.edit(g.nodes, {**g.preds, 5: (3,)})  # the fc loses its consumer
+
+
+def _touched_node_with_bad_params(g):
+    return g.with_params(1, {**g.nodes[1].params, "stride": 3})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_left_naming_a_removed_id, "node 3 references missing predecessor 2"),
+    (_dropout_fed_by_the_trunk, "node 3 (dropout) outside the flat tail"),
+    (_dropout_fed_by_a_retyped_node, "node 3 (dropout) outside the flat tail"),
+    (_no_path_to_the_head, "node 4 has no path to the head"),
+    (_touched_node_with_bad_params, "node 1: conv stride must be one of (1, 2)"),
+], ids=["removed-id", "dropout-in-trunk", "retyped-feeder", "no-path-to-head", "bad-params"])
+def test_edit_children_of_a_validated_parent_fail_as_a_fresh_copy_does(edit, message):
+    child = edit(tail_parent())
+    for g in (child, pickle.loads(pickle.dumps(child))):
+        with pytest.raises(InvalidGenome) as e:
+            validate(g)
+        assert str(e.value) == message
 
 
 def test_mutate_until_valid_closure():

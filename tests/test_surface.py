@@ -4,8 +4,9 @@ it, and every name a module imports is used in that module.
 A name defined in src/evoarch but used only by tests is surface that the
 program does not need; an import nothing uses is a dependency the module
 does not have.  No linter runs on the package, so these checks do.  A
-genome's memo is touched only in genome.py, where the rule for which
-derived data a params-only edit hands on is stated.
+genome's memo, its edit record and the building of a Genome that skips
+`__init__` are touched only in genome.py, where the rule for which derived
+data an edit child takes from its base is stated.
 """
 
 import ast
@@ -69,11 +70,21 @@ def test_every_import_is_used_in_its_module():
     assert unused == []
 
 
-def test_only_genome_py_touches_the_memo():
-    touching = []
+def _modules_naming(names, strings=()):
+    """Modules with a name token in names or a string token in strings."""
+    naming = []
     for path in _modules():
         with tokenize.open(path) as fh:
-            if any(tok.type == tokenize.NAME and tok.string == "_memo"
+            if any(tok.type == tokenize.NAME and tok.string in names
+                   or tok.type == tokenize.STRING and tok.string[1:-1] in strings
                    for tok in tokenize.generate_tokens(fh.readline)):
-                touching.append(path.name)
-    assert touching == ["genome.py"]
+                naming.append(path.name)
+    return naming
+
+
+def test_only_genome_py_touches_the_memo():
+    assert _modules_naming({"_memo"}) == ["genome.py"]
+
+
+def test_only_genome_py_builds_edit_children_or_reads_their_record():
+    assert _modules_naming({"__new__", "_EDIT", "_child"}, {"_edit"}) == ["genome.py"]
