@@ -90,6 +90,11 @@ class EvolutionConfig:
     workers: int = 1
 
     def check(self):
+        window = () if self.saturation_window is None else ("saturation_window",)
+        for name in ("population_size", "k", "distance_threshold", "max_generations", "seed", "num_classes",
+                     "workers", *window):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.population_size < 2:
             raise ConfigError("population size must be at least 2")
         if self.k < 1:
@@ -112,7 +117,7 @@ class EvolutionConfig:
             raise ConfigError("seed must be non-negative")
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
-        if len(self.input_shape) != 3 or not all(isinstance(d, int) and d > 0 for d in self.input_shape):
+        if len(self.input_shape) != 3 or not all(_is_int(d) and d > 0 for d in self.input_shape):
             raise ConfigError(f"input shape must be three positive integers, got {self.input_shape}")
 
 
@@ -361,21 +366,40 @@ def _individual_from_doc(doc):
     return Individual(**{**doc, "genome": genome_from_doc(doc["genome"])})
 
 
+def _is_count(value):
+    return _is_int(value) and value >= 0
+
+
+def _is_fitness(value):  # a finite number in [0, 1]: NaN fails the range test
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0
+
+
 def _individual_fault(ind):
     """Why a checkpointed individual cannot take part in a run, or None."""
-    if not (_is_int(ind.id) and ind.id >= 0):
+    if not _is_count(ind.id):
         return "id must be a non-negative integer"
-    if not (_is_int(ind.born_generation) and ind.born_generation >= 0):
+    if not _is_count(ind.born_generation):
         return "born_generation must be a non-negative integer"
-    if not (ind.parent_id is None or _is_int(ind.parent_id) and ind.parent_id >= 0):
+    if not (ind.parent_id is None or _is_count(ind.parent_id)):
         return "parent_id must be null or a non-negative integer"
-    f = ind.fitness
-    if not (isinstance(f, (int, float)) and not isinstance(f, bool) and 0.0 <= f <= 1.0):
-        return "fitness must be a finite number in [0, 1]"  # NaN fails the range test too
+    if not _is_fitness(ind.fitness):
+        return "fitness must be a finite number in [0, 1]"
     try:
         validate(ind.genome)
     except InvalidGenome as err:
         return str(err)
+    return None
+
+
+def _stats_row_fault(row):
+    """Why a checkpointed stats row cannot be written to stats.csv, or None."""
+    for name in ("best_fitness", "mean_fitness"):
+        if not _is_fitness(row[name]):
+            return f"{name} must be a finite number in [0, 1]"
+    if not _is_count(row["best_params"]):
+        return "best_params must be a non-negative integer"
+    if not (isinstance(row["selected_ids"], list) and all(map(_is_count, row["selected_ids"]))):
+        return "selected_ids must be a list of non-negative integers"
     return None
 
 
@@ -396,9 +420,9 @@ def checkpoint_save(state, path):
 
 def checkpoint_load(path):
     """The RunState a checkpoint file holds; CheckpointError if it cannot be
-    read or resumed from.  Every individual must have a non-negative integer
-    id and born_generation, a null or non-negative integer parent_id, a
-    finite fitness in [0, 1] and a valid genome."""
+    read or resumed from.  The config must pass check(), every individual
+    and every stats row must pass _individual_fault and _stats_row_fault,
+    and the rows must cover generations 0 to next_generation - 1."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -415,18 +439,20 @@ def checkpoint_load(path):
         config.check()
         population = [_individual_from_doc(d) for d in doc["population"]]
         best = _individual_from_doc(doc["best"])
-        for ind in population + [best]:
-            fault = _individual_fault(ind)
+        next_generation, rows = doc["next_generation"], doc["stats"]
+        generations = [row["generation"] for row in rows]
+        if not all(map(_is_int, generations)) or generations != list(range(next_generation)):
+            raise CheckpointError(f"checkpoint {path}: stats must cover generations 0 to {next_generation - 1}")
+        faults = [(f"individual {ind.id!r}", _individual_fault(ind)) for ind in population + [best]]
+        faults += [(f"stats row {row['generation']}", _stats_row_fault(row)) for row in rows]
+        for where, fault in faults:
             if fault is not None:
-                raise CheckpointError(f"checkpoint {path}: individual {ind.id!r}: {fault}")
+                raise CheckpointError(f"checkpoint {path}: {where}: {fault}")
         rng = np.random.default_rng()
         rng.bit_generator.state = doc["rng_state"]
-        stats = [GenerationStats(**{f: row[f] for f in CHECKPOINT_STATS_FIELDS}) for row in doc["stats"]]
+        stats = [GenerationStats(**{f: row[f] for f in CHECKPOINT_STATS_FIELDS}) for row in rows]
         for st in stats:
             st.selected_ids = tuple(st.selected_ids)
-        next_generation = doc["next_generation"]
-        if [st.generation for st in stats] != list(range(next_generation)):
-            raise CheckpointError(f"checkpoint {path}: stats must cover generations 0 to {next_generation - 1}")
         return RunState(config, population, rng, stats, best, next_generation)
     except ConfigError as err:
         raise CheckpointError(f"checkpoint {path}: {err}") from err

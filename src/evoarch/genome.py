@@ -8,21 +8,19 @@ predecessor maps are read-only, so every edit builds a new Genome, and
 derived data (successors, topological order, shapes, parameter layout and
 count, canonical sequence) is computed once per Genome object and kept on it.
 
-Sharing rule: data that reads only ids, kinds and edges is declared with
-`_graph_derived`; everything else, which may read params or shapes, with
-`_derived`.  `Genome.with_params`, the one params-only edit, starts its
-child with the parent's already computed graph-derived entries, read name
-by name.  Every edit child (`Genome.edit` and `with_params`) also holds an
-edit record: its base, the nearest ancestor whose shapes are computed
-(reached through shape-faulty repair intermediates), and the ids touched
-on the way, which include every id whose Node object or predecessor tuple
-differs from the base's and every id the base has and the child lacks.
-`infer_shapes` copies the base's shape of every untouched node whose
-inputs kept their shapes; `validate`, when the base was validated, runs the
-node-local checks on the touched ids alone.  A child drops its record once
-it validates, so a kept genome holds none of its ancestors.  `replace()`,
-pickle and parsed files share nothing and derive everything from scratch.
-Only this module touches a genome's memo.
+Sharing rule: `Genome.edit` alone derives a genome from another and
+decides what the child shares.  Data that reads only ids, kinds and edges
+is declared with `_graph_derived` and lives in the graph memo; the rest,
+with `_derived`.  A child given the parent's own preds map keeps it, and
+shares the parent's graph memo if no touched node changed kind; every
+other child starts that memo empty.  Every edit child also holds an edit
+record: its base, the nearest ancestor whose shapes are computed, and the
+ids touched on the way (every id whose Node object or predecessor tuple
+differs from the base's, and every id the base has and the child lacks),
+from which `infer_shapes` and `validate` redo only what the edits changed.
+A child drops its record once it validates, so a kept genome holds none
+of its ancestors.  The constructor, pickle and parsed files share
+nothing.  Only this module touches a genome's memos.
 """
 
 from __future__ import annotations
@@ -145,14 +143,14 @@ class Genome:
     get max(ids) + 1.
     """
 
-    __slots__ = ("input_shape", "num_classes", "nodes", "preds", "_memo")
+    __slots__ = ("input_shape", "num_classes", "nodes", "preds", "_memo", "_graph_memo")
 
     def __init__(self, input_shape, num_classes, nodes, preds):
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
         self.nodes = MappingProxyType(dict(nodes))
         self.preds = MappingProxyType({i: tuple(sorted(p)) if len(p) > 1 else tuple(p) for i, p in preds.items()})
-        self._memo = {}
+        self._memo, self._graph_memo = {}, {}
 
     def __eq__(self, other):
         if not isinstance(other, Genome):
@@ -168,7 +166,7 @@ class Genome:
         return f"Genome({len(self.nodes)} nodes, in={self.input_shape}, classes={self.num_classes})"
 
     def __reduce__(self):
-        # pickle and copy rebuild from the plain maps and leave the memo behind
+        # pickle and copy rebuild from the plain maps and leave the memos behind
         return Genome, (self.input_shape, self.num_classes, dict(self.nodes), dict(self.preds))
 
     def next_id(self):
@@ -180,53 +178,33 @@ class Genome:
                 return i
         raise InvalidGenome("no head node")
 
-    def replace(self, nodes=None, preds=None):
-        return Genome(
-            self.input_shape,
-            self.num_classes,
-            self.nodes if nodes is None else nodes,
-            self.preds if preds is None else preds,
-        )
-
     def edit(self, nodes, preds):
-        """The edit child of this genome with the given maps.
+        """The child of this genome with the given maps.
 
-        The touched ids are found here: those whose Node object or pred tuple
-        is not this genome's, and those this genome has and the maps lack.
-        Only their pred tuples are sorted; every other one is this genome's
-        own, already normalized.  Maps that disagree on ids get replace().
-        """
+        Only the touched ids' pred tuples are sorted; every other one is
+        this genome's own, already normalized.  The edit record names this
+        genome if its shapes are computed, else this genome's own base, with
+        the touched ids of both edits.  Maps that disagree on ids give a
+        genome that shares nothing."""
         if nodes.keys() != preds.keys():
-            return self.replace(nodes, preds)
+            return Genome(self.input_shape, self.num_classes, nodes, preds)
         # plain dict copies: get() on a read-only view is several times slower
-        old_nodes, old_preds = self.nodes.copy(), self.preds.copy()
-        nodes, preds = dict(nodes), dict(preds)
-        touched = {i for i, n in nodes.items() if n is not old_nodes.get(i) or preds[i] is not old_preds.get(i)}
-        for i in touched:
-            preds[i] = tuple(sorted(preds[i]))
+        old_nodes, nodes = self.nodes.copy(), dict(nodes)
+        if preds is self.preds:  # the same edges: kept, with the graph memo if the kinds are too
+            touched = {i for i, n in nodes.items() if n is not old_nodes.get(i)}
+            same_kinds = all(nodes[i].kind == old_nodes[i].kind for i in touched)
+            graph_memo = self._graph_memo if same_kinds else {}
+        else:
+            old_preds, preds = self.preds.copy(), dict(preds)
+            touched = {i for i, n in nodes.items() if n is not old_nodes.get(i) or preds[i] is not old_preds.get(i)}
+            for i in touched:
+                preds[i] = tuple(sorted(preds[i]))
+            preds, graph_memo = MappingProxyType(preds), {}
         touched.update(old_nodes.keys() - nodes.keys())
-        return self._child(MappingProxyType(nodes), MappingProxyType(preds), touched)
 
-    def with_params(self, i, params):
-        """This genome with node i's params replaced: the same ids, kinds and
-        edges, so the child shares the parent's read-only preds map and
-        starts with its graph-derived data."""
-        nodes = self.nodes.copy()
-        nodes[i] = Node(nodes[i].kind, params)
-        child = self._child(MappingProxyType(nodes), self.preds, {i})
-        # by name from a fixed list: a worker thread may be adding entries to
-        # the parent's memo, which is never iterated; these are never removed
-        memo = self._memo
-        child._memo.update({name: memo[name] for name in _GRAPH_DERIVED if name in memo})
-        return child
-
-    def _child(self, nodes, preds, touched):
-        """A genome over these read-only, normalized maps whose edit record
-        names this genome if its shapes are computed, else this genome's own
-        base, with the touched ids of both edits."""
         child = Genome.__new__(Genome)
         child.input_shape, child.num_classes = self.input_shape, self.num_classes
-        child.nodes, child.preds = nodes, preds
+        child.nodes, child.preds, child._graph_memo = MappingProxyType(nodes), preds, graph_memo
         memo = self._memo
         record = memo.get(_EDIT)
         if "infer_shapes" in memo:
@@ -243,17 +221,18 @@ _EDIT = "_edit"
 _VALID = "_valid"
 
 
-def _derived(fn):
-    """Store fn's first result on the genome and return it on later calls.
+def _derived(fn, graph=False):
+    """Store fn's first result in the genome's memo, or with graph in its
+    graph memo, and return it on later calls.
 
     A raised error is not stored, so a faulty genome raises on every call.
-    Two threads racing on one genome at worst compute the same value twice.
+    Two threads racing on one memo at worst compute the same value twice.
     """
     name = fn.__name__
 
     @functools.wraps(fn)
     def derived(genome):
-        memo = genome._memo
+        memo = genome._graph_memo if graph else genome._memo
         if name not in memo:
             memo[name] = fn(genome)
         return memo[name]
@@ -261,15 +240,10 @@ def _derived(fn):
     return derived
 
 
-# names of the derived data that reads only ids, kinds and edges
-_GRAPH_DERIVED = []
-
-
 def _graph_derived(fn):
-    """_derived for data that reads only ids, kinds and edges, which
-    Genome.with_params hands from parent to child."""
-    _GRAPH_DERIVED.append(fn.__name__)
-    return _derived(fn)
+    """_derived for data that reads only ids, kinds and edges: it lives in
+    the graph memo, which Genome.edit shares with children that keep them."""
+    return _derived(fn, graph=True)
 
 
 @_graph_derived

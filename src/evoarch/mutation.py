@@ -9,13 +9,9 @@ primitives: `_insert` adds a node fed by given inputs and moves every
 consumer of the last input over to it, and `_remove` drops a node and
 hands its consumers back to a given input.  `_insert_on_edge` places a
 node on a single edge instead, for convolutions, the fc before the head
-and repairs.  All three build their child through `Genome.edit`, which
-finds the ids the edit touched, so the child derives its shapes and
-validity from the parent's instead of from scratch (the sharing rule is
-stated in genome.py).  `Genome.with_params` is the fourth edit: it
-replaces one node's params (conv alterations and padding bumps) and keeps
-the graph, so the child also starts with the parent's graph-derived
-data.  The candidate
+and repairs.  These three and `_with_params` (conv alterations and
+padding bumps) build their child through `Genome.edit`, which decides
+what the child shares with the parent (see genome.py).  The candidate
 sites (trunk edges, node ids by kind, ancestors, depths, join pairs) are
 derived data of the parent genome: they are computed once per parent and
 shared, read-only, by every attempt on it.
@@ -137,20 +133,22 @@ def _choose(rng, items):
 # graph edit primitives; each returns an edit child of the genome
 
 
-def _edit_copy(genome):
-    # copy() of a read-only view copies its dict whole; dict(view) goes key by key
-    return genome.nodes.copy(), genome.preds.copy()
-
-
 def _insert_on_edge(genome, src, dst, slot, node):
     """Place node on the (src, dst) edge; slot indexes dst's pred tuple."""
-    nodes, preds = _edit_copy(genome)
+    nodes, preds = genome.nodes.copy(), genome.preds.copy()
     nid = genome.next_id()
     nodes[nid] = node
     preds[nid] = (src,)
     ps = preds[dst]
     preds[dst] = ps[:slot] + (nid,) + ps[slot + 1:]
     return genome.edit(nodes, preds)
+
+
+def _with_params(genome, i, params):
+    """Node i's params replaced: the same ids, kinds and edges."""
+    nodes = genome.nodes.copy()  # copies the dict whole; dict(view) goes key by key
+    nodes[i] = Node(nodes[i].kind, params)
+    return genome.edit(nodes, genome.preds)
 
 
 def _move_consumers(preds, old, new):
@@ -162,7 +160,7 @@ def _move_consumers(preds, old, new):
 
 def _insert(genome, node, inputs):
     """Add node fed by inputs; every former consumer of inputs[-1] moves to it."""
-    nodes, preds = _edit_copy(genome)
+    nodes, preds = genome.nodes.copy(), genome.preds.copy()
     nid = genome.next_id()
     nodes[nid] = node
     _move_consumers(preds, inputs[-1], nid)
@@ -172,7 +170,7 @@ def _insert(genome, node, inputs):
 
 def _remove(genome, target, restore_to):
     """Drop target; its consumers go back to restore_to."""
-    nodes, preds = _edit_copy(genome)
+    nodes, preds = genome.nodes.copy(), genome.preds.copy()
     del nodes[target]
     del preds[target]
     _move_consumers(preds, target, restore_to)
@@ -265,7 +263,7 @@ def _alter_conv(genome, rng, key, menu):
         return None
     params[key] = _choose(rng, options)
     params["pad"] = params["filter"] // 2
-    return genome.with_params(target, params)
+    return _with_params(genome, target, params)
 
 
 @_derived
@@ -371,7 +369,7 @@ def _bump_pad(genome, conv_id, bumps):
     params = dict(genome.nodes[conv_id].params)
     params["pad"] += 1
     bumps[conv_id] = bumps.get(conv_id, 0) + 1
-    return genome.with_params(conv_id, params)
+    return _with_params(genome, conv_id, params)
 
 
 def repair(genome):

@@ -101,12 +101,12 @@ def sample_by_fitness_select(population, rng, k):
     return chosen
 
 
-def clone_refill(selected, population_size, next_id=0, generation=0):
+def clone_refill(selected, population_size, next_id, generation):
     """Clone the k survivors back up to a full population.
 
     Every survivor gets floor(P/k) clones; the remainder goes one apiece
-    to the best-ranked survivors.  Clones carry fresh ids, their parent's
-    id, and the parent's memoized fitness.
+    to the best-ranked survivors.  Clones carry fresh ids from next_id,
+    their parent's id and memoized fitness, and born_generation generation.
     """
     if not selected:
         raise ValueError("cannot refill from an empty selection")

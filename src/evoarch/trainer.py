@@ -48,6 +48,7 @@ from evoarch.genome import (
     MAXPOOL,
     SEED_KINDS,
     SKIP,
+    Genome,
     Node,
     chain_genome,
     conv_node,
@@ -705,7 +706,7 @@ def _join_genome(kind, channels_b, input_shape, num_classes):
     """Two conv branches merged by a skip or concat node."""
     convs = [conv_node(3, 3, 1, 1), conv_node(channels_b, 3, 1, 1)]
     g = chain_genome([*convs, Node(kind), Node(GLOBALPOOL)], input_shape, num_classes)
-    return g.replace(preds={**g.preds, 3: (1, 2)})
+    return Genome(input_shape, num_classes, g.nodes, {**g.preds, 3: (1, 2)})
 
 
 def _single_kind_cases():

@@ -92,6 +92,21 @@ def test_config_rejects_a_degenerate_task(fields):
         EvolutionConfig(**fields).check()
 
 
+NOT_COUNTS = [("population_size", 10.0), ("k", 1.5), ("distance_threshold", 1.0), ("max_generations", 12.5),
+              ("seed", 0.5), ("num_classes", 10.0), ("workers", True), ("saturation_window", 1.5),
+              ("input_shape", [3, True, 32])]
+
+
+@pytest.mark.parametrize("field, value", NOT_COUNTS, ids=[field for field, _ in NOT_COUNTS])
+def test_config_and_checkpoint_refuse_a_count_that_is_not_an_integer(tmp_path, field, value):
+    config_value = tuple(value) if field == "input_shape" else value
+    with pytest.raises(ConfigError, match="integer"):
+        EvolutionConfig(**{field: config_value}).check()
+    path = _broken_checkpoint(tmp_path, _set_config(**{field: value}))
+    with pytest.raises(CheckpointError, match="integer"):
+        checkpoint_load(path)
+
+
 def test_config_defaults_valid():
     EvolutionConfig().check()
 
@@ -358,6 +373,13 @@ def _set_config(**fields):
     return lambda doc: {**doc, "config": {**doc["config"], **fields}}
 
 
+def _set_last_stats_row(field, value):
+    def edit(doc):
+        doc["stats"][-1][field] = value
+        return doc
+    return edit
+
+
 def _feed_the_global_pool_twice(doc):
     # the first genome's node 1 is its global pool, already fed by one conv
     doc["population"][0]["genome"]["edges"].append([6, 1])
@@ -369,10 +391,10 @@ def _feed_the_global_pool_twice(doc):
                                   lambda doc: {**doc, "stats": doc["stats"][1:]},
                                   _set_config(strategy="nope"), _set_config(k=0),
                                   _set_config(num_classes=1), _set_config(input_shape=[3, 0, 0]),
-                                  _feed_the_global_pool_twice],
+                                  _feed_the_global_pool_twice, _set_last_stats_row("generation", 5.0)],
                          ids=["missing-key", "genome-without-nodes", "top-level-list", "missing-best", "version-1",
                               "version-2", "stats-gap", "unknown-strategy", "k-zero", "one-class",
-                              "empty-input", "invalid-genome"])
+                              "empty-input", "invalid-genome", "float-generation"])
 def test_checkpoint_malformed_raises_checkpoint_error(tmp_path, edit):
     path = _broken_checkpoint(tmp_path, edit)
     with pytest.raises(CheckpointError) as e:
@@ -419,6 +441,37 @@ def test_checkpoint_refuses_a_parent_id_that_is_not_null_or_a_count(tmp_path, va
     path = _broken_checkpoint(tmp_path, _set_member("parent_id", value))
     with pytest.raises(CheckpointError, match=r"parent_id must be null or a non-negative integer$"):
         checkpoint_load(path)
+
+
+def _resume_from_a_stats_row_with(tmp_path, field, value):
+    path = _broken_checkpoint(tmp_path, _set_last_stats_row(field, value))
+    with pytest.raises(CheckpointError) as e:
+        run(None, out_dir=str(tmp_path / "resumed"), resume_from=path)
+    return str(e.value)
+
+
+@pytest.mark.parametrize("value", [None, "x", 7.0, -0.5, float("nan"), True])
+def test_checkpoint_refuses_a_stats_best_fitness_outside_zero_to_one(tmp_path, value):
+    message = _resume_from_a_stats_row_with(tmp_path, "best_fitness", value)
+    assert message.endswith("stats row 5: best_fitness must be a finite number in [0, 1]")
+
+
+@pytest.mark.parametrize("value", [None, "x", 7.0, float("nan"), float("inf")])
+def test_checkpoint_refuses_a_stats_mean_fitness_outside_zero_to_one(tmp_path, value):
+    message = _resume_from_a_stats_row_with(tmp_path, "mean_fitness", value)
+    assert message.endswith("stats row 5: mean_fitness must be a finite number in [0, 1]")
+
+
+@pytest.mark.parametrize("value", ["x", -1, 12.0, None, True])
+def test_checkpoint_refuses_a_stats_best_params_that_is_not_a_count(tmp_path, value):
+    message = _resume_from_a_stats_row_with(tmp_path, "best_params", value)
+    assert message.endswith("stats row 5: best_params must be a non-negative integer")
+
+
+@pytest.mark.parametrize("value", ["x", 3, [1, -2], [1.0], [False], None])
+def test_checkpoint_refuses_stats_selected_ids_that_are_not_counts(tmp_path, value):
+    message = _resume_from_a_stats_row_with(tmp_path, "selected_ids", value)
+    assert message.endswith("stats row 5: selected_ids must be a list of non-negative integers")
 
 
 def test_resume_equals_straight_run(tmp_path):

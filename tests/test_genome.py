@@ -558,17 +558,18 @@ def test_derived_data_computed_once_per_genome():
     assert infer_shapes(g) is infer_shapes(g)
     assert canonical_node_sequence(g) is canonical_node_sequence(g)
     # an equal but distinct genome derives its own, equal data
-    twin = g.replace()
+    twin = Genome(g.input_shape, g.num_classes, g.nodes, g.preds)
     assert twin == g and topological_order(twin) is not topological_order(g)
     assert topological_order(twin) == topological_order(g)
     assert parameter_count(twin) == parameter_count(g)
 
 
-def test_with_params_replaces_one_nodes_params_and_keeps_the_graph():
+def test_params_only_edit_keeps_the_graph():
     g = skip_genome()
     order, sequence, shapes = topological_order(g), canonical_node_sequence(g), infer_shapes(g)
-    child = g.with_params(2, {**g.nodes[2].params, "channels": 48})
-    assert child == g.replace({**g.nodes, 2: conv_node(48)})
+    child = g.edit({**g.nodes, 2: conv_node(48)}, g.preds)
+    assert child == Genome(g.input_shape, g.num_classes, {**g.nodes, 2: conv_node(48)}, g.preds)
+    assert child.preds is g.preds
     assert g.nodes[2] == conv_node(32) and infer_shapes(g) is shapes
     assert topological_order(child) is order and canonical_node_sequence(child) is sequence
     with pytest.raises(ShapeError) as e:  # the skip's inputs now disagree on channels

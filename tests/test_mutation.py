@@ -603,7 +603,7 @@ def test_params_only_child_of_a_faulty_genome_raises_the_same_shape_error():
     parent = join_mismatch(32, 48)
     topological_order(parent)
     for params in (parent.nodes[1].params, {**parent.nodes[1].params, "pad": 2}):
-        child = parent.with_params(1, dict(params))
+        child = mutation._with_params(parent, 1, dict(params))
         assert topological_order(child) is topological_order(parent)
         fault = shape_fault(infer_shapes, pickle.loads(pickle.dumps(child)))
         assert fault[:2] == (3, CHANNEL_MISMATCH)
@@ -613,8 +613,8 @@ def test_params_only_child_of_a_faulty_genome_raises_the_same_shape_error():
 # ------------------------------------------------------------ edit children
 
 def derived_view(genome):
-    """Successors, order, shapes in order (or the ShapeError's node, kind and
-    shapes) and the validate verdict with its message."""
+    """Every GRAPH_DERIVED datum, shapes in order (or the ShapeError's node,
+    kind and shapes) and the validate verdict with its message."""
     try:
         shapes = list(infer_shapes(genome).items())
     except ShapeError as err:
@@ -624,15 +624,15 @@ def derived_view(genome):
         verdict = None
     except InvalidGenome as err:
         verdict = str(err)
-    return dict(successors(genome)), topological_order(genome), shapes, verdict
+    return tuple(fn(genome) for fn in GRAPH_DERIVED), shapes, verdict
 
 
 def edit_attempts(seed, parents, monkeypatch):
     """(validated parent, every edit child one operator and its repair made,
     in creation order) for every operator on random parents."""
     made = []
-    child_of = Genome._child
-    monkeypatch.setattr(Genome, "_child", lambda *args: made.append(child_of(*args)) or made[-1])
+    edit = Genome.edit
+    monkeypatch.setattr(Genome, "edit", lambda *args: made.append(edit(*args)) or made[-1])
     rng = np.random.default_rng(seed)
     for _ in range(parents):
         parent = random_genome(rng, steps=int(rng.integers(0, 30)), input_shape=(3, 32, 32))
@@ -677,7 +677,8 @@ def test_accepted_edit_children_reuse_their_parents_data(monkeypatch):
             if i not in touched and changed.isdisjoint(child.preds[i]):
                 assert shapes[i] is parent_shapes[i]
         assert genomes_referenced(child._memo) == []
-        assert child.replace()._memo == {} and pickle.loads(pickle.dumps(child))._memo == {}
+        fresh = Genome(child.input_shape, child.num_classes, child.nodes, child.preds)
+        assert fresh._memo == {} and pickle.loads(pickle.dumps(child))._memo == {}
     assert accepted > 200
 
 
@@ -725,7 +726,7 @@ def _no_path_to_the_head(g):
 
 
 def _touched_node_with_bad_params(g):
-    return g.with_params(1, {**g.nodes[1].params, "stride": 3})
+    return mutation._with_params(g, 1, {**g.nodes[1].params, "stride": 3})
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -741,6 +742,18 @@ def test_edit_children_of_a_validated_parent_fail_as_a_fresh_copy_does(edit, mes
         with pytest.raises(InvalidGenome) as e:
             validate(g)
         assert str(e.value) == message
+
+
+def test_a_retyped_child_keeps_the_preds_map_but_not_the_graph_memo():
+    g = tail_parent()
+    for fn in GRAPH_DERIVED:
+        fn(g)
+    child = _dropout_fed_by_a_retyped_node(g)
+    fresh = pickle.loads(pickle.dumps(child))
+    assert child.preds is g.preds and child._graph_memo is not g._graph_memo
+    assert canonical_node_sequence(child) == canonical_node_sequence(fresh) == "ICPDFH"
+    assert mutation._ids_by_kind(child) == mutation._ids_by_kind(fresh)
+    assert derived_view(child) == derived_view(fresh)
 
 
 def test_mutate_until_valid_closure():

@@ -219,21 +219,21 @@ def test_sampling_overdraw_rejected():
 
 def test_clone_counts_even_split():
     pop = random_population(np.random.default_rng(9), 2)
-    clones = clone_refill(pop, 10, next_id=100)
+    clones = clone_refill(pop, 10, next_id=100, generation=0)
     counts = Counter(c.parent_id for c in clones)
     assert counts == {pop[0].id: 5, pop[1].id: 5}
 
 
 def test_clone_counts_remainder_to_best_ranked():
     pop = random_population(np.random.default_rng(10), 3)
-    clones = clone_refill(pop, 10, next_id=100)
+    clones = clone_refill(pop, 10, next_id=100, generation=0)
     counts = [sum(c.parent_id == p.id for c in clones) for p in pop]
     assert counts == [4, 3, 3]
 
 
 def test_clone_counts_all_one():
     pop = random_population(np.random.default_rng(11), 10)
-    clones = clone_refill(pop, 10, next_id=100)
+    clones = clone_refill(pop, 10, next_id=100, generation=0)
     assert [c.parent_id for c in clones] == [p.id for p in pop]
 
 
@@ -253,7 +253,7 @@ def test_clone_counts_non_increasing():
     for _ in range(30):
         n = int(rng.integers(1, 11))
         pop = random_population(rng, n)
-        clones = clone_refill(pop, 10, next_id=0)
+        clones = clone_refill(pop, 10, next_id=0, generation=0)
         assert len(clones) == 10
         counts = [sum(c.parent_id == p.id for c in clones) for p in pop]
         assert counts == sorted(counts, reverse=True)
@@ -262,10 +262,10 @@ def test_clone_counts_non_increasing():
 
 def test_clone_refill_empty_rejected():
     with pytest.raises(ValueError):
-        clone_refill([], 10)
+        clone_refill([], 10, next_id=0, generation=0)
 
 
 def test_clone_refill_into_a_smaller_population_rejected():
     pop = random_population(np.random.default_rng(13), 3)
     with pytest.raises(ValueError, match="population size smaller than the selection"):
-        clone_refill(pop, 2)
+        clone_refill(pop, 2, next_id=0, generation=0)
