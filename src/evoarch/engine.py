@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -61,10 +61,6 @@ SATURATION_EPS = 1e-3
 
 CHECKPOINT_VERSION = 3
 CHECKPOINT_EVERY = 5  # a run with an out_dir writes checkpoint_gen{5,10,...}.json
-
-# the GenerationStats fields a checkpoint keeps; wall_seconds stays out so
-# checkpoint bytes depend on the seed alone
-CHECKPOINT_STATS_FIELDS = ("generation", "best_fitness", "mean_fitness", "best_params", "selected_ids")
 
 
 class ConfigError(Exception):
@@ -127,17 +123,22 @@ class GenerationStats:
     best_fitness: float
     mean_fitness: float
     best_params: int
+    selected_ids: list
     wall_seconds: float = 0.0
-    selected_ids: tuple = ()
+
+
+# a checkpoint row keeps every GenerationStats field but wall_seconds, so
+# checkpoint bytes depend on the seed alone
+_CHECKPOINT_ROW_FIELDS = tuple(f.name for f in fields(GenerationStats) if f.name != "wall_seconds")
 
 
 @dataclass
 class RunState:
     """The live state of a run, and all that a checkpoint holds.
 
-    stats holds one row per generation from 0 to next_generation - 1;
-    best is the best-so-far individual, replaced only on a strict
-    fitness improvement.
+    stats holds one row per generation from 0 on; best is the
+    best-so-far individual, replaced only on a strict fitness
+    improvement.
     """
 
     config: EvolutionConfig
@@ -145,7 +146,10 @@ class RunState:
     rng: np.random.Generator
     stats: list
     best: Individual
-    next_generation: int
+
+    @property
+    def next_generation(self):
+        return len(self.stats)
 
 
 def make_evaluator(config, split=None, plan=None):
@@ -157,18 +161,19 @@ def make_evaluator(config, split=None, plan=None):
     return TrainedEvaluator(split, plan)
 
 
-def initial_state(config, evaluator, fitness_log=None):
+def initial_state(config, evaluator, logs=None):
     """Generation 0: seed individuals alternating the two minimal genome
-    forms, evaluated, with the rng seeded from config.seed."""
+    forms, evaluated, with the rng seeded from config.seed.  logs is as
+    for step_generation."""
     start = time.perf_counter()
     population = []
     for i in range(config.population_size):
         genome = new_seed_genome(SEED_KINDS[i % 2], config.input_shape, config.num_classes)
         population.append(Individual(id=i, genome=genome, born_generation=0))
-    population = evaluate_batch(population, evaluator, config.seed, config.workers, fitness_log)
+    population = evaluate_batch(population, evaluator, config.seed, config.workers, (logs or {}).get("fitness"))
     best = rank(population)[0]
     stats = [_generation_stats(0, best, population, wall_seconds=time.perf_counter() - start)]
-    return RunState(config, population, np.random.default_rng(config.seed), stats, best, 1)
+    return RunState(config, population, np.random.default_rng(config.seed), stats, best)
 
 
 def _select(ranked, union, config, rng):
@@ -185,7 +190,7 @@ def step_generation(state, evaluator, logs=None):
     """Advance state by one mutate/evaluate/select/refill generation, in place.
 
     Replaces the population, replaces best on a strict fitness
-    improvement, appends one stats row and increments next_generation.
+    improvement and appends one stats row.
     logs, when given, maps each of LOG_NAMES to a list that receives
     this generation's rows.
     """
@@ -241,7 +246,6 @@ def step_generation(state, evaluator, logs=None):
 
     wall = time.perf_counter() - start
     state.stats.append(_generation_stats(generation, state.best, union, selected, wall))
-    state.next_generation = generation + 1
 
 
 def _generation_stats(generation, best, scored, selected=(), wall_seconds=0.0):
@@ -252,7 +256,7 @@ def _generation_stats(generation, best, scored, selected=(), wall_seconds=0.0):
         mean_fitness=float(np.mean([ind.fitness for ind in scored])),
         best_params=parameter_count(best.genome),
         wall_seconds=wall_seconds,
-        selected_ids=tuple(ind.id for ind in selected),
+        selected_ids=[ind.id for ind in selected],
     )
 
 
@@ -290,21 +294,37 @@ def run(config, out_dir=None, evaluator=None, resume_from=None):
     else:
         config.check()
     logs = {name: [] for name in LOG_NAMES} if out_dir else None
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     if evaluator is None:
         evaluator = make_evaluator(config)
     wall_start = time.perf_counter()
     if state is None:
-        state = initial_state(config, evaluator, logs["fitness"] if logs else None)
+        state = initial_state(config, evaluator, logs)
     for generation in range(state.next_generation, config.max_generations + 1):
         step_generation(state, evaluator, logs)
         if out_dir and generation % CHECKPOINT_EVERY == 0:
-            os.makedirs(out_dir, exist_ok=True)
             checkpoint_save(state, os.path.join(out_dir, f"checkpoint_gen{generation}.json"))
         if _saturated(state.stats, config.saturation_window):
             break
 
     if out_dir:
-        _write_run_outputs(state, out_dir, logs, time.perf_counter() - wall_start)
+        meta = {
+            "finished_unix": time.time(),
+            "wall_seconds_total": time.perf_counter() - wall_start,
+            "per_generation_wall": [round(s.wall_seconds, 6) for s in state.stats],
+            "generations": state.stats[-1].generation,
+            "best_fitness": state.best.fitness,
+            "best_individual_id": state.best.id,
+        }
+        _write_texts(out_dir, {
+            "config.json": _json_text(_config_doc(config)),
+            "stats.csv": stats_csv_text(state.stats),
+            "best_genome.json": serialize(state.best.genome),
+            "run_meta.json": _json_text(meta),
+            **{f"{name}.jsonl": (json.dumps(row, sort_keys=True) + "\n" for row in logs[name])
+               for name in LOG_NAMES},
+        })
     return state
 
 
@@ -330,28 +350,12 @@ def stats_csv_text(stats):
     return "\n".join(lines) + "\n"
 
 
-def _write_run_outputs(state, out_dir, logs, wall_total):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        fh.write(_json_text(_config_doc(state.config)))
-    with open(os.path.join(out_dir, "stats.csv"), "w") as fh:
-        fh.write(stats_csv_text(state.stats))
-    with open(os.path.join(out_dir, "best_genome.json"), "w") as fh:
-        fh.write(serialize(state.best.genome))
-    meta = {
-        "finished_unix": time.time(),
-        "wall_seconds_total": wall_total,
-        "per_generation_wall": [round(s.wall_seconds, 6) for s in state.stats],
-        "generations": state.stats[-1].generation,
-        "best_fitness": state.best.fitness,
-        "best_individual_id": state.best.id,
-    }
-    with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
-        fh.write(_json_text(meta))
-    for name in LOG_NAMES:
-        with open(os.path.join(out_dir, f"{name}.jsonl"), "w") as fh:
-            for row in logs[name]:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+def _write_texts(out_dir, texts):
+    """Write each named file in out_dir from its text, or line by line from
+    an iterable of lines."""
+    for name, text in texts.items():
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +397,8 @@ def _individual_fault(ind):
 
 def _stats_row_fault(row):
     """Why a checkpointed stats row cannot be written to stats.csv, or None."""
+    if row.keys() != set(_CHECKPOINT_ROW_FIELDS):
+        return f"keys must be {', '.join(_CHECKPOINT_ROW_FIELDS)}"
     for name in ("best_fitness", "mean_fitness"):
         if not _is_fitness(row[name]):
             return f"{name} must be a finite number in [0, 1]"
@@ -411,7 +417,7 @@ def checkpoint_save(state, path):
         "rng_state": state.rng.bit_generator.state,
         "population": [_individual_doc(ind) for ind in state.population],
         "best": _individual_doc(state.best),
-        "stats": [{f: getattr(st, f) for f in CHECKPOINT_STATS_FIELDS} for st in state.stats],
+        "stats": [{f: getattr(st, f) for f in _CHECKPOINT_ROW_FIELDS} for st in state.stats],
     }
     # json.dump streams through the pure-Python encoder; dumps takes the C one
     with open(path, "w") as fh:
@@ -421,8 +427,11 @@ def checkpoint_save(state, path):
 def checkpoint_load(path):
     """The RunState a checkpoint file holds; CheckpointError if it cannot be
     read or resumed from.  The config must pass check(), every individual
-    and every stats row must pass _individual_fault and _stats_row_fault,
-    and the rows must cover generations 0 to next_generation - 1."""
+    and every stats row must pass _individual_fault and _stats_row_fault.
+    As in every state a run reaches, next_generation is the row count, at
+    least 1, the rows cover generations 0 to next_generation - 1, the
+    population holds population_size distinct ids, and the best individual
+    has the last row's best fitness and parameter count."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -440,6 +449,9 @@ def checkpoint_load(path):
         population = [_individual_from_doc(d) for d in doc["population"]]
         best = _individual_from_doc(doc["best"])
         next_generation, rows = doc["next_generation"], doc["stats"]
+        if not (_is_int(next_generation) and next_generation == len(rows) >= 1):
+            raise CheckpointError(f"checkpoint {path}: next_generation must be a positive integer equal to the "
+                                  f"stats row count, got {next_generation!r} with {len(rows)} rows")
         generations = [row["generation"] for row in rows]
         if not all(map(_is_int, generations)) or generations != list(range(next_generation)):
             raise CheckpointError(f"checkpoint {path}: stats must cover generations 0 to {next_generation - 1}")
@@ -448,12 +460,16 @@ def checkpoint_load(path):
         for where, fault in faults:
             if fault is not None:
                 raise CheckpointError(f"checkpoint {path}: {where}: {fault}")
+        if not len({ind.id for ind in population}) == len(population) == config.population_size:
+            raise CheckpointError(f"checkpoint {path}: population must hold {config.population_size} individuals "
+                                  f"with distinct ids, got ids {[ind.id for ind in population]}")
+        last = rows[-1]
+        if (best.fitness, parameter_count(best.genome)) != (last["best_fitness"], last["best_params"]):
+            raise CheckpointError(f"checkpoint {path}: best individual {best.id} does not match the last stats "
+                                  "row's best_fitness and best_params")
         rng = np.random.default_rng()
         rng.bit_generator.state = doc["rng_state"]
-        stats = [GenerationStats(**{f: row[f] for f in CHECKPOINT_STATS_FIELDS}) for row in rows]
-        for st in stats:
-            st.selected_ids = tuple(st.selected_ids)
-        return RunState(config, population, rng, stats, best, next_generation)
+        return RunState(config, population, rng, [GenerationStats(**row) for row in rows], best)
     except ConfigError as err:
         raise CheckpointError(f"checkpoint {path}: {err}") from err
     except (KeyError, TypeError, ValueError, ParseError) as err:
@@ -562,14 +578,11 @@ def write_comparison(result, out_dir):
     """Write comparison.csv, curves.csv and a config.json that holds the seed count
     and each label's first run config (its other runs differ in seed alone)."""
     configs = {label: _config_doc(cfg) for label, cfg in result.configs.items()}
-    texts = {
+    _write_texts(out_dir, {
         "comparison.csv": comparison_csv_text(result),
         "curves.csv": curves_csv_text(result),
         "config.json": _json_text({"seeds": result.rows[0]["seeds"], "configs": configs}),
-    }
-    for name, text in texts.items():
-        with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write(text)
+    })
 
 
 def comparison_csv_text(result):

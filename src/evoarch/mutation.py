@@ -258,10 +258,7 @@ def _alter_conv(genome, rng, key, menu):
         return None
     target = _choose(rng, convs)
     params = dict(genome.nodes[target].params)
-    options = [v for v in menu if v != params[key]]
-    if not options:
-        return None
-    params[key] = _choose(rng, options)
+    params[key] = _choose(rng, [v for v in menu if v != params[key]])
     params["pad"] = params["filter"] // 2
     return _with_params(genome, target, params)
 

@@ -2,7 +2,7 @@ import hashlib
 import json
 import os
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -12,6 +12,7 @@ from evoarch.engine import (
     CheckpointError,
     ConfigError,
     EvolutionConfig,
+    GenerationStats,
     checkpoint_load,
     checkpoint_save,
     compare_strategies,
@@ -267,6 +268,7 @@ def test_fitness_log_differs_only_in_wall_seconds(tmp_path):
 # sha256 of the default seed-0 surrogate run's outputs: a change that only
 # makes the search faster must leave every one of these bytes alone
 SEED0_DIGESTS = {
+    "config.json": "29545b9cb66c6ffea2d93c0f36f8f4930b899a1c649fc9fd32f9c7c9eba264db",
     "stats.csv": "2c02c68bb3c134642094f9138c39eb5e8986c8262738316a062186dd430c4d9c",
     "best_genome.json": "b6334d6f03c9de97bb572c47290df463d567758a73aa7a7e6a3db2de76d62213",
     "selection.jsonl": "66db1edeab5ff01a7ce2946cdfb2e656edd7c1fcb4705a1233283fc71375884a",
@@ -472,6 +474,61 @@ def test_checkpoint_refuses_a_stats_best_params_that_is_not_a_count(tmp_path, va
 def test_checkpoint_refuses_stats_selected_ids_that_are_not_counts(tmp_path, value):
     message = _resume_from_a_stats_row_with(tmp_path, "selected_ids", value)
     assert message.endswith("stats row 5: selected_ids must be a list of non-negative integers")
+
+
+def _set_ids(doc):
+    for member in doc["population"]:
+        member["id"] = 7
+
+
+def _add_a_param(doc):
+    doc["stats"][-1]["best_params"] += 1
+
+
+# edits of the seed-0 checkpoint_gen5.json that no run reaches, with the refusal each gets
+UNREACHABLE = {
+    "next-generation-0": (lambda doc: doc.update(next_generation=0, stats=[]),
+                          "next_generation must be a positive integer equal to the stats row count, got 0 with 0"),
+    "next-generation-minus-1": (lambda doc: doc.update(next_generation=-1, stats=[]), "got -1 with 0 rows"),
+    "next-generation-true": (lambda doc: doc.update(next_generation=True, stats=doc["stats"][:1]),
+                             "got True with 1 rows"),
+    "next-generation-below-rows": (lambda doc: doc.update(next_generation=3), "got 3 with 6 rows"),
+    "empty-population": (lambda doc: doc.update(population=[]),
+                         r"population must hold 10 individuals with distinct ids, got ids \[\]$"),
+    "three-individuals": (lambda doc: doc.update(population=doc["population"][:3]), r"got ids \[100, 101, 102\]$"),
+    "repeated-ids": (_set_ids, r"distinct ids, got ids \[7, 7, 7, 7, 7, 7, 7, 7, 7, 7\]$"),
+    "best-fitness": (lambda doc: doc["best"].update(fitness=0.99),
+                     r"best individual \d+ does not match the last stats row's best_fitness and best_params$"),
+    "best-params": (_add_a_param, "does not match the last stats row's best_fitness and best_params$"),
+}
+
+
+@pytest.mark.parametrize("edit, message", UNREACHABLE.values(), ids=UNREACHABLE)
+def test_resume_refuses_a_state_no_run_reaches(tmp_path, edit, message):
+    def resumable(doc):  # a run that could still go on to generation 12
+        doc["config"]["max_generations"] = 12
+        edit(doc)
+        return doc
+    path = _broken_checkpoint(tmp_path, resumable)
+    out = tmp_path / "resumed"
+    with pytest.raises(CheckpointError, match=message):
+        run(None, out_dir=str(out), resume_from=path)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [lambda row: row.pop("mean_fitness"), lambda row: row.pop("selected_ids"),
+                                  lambda row: row.update(wall_seconds=0.25)],
+                         ids=["missing-mean-fitness", "missing-selected-ids", "extra-wall-seconds"])
+def test_checkpoint_rows_are_the_generation_stats_fields_but_wall_seconds(tmp_path, edit):
+    names = [f.name for f in fields(GenerationStats) if f.name != "wall_seconds"]
+
+    def edit_last_row(doc):
+        assert [sorted(row) for row in doc["stats"]] == [sorted(names)] * 6
+        edit(doc["stats"][-1])
+        return doc
+    path = _broken_checkpoint(tmp_path, edit_last_row)
+    with pytest.raises(CheckpointError, match=rf"stats row 5: keys must be {', '.join(names)}$"):
+        checkpoint_load(path)
 
 
 def test_resume_equals_straight_run(tmp_path):

@@ -577,6 +577,26 @@ def test_params_only_edit_keeps_the_graph():
     assert (e.value.node_id, e.value.kind) == (3, CHANNEL_MISMATCH)
 
 
+def test_an_edit_whose_maps_disagree_on_ids_shares_nothing():
+    g = skip_genome()
+    topological_order(g), infer_shapes(g)  # fill both of the parent's memos
+    nodes = {**g.nodes, 6: conv_node(8)}
+    child = g.edit(nodes, g.preds)
+    assert child == Genome(g.input_shape, g.num_classes, nodes, g.preds)
+    assert child._memo == {} and child._graph_memo == {}
+    with pytest.raises(InvalidGenome, match="nodes and preds disagree on ids"):
+        validate(child)
+
+
+def test_head_id_names_the_head_or_refuses_a_headless_genome():
+    g = skip_genome()
+    assert g.head_id() == 5
+    headless = Genome(g.input_shape, g.num_classes, {i: n for i, n in g.nodes.items() if i != 5},
+                      {i: p for i, p in g.preds.items() if i != 5})
+    with pytest.raises(InvalidGenome, match="no head node"):
+        headless.head_id()
+
+
 def test_pickle_round_trip_leaves_memo_behind():
     g = skip_genome()
     order = topological_order(g)

@@ -1,15 +1,18 @@
 """Every public function, class and method of the package has a caller in
-it, and every name a module imports is used in that module.
+it, every module-level constant is read in it, and every name a module
+imports is used in that module.
 
 A name defined in src/evoarch but used only by tests is surface that the
-program does not need; an import nothing uses is a dependency the module
-does not have.  No linter runs on the package, so these checks do.  A
+program does not need; a constant nothing reads is a hand-written list
+left behind by its users; an import nothing uses is a dependency the
+module does not have.  No linter runs on the package, so these checks do.  A
 genome's two memos, its edit record and the building of a Genome that
 skips `__init__` are touched only in genome.py, where `Genome.edit` states
 the rule for which derived data an edit child shares with its parent.
 """
 
 import ast
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -44,6 +47,30 @@ def test_every_public_name_has_a_caller_in_the_package():
     defined = Counter(name for _, _, name in definitions)
     unused = [f"{module}: {qualified}" for module, qualified, name in definitions if uses[name] <= defined[name]]
     assert unused == []
+
+
+def _constants(tree):
+    """Each UPPER_CASE name a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target)
+                            if isinstance(n, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n.id))
+
+
+def test_every_module_level_constant_is_read_in_the_package():
+    # an AST walk, not tokens: under Python 3.11 an f-string is one string token
+    reads, constants = set(), []
+    for path in _modules():
+        tree = ast.parse(path.read_text())
+        constants += [(path.name, name) for name in _constants(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    assert len(constants) > 50
+    assert [f"{module}: {name}" for module, name in constants if name not in reads] == []
 
 
 def _imports(tree):
