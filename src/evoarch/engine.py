@@ -378,8 +378,8 @@ def _is_fitness(value):  # a finite number in [0, 1]: NaN fails the range test
     return isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0
 
 
-def _individual_fault(ind):
-    """Why a checkpointed individual cannot take part in a run, or None."""
+def _individual_fault(ind, config):
+    """Why a checkpointed individual cannot take part in a run of config, or None."""
     if not _is_count(ind.id):
         return "id must be a non-negative integer"
     if not _is_count(ind.born_generation):
@@ -388,6 +388,8 @@ def _individual_fault(ind):
         return "parent_id must be null or a non-negative integer"
     if not _is_fitness(ind.fitness):
         return "fitness must be a finite number in [0, 1]"
+    if (ind.genome.input_shape, ind.genome.num_classes) != (config.input_shape, config.num_classes):
+        return f"genome must take the config's input_shape {config.input_shape} and num_classes {config.num_classes}"
     try:
         validate(ind.genome)
     except InvalidGenome as err:
@@ -429,9 +431,10 @@ def checkpoint_load(path):
     read or resumed from.  The config must pass check(), every individual
     and every stats row must pass _individual_fault and _stats_row_fault.
     As in every state a run reaches, next_generation is the row count, at
-    least 1, the rows cover generations 0 to next_generation - 1, the
-    population holds population_size distinct ids, and the best individual
-    has the last row's best fitness and parameter count."""
+    least 1, the rows cover generations 0 to next_generation - 1, no row's
+    best_fitness falls below the previous row's, the population holds
+    population_size distinct ids, and the best individual has the last
+    row's best fitness and parameter count."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -455,11 +458,15 @@ def checkpoint_load(path):
         generations = [row["generation"] for row in rows]
         if not all(map(_is_int, generations)) or generations != list(range(next_generation)):
             raise CheckpointError(f"checkpoint {path}: stats must cover generations 0 to {next_generation - 1}")
-        faults = [(f"individual {ind.id!r}", _individual_fault(ind)) for ind in population + [best]]
+        faults = [(f"individual {ind.id!r}", _individual_fault(ind, config)) for ind in population + [best]]
         faults += [(f"stats row {row['generation']}", _stats_row_fault(row)) for row in rows]
         for where, fault in faults:
             if fault is not None:
                 raise CheckpointError(f"checkpoint {path}: {where}: {fault}")
+        for prev, row in zip(rows, rows[1:]):  # rows copy the best-so-far, which only rises
+            if row["best_fitness"] < prev["best_fitness"]:
+                raise CheckpointError(f"checkpoint {path}: stats row {row['generation']}: best_fitness must not "
+                                      "fall below the previous row's")
         if not len({ind.id for ind in population}) == len(population) == config.population_size:
             raise CheckpointError(f"checkpoint {path}: population must hold {config.population_size} individuals "
                                   f"with distinct ids, got ids {[ind.id for ind in population]}")

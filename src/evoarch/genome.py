@@ -9,15 +9,16 @@ derived data (successors, topological order, shapes, parameter layout and
 count, canonical sequence) is computed once per Genome object and kept on it.
 
 Sharing rule: `Genome.edit` alone derives a genome from another and
-decides what the child shares.  Data that reads only ids, kinds and edges
-is declared with `_graph_derived` and lives in the graph memo; the rest,
-with `_derived`.  A child given the parent's own preds map keeps it, and
-shares the parent's graph memo if no touched node changed kind; every
-other child starts that memo empty.  Every edit child also holds an edit
-record: its base, the nearest ancestor whose shapes are computed, and the
-ids touched on the way (every id whose Node object or predecessor tuple
-differs from the base's, and every id the base has and the child lacks),
-from which `infer_shapes` and `validate` redo only what the edits changed.
+decides what the child shares.  An edit states the node and predecessor
+entries it sets and the ids it removes; those ids are the ones it touches.
+Data that reads only ids, kinds and edges is declared with `_graph_derived`
+and lives in the graph memo; the rest, with `_derived`.  A child that sets
+no predecessor entry and removes no id keeps the parent's preds map, and
+shares the parent's graph memo if every node it sets is an existing id of
+the same kind; every other child starts that memo empty.  Every edit child
+also holds an edit record: its base, the nearest ancestor whose shapes are
+computed, and the ids the edits on the way set or removed, from which
+`infer_shapes` and `validate` redo only what the edits changed.
 A child drops its record once it validates, so a kept genome holds none
 of its ancestors.  The constructor, pickle and parsed files share
 nothing.  Only this module touches a genome's memos.
@@ -133,6 +134,10 @@ def dropout_node(ratio=0.5):
     return Node(DROPOUT, {"ratio": ratio})
 
 
+# the default of Genome.edit's entry maps: an edit that sets none
+_NO_ENTRIES = MappingProxyType({})
+
+
 class Genome:
     """Layer DAG with read-only structure and derived data computed once.
 
@@ -178,33 +183,34 @@ class Genome:
                 return i
         raise InvalidGenome("no head node")
 
-    def edit(self, nodes, preds):
-        """The child of this genome with the given maps.
+    def edit(self, nodes=_NO_ENTRIES, preds=_NO_ENTRIES, removed=()):
+        """The child of this genome that sets the given node and pred entries
+        and drops the removed ids: its touched ids are exactly those.
 
-        Only the touched ids' pred tuples are sorted; every other one is
-        this genome's own, already normalized.  The edit record names this
-        genome if its shapes are computed, else this genome's own base, with
-        the touched ids of both edits.  Maps that disagree on ids give a
-        genome that shares nothing."""
-        if nodes.keys() != preds.keys():
-            return Genome(self.input_shape, self.num_classes, nodes, preds)
-        # plain dict copies: get() on a read-only view is several times slower
-        old_nodes, nodes = self.nodes.copy(), dict(nodes)
-        if preds is self.preds:  # the same edges: kept, with the graph memo if the kinds are too
-            touched = {i for i, n in nodes.items() if n is not old_nodes.get(i)}
-            same_kinds = all(nodes[i].kind == old_nodes[i].kind for i in touched)
-            graph_memo = self._graph_memo if same_kinds else {}
+        Only the pred tuples passed in are sorted; every other one is this
+        genome's own, already normalized.  A child that sets no pred entry
+        and removes no id keeps this genome's preds map, and its graph memo
+        too if every node it sets is an existing id of the same kind.  The
+        edit record names this genome if its shapes are computed, else this
+        genome's own base, with the touched ids of both edits."""
+        old_nodes = self.nodes
+        child_nodes = old_nodes.copy()
+        child_nodes.update(nodes)
+        if preds or removed:
+            child_preds = self.preds.copy()
+            for i, ps in preds.items():
+                child_preds[i] = tuple(sorted(ps))
+            for i in removed:
+                del child_nodes[i], child_preds[i]
+            child_preds, graph_memo = MappingProxyType(child_preds), {}
         else:
-            old_preds, preds = self.preds.copy(), dict(preds)
-            touched = {i for i, n in nodes.items() if n is not old_nodes.get(i) or preds[i] is not old_preds.get(i)}
-            for i in touched:
-                preds[i] = tuple(sorted(preds[i]))
-            preds, graph_memo = MappingProxyType(preds), {}
-        touched.update(old_nodes.keys() - nodes.keys())
+            same_kinds = all(i in old_nodes and n.kind == old_nodes[i].kind for i, n in nodes.items())
+            child_preds, graph_memo = self.preds, self._graph_memo if same_kinds else {}
+        touched = {*nodes, *preds, *removed}
 
         child = Genome.__new__(Genome)
         child.input_shape, child.num_classes = self.input_shape, self.num_classes
-        child.nodes, child.preds, child._graph_memo = MappingProxyType(nodes), preds, graph_memo
+        child.nodes, child.preds, child._graph_memo = MappingProxyType(child_nodes), child_preds, graph_memo
         memo = self._memo
         record = memo.get(_EDIT)
         if "infer_shapes" in memo:

@@ -10,8 +10,9 @@ consumer of the last input over to it, and `_remove` drops a node and
 hands its consumers back to a given input.  `_insert_on_edge` places a
 node on a single edge instead, for convolutions, the fc before the head
 and repairs.  These three and `_with_params` (conv alterations and
-padding bumps) build their child through `Genome.edit`, which decides
-what the child shares with the parent (see genome.py).  The candidate
+padding bumps) pass `Genome.edit` only the node and predecessor entries
+they set and the ids they remove, and it decides what the child shares
+with the parent (see genome.py).  The candidate
 sites (trunk edges, node ids by kind, ancestors, depths, join pairs) are
 derived data of the parent genome: they are computed once per parent and
 shared, read-only, by every attempt on it.
@@ -55,6 +56,7 @@ from evoarch.genome import (
     infer_shapes,
     is_valid,
     maxpool_node,
+    successors,
     topological_order,
 )
 
@@ -135,46 +137,30 @@ def _choose(rng, items):
 
 def _insert_on_edge(genome, src, dst, slot, node):
     """Place node on the (src, dst) edge; slot indexes dst's pred tuple."""
-    nodes, preds = genome.nodes.copy(), genome.preds.copy()
     nid = genome.next_id()
-    nodes[nid] = node
-    preds[nid] = (src,)
-    ps = preds[dst]
-    preds[dst] = ps[:slot] + (nid,) + ps[slot + 1:]
-    return genome.edit(nodes, preds)
+    ps = genome.preds[dst]
+    return genome.edit({nid: node}, {nid: (src,), dst: ps[:slot] + (nid,) + ps[slot + 1:]})
 
 
 def _with_params(genome, i, params):
     """Node i's params replaced: the same ids, kinds and edges."""
-    nodes = genome.nodes.copy()  # copies the dict whole; dict(view) goes key by key
-    nodes[i] = Node(nodes[i].kind, params)
-    return genome.edit(nodes, genome.preds)
+    return genome.edit({i: Node(genome.nodes[i].kind, params)})
 
 
-def _move_consumers(preds, old, new):
-    """Point every consumer of old at new instead."""
-    for i, ps in preds.items():
-        if old in ps:
-            preds[i] = tuple(new if p == old else p for p in ps)
+def _moved_consumers(genome, old, new):
+    """The pred entries of every consumer of old, pointed at new instead."""
+    return {i: tuple(new if p == old else p for p in genome.preds[i]) for i in successors(genome)[old]}
 
 
 def _insert(genome, node, inputs):
     """Add node fed by inputs; every former consumer of inputs[-1] moves to it."""
-    nodes, preds = genome.nodes.copy(), genome.preds.copy()
     nid = genome.next_id()
-    nodes[nid] = node
-    _move_consumers(preds, inputs[-1], nid)
-    preds[nid] = inputs
-    return genome.edit(nodes, preds)
+    return genome.edit({nid: node}, {**_moved_consumers(genome, inputs[-1], nid), nid: inputs})
 
 
 def _remove(genome, target, restore_to):
     """Drop target; its consumers go back to restore_to."""
-    nodes, preds = genome.nodes.copy(), genome.preds.copy()
-    del nodes[target]
-    del preds[target]
-    _move_consumers(preds, target, restore_to)
-    return genome.edit(nodes, preds)
+    return genome.edit(preds=_moved_consumers(genome, target, restore_to), removed=(target,))
 
 
 def _ensure_flat_head(genome):

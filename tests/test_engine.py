@@ -485,6 +485,22 @@ def _add_a_param(doc):
     doc["stats"][-1]["best_params"] += 1
 
 
+def _set_genome_input_shapes(doc):
+    for member in doc["population"]:
+        member["genome"]["input_shape"] = [3, 64, 64]
+
+
+def _set_genome_classes(doc):
+    for member in doc["population"]:
+        genome = member["genome"]
+        genome["num_classes"] = 7
+        for node in genome["nodes"]:
+            if node["kind"] == "head":
+                node["params"]["classes"] = 7
+
+
+OTHER_GENOME_SHAPE = r"individual \d+: genome must take the config's input_shape \(3, 32, 32\) and num_classes 10$"
+
 # edits of the seed-0 checkpoint_gen5.json that no run reaches, with the refusal each gets
 UNREACHABLE = {
     "next-generation-0": (lambda doc: doc.update(next_generation=0, stats=[]),
@@ -500,6 +516,10 @@ UNREACHABLE = {
     "best-fitness": (lambda doc: doc["best"].update(fitness=0.99),
                      r"best individual \d+ does not match the last stats row's best_fitness and best_params$"),
     "best-params": (_add_a_param, "does not match the last stats row's best_fitness and best_params$"),
+    "falling-best-fitness": (lambda doc: doc["stats"][3].update(best_fitness=0.9),
+                             "stats row 4: best_fitness must not fall below the previous row's$"),
+    "genome-input-shape": (_set_genome_input_shapes, OTHER_GENOME_SHAPE),
+    "genome-classes": (_set_genome_classes, OTHER_GENOME_SHAPE),
 }
 
 

@@ -567,7 +567,7 @@ def test_derived_data_computed_once_per_genome():
 def test_params_only_edit_keeps_the_graph():
     g = skip_genome()
     order, sequence, shapes = topological_order(g), canonical_node_sequence(g), infer_shapes(g)
-    child = g.edit({**g.nodes, 2: conv_node(48)}, g.preds)
+    child = g.edit({2: conv_node(48)})
     assert child == Genome(g.input_shape, g.num_classes, {**g.nodes, 2: conv_node(48)}, g.preds)
     assert child.preds is g.preds
     assert g.nodes[2] == conv_node(32) and infer_shapes(g) is shapes
@@ -577,15 +577,15 @@ def test_params_only_edit_keeps_the_graph():
     assert (e.value.node_id, e.value.kind) == (3, CHANNEL_MISMATCH)
 
 
-def test_an_edit_whose_maps_disagree_on_ids_shares_nothing():
+def test_an_edit_that_sets_a_node_without_preds_fails_as_a_fresh_copy_does():
     g = skip_genome()
     topological_order(g), infer_shapes(g)  # fill both of the parent's memos
-    nodes = {**g.nodes, 6: conv_node(8)}
-    child = g.edit(nodes, g.preds)
-    assert child == Genome(g.input_shape, g.num_classes, nodes, g.preds)
-    assert child._memo == {} and child._graph_memo == {}
-    with pytest.raises(InvalidGenome, match="nodes and preds disagree on ids"):
-        validate(child)
+    child = g.edit({6: conv_node(8)})
+    assert child == Genome(g.input_shape, g.num_classes, {**g.nodes, 6: conv_node(8)}, g.preds)
+    assert child._graph_memo == {}
+    for genome in (child, pickle.loads(pickle.dumps(child))):
+        with pytest.raises(InvalidGenome, match="nodes and preds disagree on ids"):
+            validate(genome)
 
 
 def test_head_id_names_the_head_or_refuses_a_headless_genome():

@@ -632,7 +632,7 @@ def edit_attempts(seed, parents, monkeypatch):
     in creation order) for every operator on random parents."""
     made = []
     edit = Genome.edit
-    monkeypatch.setattr(Genome, "edit", lambda *args: made.append(edit(*args)) or made[-1])
+    monkeypatch.setattr(Genome, "edit", lambda *args, **kwargs: made.append(edit(*args, **kwargs)) or made[-1])
     rng = np.random.default_rng(seed)
     for _ in range(parents):
         parent = random_genome(rng, steps=int(rng.integers(0, 30)), input_shape=(3, 32, 32))
@@ -652,6 +652,12 @@ def test_edit_children_derive_what_a_memo_free_copy_derives(monkeypatch):
     checked = 0
     for _, children in edit_attempts(31, 250, monkeypatch):
         for child in children:
+            # the recorded ids are exactly those that differ from the base:
+            # fewer give stale shapes, more lose sharing
+            base, ids = child._memo[genome_module._EDIT]
+            differs = {i for i, n in child.nodes.items()
+                       if n is not base.nodes.get(i) or child.preds[i] is not base.preds.get(i)}
+            assert ids == differs | (base.nodes.keys() - child.nodes.keys())
             assert derived_view(child) == derived_view(pickle.loads(pickle.dumps(child)))
             checked += 1
     assert checked > 2500
@@ -704,25 +710,20 @@ def tail_parent():
     return g
 
 
-def without(genome, i):
-    return {j: n for j, n in genome.nodes.items() if j != i}, {j: p for j, p in genome.preds.items() if j != i}
-
-
 def _left_naming_a_removed_id(g):
-    return g.edit(*without(g, 2))  # the dropout still reads the removed globalpool
+    return g.edit(removed=(2,))  # the dropout still reads the removed globalpool
 
 
 def _dropout_fed_by_the_trunk(g):
-    nodes, preds = without(g, 2)
-    return g.edit(nodes, {**preds, 3: (1,)})
+    return g.edit(preds={3: (1,)}, removed=(2,))
 
 
 def _dropout_fed_by_a_retyped_node(g):
-    return g.edit({**g.nodes, 2: maxpool_node()}, g.preds)  # the dropout itself is untouched
+    return g.edit({2: maxpool_node()})  # the dropout itself is untouched
 
 
 def _no_path_to_the_head(g):
-    return g.edit(g.nodes, {**g.preds, 5: (3,)})  # the fc loses its consumer
+    return g.edit(preds={5: (3,)})  # the fc loses its consumer
 
 
 def _touched_node_with_bad_params(g):

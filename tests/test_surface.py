@@ -1,14 +1,17 @@
 """Every public function, class and method of the package has a caller in
 it, every module-level constant is read in it, and every name a module
-imports is used in that module.
+imports is used in that module; no function or lambda takes a mutable
+default.
 
 A name defined in src/evoarch but used only by tests is surface that the
 program does not need; a constant nothing reads is a hand-written list
 left behind by its users; an import nothing uses is a dependency the
-module does not have.  No linter runs on the package, so these checks do.  A
-genome's two memos, its edit record and the building of a Genome that
-skips `__init__` are touched only in genome.py, where `Genome.edit` states
-the rule for which derived data an edit child shares with its parent.
+module does not have; a mutable default is built once and shared by every
+call that omits the argument.  No linter runs on the package, so these
+checks do.  A genome's two memos, its edit record and the building of a
+Genome that skips `__init__` are touched only in genome.py, where
+`Genome.edit` states the rule for which derived data an edit child shares
+with its parent.
 """
 
 import ast
@@ -95,6 +98,19 @@ def test_every_import_is_used_in_its_module():
             }
         unused += [f"{path.name}: {name}" for name, _ in imports if name not in used]
     assert unused == []
+
+
+def test_no_default_is_mutable():
+    """A dict, list or set display or comprehension, or a call, as a
+    function or lambda default."""
+    mutable = ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp, ast.Call
+    found = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaults = node.args.defaults + node.args.kw_defaults
+                found += [f"{path.name}:{d.lineno}" for d in defaults if isinstance(d, mutable)]
+    assert found == []
 
 
 def _modules_naming(names, strings=()):
