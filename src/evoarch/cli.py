@@ -125,7 +125,7 @@ def _read_genome(path):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError(f"cannot read genome file {path}: {err}") from err
     genome = deserialize(text)
     validate(genome)
@@ -133,8 +133,8 @@ def _read_genome(path):
 
 
 def _run_config(args):
-    """Checked EvolutionConfig for evolve and compare-selection, from the flags alone."""
-    config = EvolutionConfig(
+    """EvolutionConfig for evolve and compare-selection, from the flags alone; ConfigError on a bad flag."""
+    return EvolutionConfig(
         population_size=args.population,
         k=args.k,
         distance_threshold=args.threshold,
@@ -143,8 +143,6 @@ def _run_config(args):
         evaluator=args.fitness,
         workers=args.workers,
     )
-    config.check()
-    return config
 
 
 def _with_evaluator(config, args):

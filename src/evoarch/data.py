@@ -159,12 +159,19 @@ def pad_and_random_crop(x, pad, rng):
     return out
 
 
+def _check_subset_n(subset_n):
+    if subset_n is not None and subset_n < 1:
+        raise ValueError(f"subset_n must be positive, got {subset_n}")
+
+
 def split_train_val(images, labels, seed=0, subset_n=None):
     """Seeded shuffle split; the last VAL_FRACTION becomes validation.
 
     subset_n truncates the data (in file order) before shuffling, so small
-    desk-scale experiments stay nested inside larger ones.
+    desk-scale experiments stay nested inside larger ones; it must be
+    positive or None.
     """
+    _check_subset_n(subset_n)
     images, labels = images[:subset_n], labels[:subset_n]
     n = len(images)
     n_val = int(round(n * VAL_FRACTION))
@@ -196,7 +203,9 @@ def load_dataset(name, data_dir, subset_n=None, seed=0):
     MNIST stays at plain [0, 1] scaling; CIFAR-10 gets per-image contrast
     normalization and pad-4 random-crop augmentation on the train side.
     VAL_FRACTION of the training records becomes the validation set.
+    subset_n is as for split_train_val, and is refused before any file is read.
     """
+    _check_subset_n(subset_n)
     if name == "mnist":
         train_x, train_y = load_mnist(*(_find(data_dir, f) for f in MNIST_FILES["train"]))
         test_x, test_y = load_mnist(*(_find(data_dir, f) for f in MNIST_FILES["test"]))

@@ -73,6 +73,8 @@ class CheckpointError(Exception):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    """The settings of one run; building one, or a replace of one, raises ConfigError on a bad value."""
+
     population_size: int = 10
     k: int = 1
     distance_threshold: int = 1
@@ -85,7 +87,8 @@ class EvolutionConfig:
     num_classes: int = 10
     workers: int = 1
 
-    def check(self):
+    def __post_init__(self):
+        object.__setattr__(self, "input_shape", tuple(self.input_shape))
         window = () if self.saturation_window is None else ("saturation_window",)
         for name in ("population_size", "k", "distance_threshold", "max_generations", "seed", "num_classes",
                      "workers", *window):
@@ -286,13 +289,11 @@ def run(config, out_dir=None, evaluator=None, resume_from=None):
     if resume_from is not None:
         state = checkpoint_load(resume_from)
         if config is not None:
-            stored, given = _config_doc(state.config), _config_doc(config)
+            stored, given = asdict(state.config), asdict(config)
             differ = [name for name in stored if stored[name] != given[name]]
             if differ:
                 raise ConfigError(f"config differs from checkpoint {resume_from} in {', '.join(differ)}")
         config = state.config
-    else:
-        config.check()
     logs = {name: [] for name in LOG_NAMES} if out_dir else None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -318,7 +319,7 @@ def run(config, out_dir=None, evaluator=None, resume_from=None):
             "best_individual_id": state.best.id,
         }
         _write_texts(out_dir, {
-            "config.json": _json_text(_config_doc(config)),
+            "config.json": _json_text(asdict(config)),
             "stats.csv": stats_csv_text(state.stats),
             "best_genome.json": serialize(state.best.genome),
             "run_meta.json": _json_text(meta),
@@ -330,12 +331,6 @@ def run(config, out_dir=None, evaluator=None, resume_from=None):
 
 # ---------------------------------------------------------------------------
 # run artifacts
-
-
-def _config_doc(config):
-    doc = asdict(config)
-    doc["input_shape"] = list(doc["input_shape"])
-    return doc
 
 
 def _json_text(doc):
@@ -414,7 +409,7 @@ def _stats_row_fault(row):
 def checkpoint_save(state, path):
     doc = {
         "version": CHECKPOINT_VERSION,
-        "config": _config_doc(state.config),
+        "config": asdict(state.config),
         "next_generation": state.next_generation,
         "rng_state": state.rng.bit_generator.state,
         "population": [_individual_doc(ind) for ind in state.population],
@@ -428,8 +423,8 @@ def checkpoint_save(state, path):
 
 def checkpoint_load(path):
     """The RunState a checkpoint file holds; CheckpointError if it cannot be
-    read or resumed from.  The config must pass check(), every individual
-    and every stats row must pass _individual_fault and _stats_row_fault.
+    read or resumed from.  The config must build, every individual and
+    every stats row must pass _individual_fault and _stats_row_fault.
     As in every state a run reaches, next_generation is the row count, at
     least 1, the rows cover generations 0 to next_generation - 1, no row's
     best_fitness falls below the previous row's, the population holds
@@ -438,17 +433,14 @@ def checkpoint_load(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path}: top level must be a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint {path}: version {doc.get('version')} not supported")
     try:
-        cfg_doc = dict(doc["config"])
-        cfg_doc["input_shape"] = tuple(cfg_doc["input_shape"])
-        config = EvolutionConfig(**cfg_doc)
-        config.check()
+        config = EvolutionConfig(**doc["config"])
         population = [_individual_from_doc(d) for d in doc["population"]]
         best = _individual_from_doc(doc["best"])
         next_generation, rows = doc["next_generation"], doc["stats"]
@@ -532,8 +524,8 @@ def _run_configs(config, spec, n_seeds):
 
 def check_comparison(config, specs, n_seeds):
     """Raise ConfigError unless there are specs and seeds, each label once
-    (results are keyed by label), and every competitor's run config passes
-    check(); a refused competitor's message starts with its label."""
+    (results are keyed by label), and every competitor's run config builds;
+    a refused competitor's message starts with its label."""
     if not specs or n_seeds < 1:
         raise ConfigError(f"a comparison needs specs and seeds, got {len(specs)} specs and {n_seeds} seeds")
     labels = [spec.label for spec in specs]
@@ -542,7 +534,7 @@ def check_comparison(config, specs, n_seeds):
         raise ConfigError(f"a comparison names {repeated[0]!r} more than once")
     for spec in specs:
         try:
-            _run_configs(config, spec, 1)[0].check()
+            _run_configs(config, spec, 1)
         except ConfigError as err:
             raise ConfigError(f"{spec.label}: {err}") from err
 
@@ -584,7 +576,7 @@ def compare_strategies(config, specs, n_seeds, evaluator=None):
 def write_comparison(result, out_dir):
     """Write comparison.csv, curves.csv and a config.json that holds the seed count
     and each label's first run config (its other runs differ in seed alone)."""
-    configs = {label: _config_doc(cfg) for label, cfg in result.configs.items()}
+    configs = {label: asdict(cfg) for label, cfg in result.configs.items()}
     _write_texts(out_dir, {
         "comparison.csv": comparison_csv_text(result),
         "curves.csv": curves_csv_text(result),

@@ -87,7 +87,7 @@ class TrainedEvaluator:
 
 
 def evaluate_batch(individuals, evaluator, run_seed=0, workers=1, audit=None):
-    """Fill in missing fitnesses; returns new individuals in input order.
+    """Fill in missing fitnesses, as Python floats; returns new individuals in input order.
 
     Already evaluated individuals pass through untouched.  An evaluation
     sees only the genome, run seed and individual id, so results never
@@ -102,7 +102,7 @@ def evaluate_batch(individuals, evaluator, run_seed=0, workers=1, audit=None):
             wall = time.perf_counter() - start
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"fitness {value} outside [0, 1]")
-            return replace(ind, fitness=value), wall
+            return replace(ind, fitness=float(value)), wall
         except Exception as err:  # noqa: BLE001 aggregated below
             return err
 

@@ -592,6 +592,8 @@ def deserialize(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e.msg} at line {e.lineno} column {e.colno}") from e
+    except RecursionError as e:
+        raise ParseError("JSON nested too deeply to read") from e
     return genome_from_doc(doc)
 
 

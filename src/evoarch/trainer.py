@@ -101,6 +101,8 @@ class TrainPlan:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
 
     @property
     def boundaries(self):

@@ -549,6 +549,20 @@ def test_bad_genome_file_exits_two(tmp_path, capsys, case):
     assert captured.err == f"error: {message}\n"
 
 
+UNREADABLE_GENOME_BYTES = {"not-utf8": b"\xff\xfe", "nested-too-deeply": b"[" * 200000 + b"]" * 200000 + b"\n"}
+
+
+@pytest.mark.parametrize("command", ["export-dot", "eval-genome"])
+@pytest.mark.parametrize("case", list(UNREADABLE_GENOME_BYTES))
+def test_unreadable_genome_bytes_exit_two(tmp_path, capsys, case, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(UNREADABLE_GENOME_BYTES[case])
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_eval_genome_invalid_structure(tmp_path):
     doc = json.loads(serialize(new_seed_genome("global_pool")))
     doc["nodes"][2]["params"]["classes"] = 7  # disagrees with num_classes

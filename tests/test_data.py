@@ -275,6 +275,13 @@ def test_split_subset_truncates_before_shuffle():
     assert len(split.val_x) == 5
 
 
+@pytest.mark.parametrize("subset_n", [0, -5])
+def test_split_refuses_a_subset_below_one(subset_n):
+    x, y = np.zeros((64, 1, 2, 2), np.float32), np.arange(64) % 10
+    with pytest.raises(ValueError, match=f"subset_n must be positive, got {subset_n}"):
+        split_train_val(x, y, subset_n=subset_n)
+
+
 # ----------------------------------------------------------- load_dataset
 
 def test_load_dataset_mnist(tmp_path):
@@ -319,6 +326,14 @@ def test_load_dataset_cifar_subset_normalizes_kept_records(tmp_path, monkeypatch
         assert np.array_equal(getattr(split, name), getattr(want, name)), name
     # the 20 records kept for the train/validation split, then the 8 test records
     assert normalized == [20, 8]
+
+
+@pytest.mark.parametrize("name, build", [("mnist", build_mnist_dir), ("cifar10", build_cifar_dir)])
+def test_load_dataset_refuses_a_subset_below_one(tmp_path, name, build):
+    build(tmp_path)
+    for subset_n in (0, -5):
+        with pytest.raises(ValueError, match="subset_n must be positive"):
+            load_dataset(name, str(tmp_path), subset_n=subset_n)
 
 
 def test_load_dataset_outputs_pinned(tmp_path):

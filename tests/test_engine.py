@@ -4,6 +4,7 @@ import os
 
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from evoarch import engine
@@ -26,7 +27,7 @@ from evoarch.engine import (
     stats_csv_text,
     step_generation,
 )
-from evoarch.fitness import SurrogateEvaluator
+from evoarch.fitness import SurrogateEvaluator, evaluate_surrogate
 from evoarch.genome import canonical_node_sequence
 
 
@@ -60,37 +61,37 @@ def surrogate_config(**overrides):
 
 def test_config_rejects_bad_k():
     with pytest.raises(ConfigError, match="k must be at least 1"):
-        EvolutionConfig(k=0).check()
+        EvolutionConfig(k=0)
     with pytest.raises(ConfigError, match="k must not exceed population size"):
-        EvolutionConfig(k=20, population_size=10).check()
+        EvolutionConfig(k=20, population_size=10)
 
 
 def test_config_rejects_unknown_strategy():
     with pytest.raises(ConfigError, match="strategy"):
-        EvolutionConfig(strategy="roulette2").check()
+        EvolutionConfig(strategy="roulette2")
 
 
 def test_config_rejects_unknown_evaluator():
     with pytest.raises(ConfigError, match="evaluator"):
-        EvolutionConfig(evaluator="psychic").check()
+        EvolutionConfig(evaluator="psychic")
 
 
 def test_config_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seed must be non-negative"):
-        EvolutionConfig(seed=-1).check()
+        EvolutionConfig(seed=-1)
 
 
 @pytest.mark.parametrize("field,message", [("saturation_window", "saturation window must be positive or None")])
 def test_config_rejects_a_zero_budget(field, message):
     with pytest.raises(ConfigError, match=message):
-        EvolutionConfig(**{field: 0}).check()
+        EvolutionConfig(**{field: 0})
 
 
 @pytest.mark.parametrize("fields", [{"num_classes": 1}, {"input_shape": (3, 0, 0)},
                                     {"input_shape": (32, 32)}, {"input_shape": (3, 32.0, 32)}])
 def test_config_rejects_a_degenerate_task(fields):
     with pytest.raises(ConfigError, match="classes|input shape"):
-        EvolutionConfig(**fields).check()
+        EvolutionConfig(**fields)
 
 
 NOT_COUNTS = [("population_size", 10.0), ("k", 1.5), ("distance_threshold", 1.0), ("max_generations", 12.5),
@@ -102,14 +103,27 @@ NOT_COUNTS = [("population_size", 10.0), ("k", 1.5), ("distance_threshold", 1.0)
 def test_config_and_checkpoint_refuse_a_count_that_is_not_an_integer(tmp_path, field, value):
     config_value = tuple(value) if field == "input_shape" else value
     with pytest.raises(ConfigError, match="integer"):
-        EvolutionConfig(**{field: config_value}).check()
+        EvolutionConfig(**{field: config_value})
     path = _broken_checkpoint(tmp_path, _set_config(**{field: value}))
     with pytest.raises(CheckpointError, match="integer"):
         checkpoint_load(path)
 
 
 def test_config_defaults_valid():
-    EvolutionConfig().check()
+    EvolutionConfig()
+
+
+def test_config_is_checked_when_built():
+    # no entry point runs a bad config: it cannot be built, nor replaced into
+    with pytest.raises(ConfigError, match="unknown strategy 'nope'"):
+        initial_state(EvolutionConfig(strategy="nope"), SurrogateEvaluator())
+    with pytest.raises(ConfigError, match="k must be at least 1"):
+        replace(EvolutionConfig(), k=0)
+
+
+def test_config_takes_input_shape_as_a_tuple():
+    listed, tupled = EvolutionConfig(input_shape=[1, 28, 28]), EvolutionConfig(input_shape=(1, 28, 28))
+    assert listed == tupled and hash(listed) == hash(tupled)
 
 
 def test_make_evaluator_trained_needs_split():
@@ -342,9 +356,10 @@ def test_checkpoint_size_does_not_grow_with_history(tmp_path):
 
 def test_checkpoint_corrupt_file(tmp_path):
     path = tmp_path / "ck.json"
-    path.write_text("{not json")
-    with pytest.raises(CheckpointError):
-        checkpoint_load(str(path))
+    for raw in (b"{not json", b"\xff\xfe", b"[" * 200000 + b"]" * 200000):  # not JSON, not UTF-8, too deep
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            checkpoint_load(str(path))
 
 
 def _broken_checkpoint(tmp_path, edit):
@@ -572,13 +587,31 @@ def test_resume_equals_straight_run(tmp_path):
     assert walls[:6] == [0.0] * 6 and len(walls) == 13
 
 
+class Float32Evaluator:
+    """The surrogate score as a numpy float32, as a numpy-based evaluator returns it."""
+
+    kind = "float32"
+
+    def evaluate(self, genome, run_seed, individual_id):
+        return np.float32(evaluate_surrogate(genome))
+
+
+def test_resume_of_a_run_whose_evaluator_returns_numpy_floats(tmp_path):
+    config = surrogate_config(max_generations=8, seed=2)
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    run(config, out_dir=str(straight), evaluator=Float32Evaluator())
+    run(config, out_dir=str(resumed), evaluator=Float32Evaluator(),
+        resume_from=str(straight / "checkpoint_gen5.json"))
+    assert (straight / "stats.csv").read_bytes() == (resumed / "stats.csv").read_bytes()
+
+
 def test_resume_rejects_a_config_that_differs_from_the_checkpoint(tmp_path):
     config = surrogate_config(max_generations=5, seed=4)
     first = tmp_path / "first"
     run(config, out_dir=str(first))
     path = str(first / "checkpoint_gen5.json")
     with pytest.raises(ConfigError, match=r"differs from checkpoint .* in k$"):
-        run(EvolutionConfig(k=0, max_generations=5, saturation_window=None, seed=4), resume_from=path)
+        run(replace(config, k=2), resume_from=path)
     with pytest.raises(ConfigError, match=r"differs from checkpoint .* in max_generations$"):
         run(replace(config, max_generations=50), resume_from=path)
     # with no config the checkpoint's governs; its run ended at generation 5

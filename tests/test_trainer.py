@@ -148,6 +148,9 @@ def test_plan_derives_its_schedule():
             TrainPlan(**{knob: 1})
     with pytest.raises(ValueError, match="max_iters"):
         TrainPlan(max_iters=-1)
+    for size in (0, -8):
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            TrainPlan(batch_size=size)
 
 
 # -------------------------------------------------------------------- init
