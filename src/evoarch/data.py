@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from evoarch.genome import _is_int
+
 MNIST_IMAGE_MAGIC = 0x00000803
 MNIST_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
@@ -160,7 +162,11 @@ def pad_and_random_crop(x, pad, rng):
 
 
 def _check_subset_n(subset_n):
-    if subset_n is not None and subset_n < 1:
+    if subset_n is None:
+        return
+    if not _is_int(subset_n):
+        raise ValueError(f"subset_n must be an integer, got {subset_n!r}")
+    if subset_n < 1:
         raise ValueError(f"subset_n must be positive, got {subset_n}")
 
 
@@ -168,8 +174,8 @@ def split_train_val(images, labels, seed=0, subset_n=None):
     """Seeded shuffle split; the last VAL_FRACTION becomes validation.
 
     subset_n truncates the data (in file order) before shuffling, so small
-    desk-scale experiments stay nested inside larger ones; it must be
-    positive or None.
+    desk-scale experiments stay nested inside larger ones; it must be a
+    positive integer or None.
     """
     _check_subset_n(subset_n)
     images, labels = images[:subset_n], labels[:subset_n]

@@ -88,7 +88,10 @@ class EvolutionConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(self.input_shape))
+        shape = self.input_shape
+        if not (isinstance(shape, (tuple, list)) and len(shape) == 3 and all(_is_int(d) and d > 0 for d in shape)):
+            raise ConfigError(f"input shape must be three positive integers, got {shape!r}")
+        object.__setattr__(self, "input_shape", tuple(shape))
         window = () if self.saturation_window is None else ("saturation_window",)
         for name in ("population_size", "k", "distance_threshold", "max_generations", "seed", "num_classes",
                      "workers", *window):
@@ -116,8 +119,6 @@ class EvolutionConfig:
             raise ConfigError("seed must be non-negative")
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
-        if len(self.input_shape) != 3 or not all(_is_int(d) and d > 0 for d in self.input_shape):
-            raise ConfigError(f"input shape must be three positive integers, got {self.input_shape}")
 
 
 @dataclass
@@ -523,9 +524,12 @@ def _run_configs(config, spec, n_seeds):
 
 
 def check_comparison(config, specs, n_seeds):
-    """Raise ConfigError unless there are specs and seeds, each label once
-    (results are keyed by label), and every competitor's run config builds;
-    a refused competitor's message starts with its label."""
+    """Raise ConfigError unless there are specs and an integer count of
+    seeds, each label once (results are keyed by label), and every
+    competitor's run config builds; a refused competitor's message starts
+    with its label."""
+    if not _is_int(n_seeds):
+        raise ConfigError(f"the seed count must be an integer, got {n_seeds!r}")
     if not specs or n_seeds < 1:
         raise ConfigError(f"a comparison needs specs and seeds, got {len(specs)} specs and {n_seeds} seeds")
     labels = [spec.label for spec in specs]

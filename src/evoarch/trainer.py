@@ -14,10 +14,10 @@ the training is then the only one in a process with several CPUs and a
 one-thread BLAS, else on the calling thread, by the same operations in the
 same order, so results are bit for bit the same either way.  In train mode
 batchnorm and ReLU work in place on the conv output; in eval mode
-batchnorm is folded into the conv's weights and bias.  An activation is
-released once its last consumer has read it, and backward drops each
-node's arrays at their last use.  Training updates its one
-model's weights, momentum and batchnorm running statistics in place.
+batchnorm is folded into the conv's weights and bias, by the running
+statistics that each train-mode forward updates in place.  An activation is
+released once its last consumer has read it, and backward drops each node's
+arrays at their last use.  Training updates its one model in place.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from evoarch.genome import (
     SKIP,
     Genome,
     Node,
+    _is_int,
     chain_genome,
     conv_node,
     dropout_node,
@@ -88,7 +89,8 @@ class TrainPlan:
     (max_iters // 2, 3 * max_iters // 4): a 50/25/25 split like the
     paper's 10k/5k/5k.
     Momentum and weight decay are the module constants MOMENTUM and
-    WEIGHT_DECAY.
+    WEIGHT_DECAY.  Each field must be an integer (not a bool): max_iters
+    and seed non-negative, batch_size positive.
     """
 
     gamma: ClassVar[float] = 0.001
@@ -99,10 +101,15 @@ class TrainPlan:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iters", "batch_size", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def boundaries(self):
@@ -388,13 +395,14 @@ def _pool_backward(x, kernel, stride, am, dout):
 
 
 def _forward_pass(model, genome, x, mode, dropout_rng):
-    """Head logits plus per-node caches and fresh batchnorm batch stats.
+    """Head logits plus per-node caches.
 
-    Each activation is dropped once its last consumer has read it.
+    A train-mode pass normalizes each conv by its batch statistics and folds
+    them into the running ones in model.buffers; an eval-mode pass reads
+    those.  Each activation is dropped once its last consumer has read it.
     """
     acts = {}
     caches = {}
-    batch_stats = {}
     readers = {i: len(s) for i, s in successors(genome).items()}
     x = np.ascontiguousarray(x, model.dtype)
     for i in topological_order(genome):
@@ -415,7 +423,10 @@ def _forward_pass(model, genome, x, mode, dropout_rng):
                 mu = z.mean(axis=(0, 2, 3))
                 z -= mu[:, None, None]
                 var = np.einsum("nchw,nchw->c", z, z) / (z.size // len(mu))
-                batch_stats[i] = (mu, var)
+                bn = model.buffers[i]
+                for running, batch in ((bn["mean"], mu), (bn["var"], var)):
+                    running *= BN_RUNNING_KEEP
+                    running += (1 - BN_RUNNING_KEEP) * batch
                 invstd = 1.0 / np.sqrt(var + BN_EPS)
                 z *= invstd[:, None, None]
                 out = z * p["gamma"][:, None, None]
@@ -456,13 +467,14 @@ def _forward_pass(model, genome, x, mode, dropout_rng):
                 caches[i] = None
         else:
             raise ValueError(f"node {i}: no forward rule for {node.kind!r}")
-    return acts[genome.head_id()], caches, batch_stats
+    return acts[genome.head_id()], caches
 
 
 def forward(model, genome, x, mode="eval"):
     """Head logits for a batch; mode picks batchnorm/dropout behaviour.
 
-    Train-mode dropout draws its masks from seed 0, as in loss_and_grads.
+    Train mode folds batch statistics into the running ones that eval mode
+    reads, and draws dropout masks from seed 0 as loss_and_grads does by default.
     """
     return _forward_pass(model, genome, x, mode, np.random.default_rng(0))[0]
 
@@ -540,21 +552,17 @@ def _accumulate(douts, node_id, grad):
     douts[node_id] = douts[node_id] + grad if node_id in douts else grad
 
 
-def _loss_grads_stats(model, genome, x, labels, dropout_rng):
-    logits, caches, batch_stats = _forward_pass(model, genome, x, "train", dropout_rng)
-    loss, dlogits = softmax_cross_entropy(logits, labels)
-    grads = _backward_pass(model, genome, caches, dlogits)
-    return loss, grads, batch_stats
-
-
-def loss_and_grads(model, genome, x, labels):
+def loss_and_grads(model, genome, x, labels, dropout_rng=None):
     """Mean softmax cross entropy and gradients in the genome.param_shapes layout.
 
-    Train mode is the only mode with gradients: batchnorm uses the batch's
-    statistics and dropout draws its masks from seed 0.
+    Train mode is the only mode with gradients: batchnorm normalizes by the
+    batch's statistics and folds them into the running ones, and dropout
+    draws its masks from dropout_rng, or from seed 0 without one.
     """
-    loss, grads, _ = _loss_grads_stats(model, genome, x, labels, np.random.default_rng(0))
-    return loss, grads
+    rng = np.random.default_rng(0) if dropout_rng is None else dropout_rng
+    logits, caches = _forward_pass(model, genome, x, "train", rng)
+    loss, dlogits = softmax_cross_entropy(logits, labels)
+    return loss, _backward_pass(model, genome, caches, dlogits)
 
 
 def sgd_step(model, grads, lr):
@@ -581,48 +589,51 @@ def accuracy(model, genome, x, labels):
     return hits / len(x)
 
 
+def _minibatches(split, batch_size, shuffle_rng, aug_rng):
+    """Endless (x, y) batches: each epoch is a fresh shuffle_rng permutation cut
+    into full batches (its remainder is skipped); pad_crop4 batches draw their
+    crops from aug_rng in turn."""
+    n = len(split.train_x)
+    bs = min(batch_size, n)
+    while True:
+        perm = shuffle_rng.permutation(n)
+        for start in range(0, n - bs + 1, bs):
+            idx = perm[start : start + bs]
+            bx = split.train_x[idx]
+            if split.augment == "pad_crop4":
+                bx = pad_and_random_crop(bx, 4, aug_rng)
+            yield bx, split.train_y[idx]
+
+
 @_counted_training()
 def train(genome, split, plan):
     """Float32 SGD over shuffled minibatch epochs; returns (model, val accuracy).
 
-    Raises DivergedTraining as soon as the minibatch loss goes non-finite.
-    Conv forwards and weight gradients are lent, so once its peers finish a
+    Each step's forward folds its batch statistics into the running ones,
+    which the accuracy pass reads.  Raises ValueError unless the split holds
+    training and validation records of the genome's input shape and classes,
+    and DivergedTraining as soon as the minibatch loss goes non-finite.  Conv
+    forwards and weight gradients are lent, so once its peers finish a
     training gets the helper thread at its next lend.
     """
+    n_train, n_val = len(split.train_x), len(split.val_x)
+    if (genome.input_shape, genome.num_classes) != (split.input_shape, split.num_classes) or not n_train or not n_val:
+        raise ValueError(
+            f"genome takes {genome.input_shape} with {genome.num_classes} classes, split holds {n_train} "
+            f"training and {n_val} validation records of {split.input_shape} with {split.num_classes} classes"
+        )
     seeds = np.random.SeedSequence(plan.seed).spawn(4)
     init_rng, shuffle_rng, dropout_rng, aug_rng = map(np.random.default_rng, seeds)
     model = init_model(genome, init_rng)
-
-    n = len(split.train_x)
-    bs = min(plan.batch_size, n)
-    perm = shuffle_rng.permutation(n)
-    cursor = 0
-
-    for t in range(plan.max_iters):
-        if cursor + bs > n:
-            perm = shuffle_rng.permutation(n)
-            cursor = 0
-        idx = perm[cursor : cursor + bs]
-        cursor += bs
-        bx = split.train_x[idx]
-        by = split.train_y[idx]
-        if split.augment == "pad_crop4":
-            bx = pad_and_random_crop(bx, 4, aug_rng)
-        lr = lr_at(t, plan)
-        # overflow on the way to a non-finite loss is the divergence path,
-        # detected and raised below, so the fp warnings are suppressed
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads, stats = _loss_grads_stats(model, genome, bx, by, dropout_rng)
+    batches = _minibatches(split, plan.batch_size, shuffle_rng, aug_rng)
+    # overflow on the way to a non-finite loss is the divergence path,
+    # detected and raised below, so the fp warnings are suppressed
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, (bx, by) in zip(range(plan.max_iters), batches):
+            loss, grads = loss_and_grads(model, genome, bx, by, dropout_rng)
             if not np.isfinite(loss):
                 raise DivergedTraining(f"non-finite loss at iteration {t}")
-            sgd_step(model, grads, lr)
-        for i, (mu, var) in stats.items():
-            bn = model.buffers[i]
-            for running, batch in ((bn["mean"], mu), (bn["var"], var)):
-                running *= BN_RUNNING_KEEP
-                running += (1 - BN_RUNNING_KEEP) * batch
-
-    with np.errstate(over="ignore", invalid="ignore"):
+            sgd_step(model, grads, lr_at(t, plan))
         return model, accuracy(model, genome, split.val_x, split.val_y)
 
 
@@ -680,7 +691,7 @@ def gradient_check(model, genome, x, labels, max_per_tensor, rng):
 
 def smoothness_margin(model, genome, x):
     """Distance of the batch from the nearest ReLU kink or pooling tie in train mode."""
-    _, caches, _ = _forward_pass(model, genome, x, "train", np.random.default_rng(0))
+    _, caches = _forward_pass(model, genome, x, "train", np.random.default_rng(0))
     margin = np.inf
     for i, cache in caches.items():
         kind = genome.nodes[i].kind

@@ -282,6 +282,13 @@ def test_split_refuses_a_subset_below_one(subset_n):
         split_train_val(x, y, subset_n=subset_n)
 
 
+@pytest.mark.parametrize("subset_n", [2.5, True, "8"])
+def test_split_refuses_a_subset_that_is_not_an_integer(subset_n):
+    x, y = np.zeros((64, 1, 2, 2), np.float32), np.arange(64) % 10
+    with pytest.raises(ValueError, match=f"^subset_n must be an integer, got {subset_n!r}$"):
+        split_train_val(x, y, subset_n=subset_n)
+
+
 # ----------------------------------------------------------- load_dataset
 
 def test_load_dataset_mnist(tmp_path):
@@ -334,6 +341,14 @@ def test_load_dataset_refuses_a_subset_below_one(tmp_path, name, build):
     for subset_n in (0, -5):
         with pytest.raises(ValueError, match="subset_n must be positive"):
             load_dataset(name, str(tmp_path), subset_n=subset_n)
+
+
+@pytest.mark.parametrize("subset_n", [2.5, True])
+@pytest.mark.parametrize("name, build", [("mnist", build_mnist_dir), ("cifar10", build_cifar_dir)])
+def test_load_dataset_refuses_a_subset_that_is_not_an_integer(tmp_path, name, build, subset_n):
+    build(tmp_path)
+    with pytest.raises(ValueError, match="subset_n must be an integer"):
+        load_dataset(name, str(tmp_path), subset_n=subset_n)
 
 
 def test_load_dataset_outputs_pinned(tmp_path):

@@ -121,6 +121,12 @@ def test_config_is_checked_when_built():
         replace(EvolutionConfig(), k=0)
 
 
+@pytest.mark.parametrize("shape", [5, None])
+def test_config_refuses_an_input_shape_that_is_not_a_tuple_or_list(shape):
+    with pytest.raises(ConfigError, match="input shape must be three positive integers"):
+        EvolutionConfig(input_shape=shape)
+
+
 def test_config_takes_input_shape_as_a_tuple():
     listed, tupled = EvolutionConfig(input_shape=[1, 28, 28]), EvolutionConfig(input_shape=(1, 28, 28))
     assert listed == tupled and hash(listed) == hash(tupled)
@@ -688,6 +694,13 @@ def test_compare_needs_specs_and_seeds(ks, n_seeds):
     with pytest.raises(ConfigError, match="a comparison needs specs and seeds") as e:
         compare_strategies(config, k_sweep_specs(ks, config), n_seeds)
     assert "\n" not in str(e.value)
+
+
+@pytest.mark.parametrize("n_seeds", [2.0, True, "2"])
+def test_compare_refuses_a_seed_count_that_is_not_an_integer(n_seeds):
+    config = surrogate_config(max_generations=2)
+    with pytest.raises(ConfigError, match=f"^the seed count must be an integer, got {n_seeds!r}$"):
+        compare_strategies(config, k_sweep_specs([1], config), n_seeds)
 
 
 def test_compare_refuses_a_repeated_label():

@@ -11,16 +11,19 @@ call that omits the argument.  No linter runs on the package, so these
 checks do.  A genome's two memos, its edit record and the building of a
 Genome that skips `__init__` are touched only in genome.py, where
 `Genome.edit` states the rule for which derived data an edit child shares
-with its parent.
+with its parent.  Every evoarch name the benchmark in perfbench/ reads
+exists, so a rename fails here rather than in a benchmark run.
 """
 
 import ast
+import importlib
 import re
 import tokenize
 from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "evoarch"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 
 def _modules():
@@ -131,3 +134,61 @@ def test_only_genome_py_touches_the_memo():
 
 def test_only_genome_py_builds_edit_children_or_reads_their_record():
     assert _modules_naming({"__new__", "_EDIT"}, {"_edit"}) == ["genome.py"]
+
+
+def _dotted(node):
+    """The parts of a name, or of an attribute chain on a name; else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def _perfbench_names():
+    """Each evoarch name perfbench reads, as module.attr...: the names it
+    imports from an evoarch module, the attribute chains it takes from a
+    module it imports with `from evoarch import ...` (or from an attribute
+    it stores that module in), and the entries of tracer.TRACED.  Read with
+    ast, so nothing of perfbench runs."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        roots = {}  # a name or attribute chain holding an evoarch module -> that module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "evoarch":
+                roots.update((alias.asname or alias.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("evoarch."):
+                names.update(f"{node.module.removeprefix('evoarch.')}.{alias.name}" for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name) and node.value.id in roots:
+                roots.update((".".join(_dotted(t)), roots[node.value.id]) for t in node.targets if _dotted(t))
+        for node in ast.walk(tree):
+            parts = _dotted(node) or []
+            for n in range(len(parts), 0, -1):
+                root = ".".join(parts[:n])
+                if root in roots:
+                    names.add(".".join([roots[root], *parts[n:]]))
+                    break
+            if isinstance(node, ast.Assign) and _dotted(node.targets[0]) == ["TRACED"]:
+                names.update(".".join(entry) for entry in ast.literal_eval(node.value))
+    return names
+
+
+def _defined(name):
+    module, *attrs = name.split(".")
+    try:
+        obj = importlib.import_module(f"evoarch.{module}")
+    except ModuleNotFoundError:
+        return False
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_every_evoarch_name_perfbench_reads_is_defined():
+    names = _perfbench_names()
+    assert {"trainer.TrainPlan.desk_scale", "trainer.DivergedTraining", "fitness.TrainedEvaluator.evaluate"} <= names
+    assert sorted(name for name in names if not _defined(name)) == []

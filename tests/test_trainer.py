@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 import threading
 import warnings
@@ -40,6 +41,7 @@ from evoarch.trainer import (
     _conv_dx,
     _conv_forward,
     _forward_pass,
+    _minibatches,
     _pool_forward,
     accuracy,
     forward,
@@ -151,6 +153,16 @@ def test_plan_derives_its_schedule():
     for size in (0, -8):
         with pytest.raises(ValueError, match="batch_size must be positive"):
             TrainPlan(batch_size=size)
+
+
+NOT_SIZES = [("max_iters", 2.5, "an integer"), ("max_iters", True, "an integer"), ("batch_size", 2.5, "an integer"),
+             ("batch_size", True, "an integer"), ("seed", 1.5, "an integer"), ("seed", -1, "non-negative")]
+
+
+@pytest.mark.parametrize("field, value, message", NOT_SIZES)
+def test_plan_refuses_a_size_that_is_not_a_count(field, value, message):
+    with pytest.raises(ValueError, match=f"^{field} must be {message}, got {value!r}$"):
+        TrainPlan(**{field: value})
 
 
 # -------------------------------------------------------------------- init
@@ -328,6 +340,19 @@ def test_duplicated_batch_keeps_mean_loss():
     assert math.isclose(l1, l2, rel_tol=1e-9)
 
 
+def test_a_train_mode_pass_folds_its_batch_statistics_into_the_running_ones():
+    g = chain([conv_node(4), Node(GLOBALPOOL)], (3, 8, 8))
+    model = init_model(g, np.random.default_rng(18), np.float64)
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(5, 3, 8, 8))
+    p = model.params[1]
+    z = direct_conv(x, p["W"], p["b"], 1, 1, np.zeros((5, 4, 8, 8)))[0]
+    loss_and_grads(model, g, x, rng.integers(0, 10, 5))
+    bn = model.buffers[1]
+    np.testing.assert_allclose(bn["mean"], 0.1 * z.mean(axis=(0, 2, 3)), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(bn["var"], 0.9 + 0.1 * z.var(axis=(0, 2, 3)), rtol=1e-12)
+
+
 # ------------------------------------------------------------ convolution
 
 def direct_conv(x, W, b, stride, pad, dz):
@@ -471,7 +496,7 @@ def test_backward_frees_every_cache():
     for g in cases:
         model = init_model(g, np.random.default_rng(20))
         x = np.random.default_rng(21).normal(size=(2, 3, 8, 8))
-        logits, caches, _ = _forward_pass(model, g, x, "train", np.random.default_rng(0))
+        logits, caches = _forward_pass(model, g, x, "train", np.random.default_rng(0))
         assert caches
         _, dlogits = softmax_cross_entropy(logits, np.array([0, 1]))
         _backward_pass(model, g, caches, dlogits)
@@ -482,7 +507,7 @@ def test_backward_drops_a_nodes_arrays_at_their_last_use(monkeypatch):
     g = chain([conv_node(4), conv_node(4), Node(GLOBALPOOL)])
     model = init_model(g, np.random.default_rng(26))
     x = np.random.default_rng(27).normal(size=(4, 3, 8, 8)).astype(np.float32)
-    logits, caches, _ = _forward_pass(model, g, x, "train", np.random.default_rng(0))
+    logits, caches = _forward_pass(model, g, x, "train", np.random.default_rng(0))
     _, dlogits = softmax_cross_entropy(logits, np.arange(4))
     refs = [weakref.ref(a) for a in caches[2][1::2]]  # node 2's xhat and ReLU output
     alive, conv_dW = [], trainer_module._conv_dW
@@ -596,6 +621,43 @@ def test_untrained_accuracy_is_chance():
     assert abs(acc - 0.1) < 0.03
 
 
+@pytest.mark.parametrize("augment", ["none", "pad_crop4"])
+def test_minibatches_cut_successive_permutations_into_full_batches(augment):
+    x = np.random.default_rng(22).normal(size=(10, 2, 5, 5)).astype(np.float32)
+    split = DatasetSplit(train_x=x, train_y=np.arange(10) * 3, val_x=x[:2], val_y=np.zeros(2, np.int64),
+                         augment=augment)
+    batches = _minibatches(split, 4, np.random.default_rng(23), np.random.default_rng(24))
+    shuffle_rng, aug_rng = np.random.default_rng(23), np.random.default_rng(24)
+    padded = np.pad(x, ((0, 0), (0, 0), (4, 4), (4, 4)))
+    for _ in range(3):
+        perm = shuffle_rng.permutation(10)
+        for idx in (perm[:4], perm[4:8]):  # each epoch's last 2 records are skipped
+            want = x[idx]
+            if augment == "pad_crop4":  # one offset array per batch, in batch order
+                offsets = aug_rng.integers(0, 9, size=(4, 2))
+                want = np.stack([padded[r, :, dy : dy + 5, dx : dx + 5] for r, (dy, dx) in zip(idx, offsets)])
+            bx, by = next(batches)
+            assert bx.tobytes() == want.tobytes()
+            assert by.tolist() == (idx * 3).tolist()
+
+
+MISFITS = {
+    "classes": ((1, 8, 8), 2, 16, 8, "genome takes (1, 8, 8) with 2 classes, split holds 16 training and 8 "
+                "validation records of (1, 8, 8) with 10 classes"),
+    "shape": ((3, 32, 32), 10, 16, 8, "genome takes (3, 32, 32) with 10 classes, split holds 16 training and 8 "
+              "validation records of (1, 8, 8) with 10 classes"),
+    "no-training-records": ((1, 8, 8), 10, 0, 8, "split holds 0 training and 8 validation records"),
+    "no-validation-records": ((1, 8, 8), 10, 16, 0, "split holds 16 training and 0 validation records"),
+}
+
+
+@pytest.mark.parametrize("shape, classes, n_train, n_val, message", MISFITS.values(), ids=MISFITS)
+def test_train_refuses_a_genome_that_does_not_fit_its_split(shape, classes, n_train, n_val, message):
+    genome = new_seed_genome("fully_connected", shape, classes)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(genome, synthetic_split(n_train=n_train, n_val=n_val), TrainPlan(max_iters=3))
+
+
 def test_train_deterministic():
     g = chain([conv_node(4), Node(GLOBALPOOL)], (1, 8, 8))
     split = synthetic_split(n_train=128, n_val=64)
@@ -691,8 +753,8 @@ def test_helper_is_bit_identical(batch, monkeypatch, helper_calls):
     x = rng.normal(size=(batch, 3, 9, 9)).astype(np.float32)
     y = rng.integers(0, 10, batch)
 
-    serial = forward(model, g, x, mode="eval")
     loss, grads = loss_and_grads(model, g, x, y)
+    serial = forward(model, g, x, mode="eval")
     assert helper_calls == []
     monkeypatch.setattr(trainer_module, "_spare_cpu", lambda: True)
     assert forward(model, g, x, mode="eval").tobytes() == serial.tobytes()
