@@ -175,10 +175,13 @@ def split_train_val(images, labels, seed=0, subset_n=None):
 
     subset_n truncates the data (in file order) before shuffling, so small
     desk-scale experiments stay nested inside larger ones; it must be a
-    positive integer or None.
+    positive integer or None.  The records kept must have as many labels
+    as images.
     """
     _check_subset_n(subset_n)
     images, labels = images[:subset_n], labels[:subset_n]
+    if len(images) != len(labels):
+        raise ValueError(f"{len(images)} images but {len(labels)} labels")
     n = len(images)
     n_val = int(round(n * VAL_FRACTION))
     if n_val < 1:

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from evoarch.genome import CONCAT, CONV, MAXPOOL, SKIP
+from evoarch.genome import CONCAT, CONV, MAXPOOL, SKIP, ids_by_kind
 from evoarch.trainer import DivergedTraining, train
 
 
@@ -41,14 +41,11 @@ def evaluate_surrogate(genome):
     concatenations and pooling each only up to one per conv) and charges
     for convolutions past twelve.
     """
-    counts = {CONV: 0, SKIP: 0, CONCAT: 0, MAXPOOL: 0}
-    for node in genome.nodes.values():
-        if node.kind in counts:
-            counts[node.kind] += 1
-    c = counts[CONV]
-    s = min(counts[SKIP], c)
-    n = min(counts[CONCAT], c)
-    p = min(counts[MAXPOOL], c)
+    by_kind = ids_by_kind(genome)
+    c = len(by_kind[CONV])
+    s = min(len(by_kind[SKIP]), c)
+    n = min(len(by_kind[CONCAT]), c)
+    p = min(len(by_kind[MAXPOOL]), c)
     raw = 1.0 - math.exp(-(0.15 * c + 0.08 * s + 0.08 * n + 0.05 * p))
     raw -= 0.02 * max(0, c - 12)
     return min(1.0, max(0.0, raw))

@@ -5,8 +5,9 @@ classifier head (the unique sink).  Interior nodes are convolutions,
 max-pools, skip joins, channel concatenations, global average pools,
 fully connected layers and dropout layers.  A genome's node and
 predecessor maps are read-only, so every edit builds a new Genome, and
-derived data (successors, topological order, shapes, parameter layout and
-count, canonical sequence) is computed once per Genome object and kept on it.
+derived data (successors, the node ids of each kind, topological order,
+shapes, parameter layout and count, canonical sequence) is computed once
+per Genome object and kept on it.
 
 Sharing rule: `Genome.edit` alone derives a genome from another and
 decides what the child shares.  An edit states the node and predecessor
@@ -178,10 +179,11 @@ class Genome:
         return max(self.nodes) + 1
 
     def head_id(self):
-        for i, n in self.nodes.items():
-            if n.kind == HEAD:
-                return i
-        raise InvalidGenome("no head node")
+        """The head's id, the lower one of two heads (which validate refuses)."""
+        heads = ids_by_kind(self)[HEAD]
+        if not heads:
+            raise InvalidGenome("no head node")
+        return heads[0]
 
     def edit(self, nodes=_NO_ENTRIES, preds=_NO_ENTRIES, removed=()):
         """The child of this genome that sets the given node and pred entries
@@ -261,6 +263,16 @@ def successors(genome):
         for src in preds[dst]:
             succ[src].append(dst)
     return MappingProxyType({i: tuple(s) for i, s in succ.items()})
+
+
+@_graph_derived
+def ids_by_kind(genome):
+    """Read-only map of kind -> ascending tuple of the ids of that kind; every
+    known kind is a key, with no ids when the genome has none of it."""
+    ids = {kind: [] for kind in KIND_LETTERS}
+    for i in sorted(genome.nodes):
+        ids.setdefault(genome.nodes[i].kind, []).append(i)
+    return MappingProxyType({kind: tuple(v) for kind, v in ids.items()})
 
 
 @_graph_derived
@@ -457,8 +469,8 @@ def validate(genome):
     nodes, preds = genome.nodes, genome.preds
     if nodes.keys() != preds.keys():
         raise InvalidGenome("nodes and preds disagree on ids")
-    inputs = [i for i, n in nodes.items() if n.kind == INPUT]
-    heads = [i for i, n in nodes.items() if n.kind == HEAD]
+    by_kind = ids_by_kind(genome)
+    inputs, heads = by_kind[INPUT], by_kind[HEAD]
     if len(inputs) != 1:
         raise InvalidGenome(f"expected exactly one input node, found {len(inputs)}")
     if len(heads) != 1:

@@ -13,7 +13,7 @@ and repairs.  These three and `_with_params` (conv alterations and
 padding bumps) pass `Genome.edit` only the node and predecessor entries
 they set and the ids they remove, and it decides what the child shares
 with the parent (see genome.py).  The candidate
-sites (trunk edges, node ids by kind, ancestors, depths, join pairs) are
+sites (trunk edges, ancestors, depths, join pairs) and `ids_by_kind` are
 derived data of the parent genome: they are computed once per parent and
 shared, read-only, by every attempt on it.
 
@@ -53,6 +53,7 @@ from evoarch.genome import (
     conv_node,
     dropout_node,
     fc_node,
+    ids_by_kind,
     infer_shapes,
     is_valid,
     maxpool_node,
@@ -195,17 +196,8 @@ def _depths(genome):
     return MappingProxyType(depth)
 
 
-@_graph_derived
-def _ids_by_kind(genome):
-    """Read-only map of kind -> ascending tuple of the ids of that kind."""
-    ids = {}
-    for i in sorted(genome.nodes):
-        ids.setdefault(genome.nodes[i].kind, []).append(i)
-    return MappingProxyType({kind: tuple(v) for kind, v in ids.items()})
-
-
 def _nodes_of_kind(genome, kind):
-    return _ids_by_kind(genome).get(kind, ())
+    return ids_by_kind(genome)[kind]
 
 
 @_graph_derived
@@ -258,15 +250,12 @@ def _join_pairs(genome):
         shapes = infer_shapes(genome)
     except ShapeError:
         return MappingProxyType({SKIP: (), CONCAT: ()})
-    anc = _ancestors(genome)
+    anc, by_kind = _ancestors(genome), ids_by_kind(genome)
+    trunk = frozenset(i for kind in TRUNK_KINDS for i in by_kind[kind])
     pairs = {SKIP: [], CONCAT: []}
-    for b in sorted(genome.nodes):
-        if genome.nodes[b].kind not in TRUNK_KINDS:
-            continue
+    for b in sorted(trunk):
         sb = shapes[b]
-        for a in sorted(anc[b]):
-            if genome.nodes[a].kind not in TRUNK_KINDS:
-                continue
+        for a in sorted(anc[b] & trunk):
             sa = shapes[a]
             if sa[1:] != sb[1:]:
                 continue

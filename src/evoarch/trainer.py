@@ -612,7 +612,8 @@ def train(genome, split, plan):
     Each step's forward folds its batch statistics into the running ones,
     which the accuracy pass reads.  Raises ValueError unless the split holds
     training and validation records of the genome's input shape and classes,
-    and DivergedTraining as soon as the minibatch loss goes non-finite.  Conv
+    each part with one integer label in [0, classes) per record, and
+    DivergedTraining as soon as the minibatch loss goes non-finite.  Conv
     forwards and weight gradients are lent, so once its peers finish a
     training gets the helper thread at its next lend.
     """
@@ -622,6 +623,14 @@ def train(genome, split, plan):
             f"genome takes {genome.input_shape} with {genome.num_classes} classes, split holds {n_train} "
             f"training and {n_val} validation records of {split.input_shape} with {split.num_classes} classes"
         )
+    for part, n, y in (("training", n_train, split.train_y), ("validation", n_val, split.val_y)):
+        if y.shape != (n,):
+            raise ValueError(f"{part} part holds {n} records but labels of shape {y.shape}")
+        if y.dtype.kind not in "iu":
+            raise ValueError(f"{part} labels are {y.dtype}, not integers")
+        lo, hi = y.min(), y.max()
+        if lo < 0 or hi >= split.num_classes:
+            raise ValueError(f"{part} labels run from {lo} to {hi}, outside [0, {split.num_classes})")
     seeds = np.random.SeedSequence(plan.seed).spawn(4)
     init_rng, shuffle_rng, dropout_rng, aug_rng = map(np.random.default_rng, seeds)
     model = init_model(genome, init_rng)

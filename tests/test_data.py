@@ -289,6 +289,12 @@ def test_split_refuses_a_subset_that_is_not_an_integer(subset_n):
         split_train_val(x, y, subset_n=subset_n)
 
 
+def test_split_refuses_images_and_labels_of_different_counts():
+    x, y = np.zeros((10, 1, 2, 2), np.float32), np.arange(5)
+    with pytest.raises(ValueError, match="^10 images but 5 labels$"):
+        split_train_val(x, y)
+
+
 # ----------------------------------------------------------- load_dataset
 
 def test_load_dataset_mnist(tmp_path):

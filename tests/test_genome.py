@@ -595,6 +595,9 @@ def test_head_id_names_the_head_or_refuses_a_headless_genome():
                       {i: p for i, p in g.preds.items() if i != 5})
     with pytest.raises(InvalidGenome, match="no head node"):
         headless.head_id()
+    # two heads, which validate refuses, name the lower id
+    two_heads = Genome(g.input_shape, g.num_classes, {6: g.nodes[5], **g.nodes}, {6: (4,), **g.preds})
+    assert two_heads.head_id() == 5
 
 
 def test_pickle_round_trip_leaves_memo_behind():

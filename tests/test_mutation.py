@@ -30,6 +30,7 @@ from evoarch.genome import (
     dropout_node,
     fc_node,
     hamming_distance,
+    ids_by_kind,
     infer_shapes,
     is_valid,
     maxpool_node,
@@ -41,6 +42,7 @@ from evoarch.genome import (
     topological_order,
     validate,
 )
+from evoarch.fitness import evaluate_surrogate
 from evoarch.mutation import (
     CHANNEL_MENU,
     FC_UNITS_MENU,
@@ -477,7 +479,7 @@ def test_apply_mutation_outputs_pinned():
 
 # --------------------------------------------------------- mutation sites
 
-SITE_HELPERS = ("_trunk_edges", "_ancestors", "_depths", "_ids_by_kind", "_join_pairs")
+SITE_HELPERS = ("_trunk_edges", "_ancestors", "_depths", "ids_by_kind", "_join_pairs")
 
 
 def sites_parent():
@@ -525,7 +527,7 @@ def test_sites_are_read_only():
     for name in SITE_HELPERS:
         assert _deeply_frozen(getattr(mutation, name)(g)), name
     with pytest.raises(TypeError):
-        mutation._ids_by_kind(g)[CONV] = ()
+        ids_by_kind(g)[CONV] = ()
     with pytest.raises(AttributeError):
         mutation._ancestors(g)[4].add(9)
 
@@ -543,18 +545,38 @@ def test_sites_match_a_memo_free_copy_and_the_old_sites():
                                      (3, 5, 0), (4, 5, 1), (5, 6, 0), (6, 7, 0))
     assert dict(sites["_ancestors"]) == {0: set(), 1: {0}, 2: {0}, **{i: set(range(i)) for i in range(3, 11)}}
     assert dict(sites["_depths"]) == {0: 0, 1: 1, 2: 1, **{i: i - 1 for i in range(3, 11)}}
-    assert dict(sites["_ids_by_kind"]) == {"input": (0,), "conv": (1, 2, 4), "concat": (3,), "skip": (5,),
-                                           "maxpool": (6,), "globalpool": (7,), "fc": (8,),
-                                           "dropout": (9,), "head": (10,)}
+    assert dict(sites["ids_by_kind"]) == {"input": (0,), "conv": (1, 2, 4), "concat": (3,), "skip": (5,),
+                                          "maxpool": (6,), "globalpool": (7,), "fc": (8,),
+                                          "dropout": (9,), "head": (10,)}
     assert sites["_join_pairs"][SKIP] == ((3, 4), (3, 5), (4, 5))
     assert sites["_join_pairs"][CONCAT] == ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4),
                                             (2, 4), (3, 4), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5))
 
 
+def test_a_params_only_child_shares_its_parents_kind_index():
+    parent = sites_parent()
+    child = mutation._with_params(parent, 1, {**parent.nodes[1].params, "channels": 16})
+    assert ids_by_kind(child) is ids_by_kind(parent)
+
+
+def test_an_edit_childs_kind_index_matches_a_memo_free_copy():
+    parent = sites_parent()
+    ids_by_kind(parent)
+    child = mutation._insert_on_edge(parent, 3, 4, 0, conv_node(8))
+    fresh = ids_by_kind(pickle.loads(pickle.dumps(child)))
+    assert ids_by_kind(child) == fresh and ids_by_kind(child) is not fresh
+    assert fresh[CONV] == (1, 2, 4, 11)
+
+
+def test_surrogate_of_the_sites_parent_keeps_its_value():
+    # a literal, so any change to how the surrogate counts kinds shows here
+    assert evaluate_surrogate(sites_parent()) == 0.4831486655083007
+
+
 # ------------------------------------------------------- params-only edits
 
 GRAPH_DERIVED = (successors, topological_order, canonical_node_sequence,
-                 mutation._ancestors, mutation._depths, mutation._trunk_edges, mutation._ids_by_kind)
+                 mutation._ancestors, mutation._depths, mutation._trunk_edges, ids_by_kind)
 SHAPE_DERIVED = (infer_shapes, param_shapes, parameter_count, mutation._join_pairs)
 ALTER_KINDS = ("alter_channel_number", "alter_filter_size", "alter_stride")
 
@@ -753,7 +775,7 @@ def test_a_retyped_child_keeps_the_preds_map_but_not_the_graph_memo():
     fresh = pickle.loads(pickle.dumps(child))
     assert child.preds is g.preds and child._graph_memo is not g._graph_memo
     assert canonical_node_sequence(child) == canonical_node_sequence(fresh) == "ICPDFH"
-    assert mutation._ids_by_kind(child) == mutation._ids_by_kind(fresh)
+    assert ids_by_kind(child) == ids_by_kind(fresh)
     assert derived_view(child) == derived_view(fresh)
 
 

@@ -658,6 +658,23 @@ def test_train_refuses_a_genome_that_does_not_fit_its_split(shape, classes, n_tr
         train(genome, synthetic_split(n_train=n_train, n_val=n_val), TrainPlan(max_iters=3))
 
 
+BAD_LABELS = {
+    "training-above": ("train_y", np.full(16, 7), "training labels run from 7 to 7, outside [0, 2)"),
+    "training-negative": ("train_y", np.r_[np.zeros(15, np.int64), -1], "training labels run from -1 to 0, outside"),
+    "validation-above": ("val_y", np.full(8, 5), "validation labels run from 5 to 5, outside [0, 2)"),
+    "training-count": ("train_y", np.zeros(8, np.int64), "training part holds 16 records but labels of shape (8,)"),
+    "validation-count": ("val_y", np.zeros(4, np.int64), "validation part holds 8 records but labels of shape (4,)"),
+    "training-floats": ("train_y", np.zeros(16), "training labels are float64, not integers"),
+}
+
+
+@pytest.mark.parametrize("field, labels, message", BAD_LABELS.values(), ids=BAD_LABELS)
+def test_train_refuses_labels_it_cannot_train_on(field, labels, message):
+    split = replace(synthetic_split(n_train=16, n_val=8, classes=2), **{field: labels})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(new_seed_genome("fully_connected", (1, 8, 8), 2), split, TrainPlan(max_iters=3, batch_size=4))
+
+
 def test_train_deterministic():
     g = chain([conv_node(4), Node(GLOBALPOOL)], (1, 8, 8))
     split = synthetic_split(n_train=128, n_val=64)
