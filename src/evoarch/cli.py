@@ -19,7 +19,7 @@ from dataclasses import replace
 from evoarch import data as datamod
 from evoarch import engine
 from evoarch.engine import ConfigError, EvolutionConfig
-from evoarch.fitness import EvaluationError, evaluate_surrogate, evaluate_trained
+from evoarch.fitness import EvaluationError, SurrogateEvaluator, TrainedEvaluator, evaluate_surrogate, evaluate_trained
 from evoarch.genome import InvalidGenome, ParseError, ShapeError, deserialize, to_dot, validate
 from evoarch.trainer import TrainPlan, gradient_check_suite, set_blas_threads
 
@@ -110,7 +110,7 @@ def _trained_pieces(args):
         if args.subset is None:
             raise datamod.DataError(f"{args.dataset} training records under {data_dir}: {err}") from err
         raise ConfigError(f"--subset {args.subset}: {err}") from err
-    return split, TrainPlan.desk_scale(args.iters)
+    return split, TrainPlan.desk_scale(args.iters, seed=args.seed)
 
 
 def _make_out_dir(path):
@@ -148,11 +148,11 @@ def _run_config(args):
 def _with_evaluator(config, args):
     """config and its evaluator.  Trained fitness loads the dataset split, and
     the genomes take their input shape and class count from it."""
-    split = plan = None
-    if config.evaluator == "trained":
-        split, plan = _trained_pieces(args)
-        config = replace(config, input_shape=split.input_shape, num_classes=split.num_classes)
-    return config, engine.make_evaluator(config, split, plan)
+    if config.evaluator == "surrogate":
+        return config, SurrogateEvaluator()
+    split, plan = _trained_pieces(args)
+    config = replace(config, input_shape=split.input_shape, num_classes=split.num_classes)
+    return config, TrainedEvaluator(split, plan)
 
 
 def cmd_evolve(args):
@@ -207,7 +207,7 @@ def cmd_eval_genome(args):
                 f"genome expects input {genome.input_shape} with {genome.num_classes} classes, "
                 f"dataset provides {split.input_shape} with {split.num_classes}"
             )
-        fitness = evaluate_trained(genome, split, replace(plan, seed=args.seed))
+        fitness = evaluate_trained(genome, split, plan)
     print(f"{fitness:.6f}")
     return 0
 

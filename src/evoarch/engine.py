@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from evoarch.fitness import SurrogateEvaluator, TrainedEvaluator, evaluate_batch
+from evoarch.fitness import SurrogateEvaluator, evaluate_batch
 from evoarch.genome import (
     SEED_KINDS,
     Individual,
@@ -156,15 +156,6 @@ class RunState:
         return len(self.stats)
 
 
-def make_evaluator(config, split=None, plan=None):
-    """The evaluator config.evaluator names; a trained one needs a dataset split and a TrainPlan."""
-    if config.evaluator == "surrogate":
-        return SurrogateEvaluator()
-    if split is None or plan is None:
-        raise ConfigError("trained evaluator needs a dataset split and a training plan")
-    return TrainedEvaluator(split, plan)
-
-
 def initial_state(config, evaluator, logs=None):
     """Generation 0: seed individuals alternating the two minimal genome
     forms, evaluated, with the rng seeded from config.seed.  logs is as
@@ -279,12 +270,17 @@ def _saturated(stats, window):
 def run(config, out_dir=None, evaluator=None, resume_from=None):
     """Full evolution run; returns the final RunState.
 
-    With out_dir it writes logs, stats and a checkpoint every
-    CHECKPOINT_EVERY generations.  resume_from continues a checkpointed
-    run under the config stored in the checkpoint, and reproduces the
-    uninterrupted run's stats, best genome, later checkpoints and
-    post-checkpoint log rows; config may then be None, and a config that
-    differs from the stored one raises ConfigError naming the fields.
+    A TrainedEvaluator scores the run exactly when its config names
+    "trained" fitness: with no evaluator SurrogateEvaluator() scores it,
+    and an evaluator whose kind breaks the rule raises ConfigError,
+    naming both kinds, before anything is written.  With out_dir it
+    writes logs, stats and a checkpoint every CHECKPOINT_EVERY
+    generations.  resume_from continues a checkpointed run under the
+    config stored in the checkpoint, and reproduces the uninterrupted
+    run's stats, best genome, later checkpoints and post-checkpoint log
+    rows; config may then be None, and a config that differs from the
+    stored one raises ConfigError naming the fields.  So a trained
+    checkpoint resumes only with its TrainedEvaluator.
     """
     state = None
     if resume_from is not None:
@@ -295,11 +291,13 @@ def run(config, out_dir=None, evaluator=None, resume_from=None):
             if differ:
                 raise ConfigError(f"config differs from checkpoint {resume_from} in {', '.join(differ)}")
         config = state.config
+    if evaluator is None:
+        evaluator = SurrogateEvaluator()
+    if (evaluator.kind == "trained") != (config.evaluator == "trained"):
+        raise ConfigError(f"a {config.evaluator} config cannot be scored by a {evaluator.kind} evaluator")
     logs = {name: [] for name in LOG_NAMES} if out_dir else None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    if evaluator is None:
-        evaluator = make_evaluator(config)
     wall_start = time.perf_counter()
     if state is None:
         state = initial_state(config, evaluator, logs)

@@ -196,10 +196,6 @@ def _depths(genome):
     return MappingProxyType(depth)
 
 
-def _nodes_of_kind(genome, kind):
-    return ids_by_kind(genome)[kind]
-
-
 @_graph_derived
 def _trunk_edges(genome):
     edges = []
@@ -224,14 +220,14 @@ def _add_convolution(genome, rng):
 
 def _add_after(genome, rng, kind, make):
     """Place make() after one node of the given kind."""
-    ids = _nodes_of_kind(genome, kind)
+    ids = ids_by_kind(genome)[kind]
     if not ids:
         return None
     return _insert(genome, make(), (_choose(rng, ids),))
 
 
 def _alter_conv(genome, rng, key, menu):
-    convs = _nodes_of_kind(genome, CONV)
+    convs = ids_by_kind(genome)[CONV]
     if not convs:
         return None
     target = _choose(rng, convs)
@@ -293,7 +289,7 @@ def _deeper_pred(genome, target):
 
 def _remove_kind(genome, rng, kind):
     """Drop one node of the given kind; its consumers go back to _deeper_pred."""
-    ids = _nodes_of_kind(genome, kind)
+    ids = ids_by_kind(genome)[kind]
     if not ids:
         return None
     target = _choose(rng, ids)
@@ -302,7 +298,7 @@ def _remove_kind(genome, rng, kind):
 
 def _add_fully_connected(genome, rng):
     """An fc after an existing fc, or at site None on the edge into the head."""
-    target = _choose(rng, (None,) + _nodes_of_kind(genome, FC))
+    target = _choose(rng, (None,) + ids_by_kind(genome)[FC])
     node = fc_node(_choose(rng, FC_UNITS_MENU))
     if target is None:
         head = genome.head_id()

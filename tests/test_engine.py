@@ -22,13 +22,14 @@ from evoarch.engine import (
     default_specs,
     initial_state,
     k_sweep_specs,
-    make_evaluator,
     run,
     stats_csv_text,
     step_generation,
 )
-from evoarch.fitness import SurrogateEvaluator, evaluate_surrogate
+from evoarch.data import split_train_val
+from evoarch.fitness import SurrogateEvaluator, TrainedEvaluator, evaluate_surrogate
 from evoarch.genome import canonical_node_sequence
+from evoarch.trainer import TrainPlan
 
 
 class ConstantEvaluator:
@@ -132,14 +133,53 @@ def test_config_takes_input_shape_as_a_tuple():
     assert listed == tupled and hash(listed) == hash(tupled)
 
 
-def test_make_evaluator_trained_needs_split():
-    with pytest.raises(ConfigError):
-        make_evaluator(EvolutionConfig(evaluator="trained"))
+# ------------------------------------------------------- what scores a run
+
+def trained_config():
+    return EvolutionConfig(population_size=2, max_generations=7, saturation_window=None, input_shape=(1, 8, 8),
+                           evaluator="trained")
 
 
-def test_make_evaluator_trained_needs_a_plan():
-    with pytest.raises(ConfigError, match="training plan"):
-        make_evaluator(EvolutionConfig(evaluator="trained"), split=object())
+def tiny_trained_evaluator():
+    """Trained fitness on 60 random 1x8x8 records, two iterations per individual."""
+    rng = np.random.default_rng(0)
+    split = split_train_val(rng.normal(size=(60, 1, 8, 8)).astype(np.float32), rng.integers(0, 10, 60))
+    return TrainedEvaluator(split, TrainPlan(2, batch_size=8))
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """The output directory of a straight seven-generation trained run."""
+    out = tmp_path_factory.mktemp("trained") / "straight"
+    run(trained_config(), out_dir=str(out), evaluator=tiny_trained_evaluator())
+    return out
+
+
+@pytest.mark.parametrize("config, make_evaluator, kinds", [
+    (surrogate_config(input_shape=(1, 8, 8)), tiny_trained_evaluator, ("surrogate", "trained")),
+    (trained_config(), lambda: None, ("trained", "surrogate")),
+    (trained_config(), SurrogateEvaluator, ("trained", "surrogate")),
+    (trained_config(), ConstantEvaluator, ("trained", "constant")),
+], ids=["surrogate-config-trained-evaluator", "trained-config-no-evaluator",
+        "trained-config-surrogate-evaluator", "trained-config-constant-evaluator"])
+def test_run_refuses_an_evaluator_its_config_does_not_name(tmp_path, config, make_evaluator, kinds):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"a %s config cannot be scored by a %s evaluator" % kinds):
+        run(config, out_dir=str(out), evaluator=make_evaluator())
+    assert not out.exists()
+
+
+def test_a_trained_checkpoint_does_not_resume_without_its_evaluator(tmp_path, trained_run):
+    out = tmp_path / "resumed"
+    with pytest.raises(ConfigError, match="a trained config cannot be scored by a surrogate evaluator"):
+        run(None, out_dir=str(out), resume_from=str(trained_run / "checkpoint_gen5.json"))
+    assert not out.exists()
+
+
+def test_a_surrogate_config_runs_with_an_evaluator_of_another_kind(tmp_path):
+    run(surrogate_config(max_generations=2), out_dir=str(tmp_path), evaluator=ConstantEvaluator())
+    assert len((tmp_path / "stats.csv").read_text().splitlines()) == 4  # a header and generations 0-2
+    assert json.loads((tmp_path / "config.json").read_text())["evaluator"] == "surrogate"
 
 
 # -------------------------------------------------------------- population
@@ -591,6 +631,15 @@ def test_resume_equals_straight_run(tmp_path):
     # the checkpoint keeps no wall-clock times
     walls = json.loads((resumed / "run_meta.json").read_text())["per_generation_wall"]
     assert walls[:6] == [0.0] * 6 and len(walls) == 13
+
+
+def test_trained_resume_equals_straight_run(tmp_path, trained_run):
+    resumed = tmp_path / "resumed"
+    run(None, out_dir=str(resumed), evaluator=tiny_trained_evaluator(),
+        resume_from=str(trained_run / "checkpoint_gen5.json"))
+    for name in ("stats.csv", "best_genome.json", "config.json"):
+        assert (trained_run / name).read_bytes() == (resumed / name).read_bytes(), name
+    assert json.loads((resumed / "config.json").read_text())["evaluator"] == "trained"
 
 
 class Float32Evaluator:

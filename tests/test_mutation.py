@@ -587,7 +587,7 @@ def params_only_children(seed, parents=40):
     rng = np.random.default_rng(seed)
     for _ in range(parents):
         parent = random_genome(rng, steps=int(rng.integers(1, 12)))
-        convs = mutation._nodes_of_kind(parent, CONV)
+        convs = ids_by_kind(parent)[CONV]
         if not convs:
             continue
         for fn in GRAPH_DERIVED + SHAPE_DERIVED:
