@@ -140,7 +140,6 @@ def _run_config(args):
         distance_threshold=args.threshold,
         max_generations=args.generations,
         seed=args.seed,
-        evaluator=args.fitness,
         workers=args.workers,
     )
 
@@ -148,7 +147,7 @@ def _run_config(args):
 def _with_evaluator(config, args):
     """config and its evaluator.  Trained fitness loads the dataset split, and
     the genomes take their input shape and class count from it."""
-    if config.evaluator == "surrogate":
+    if args.fitness == "surrogate":
         return config, SurrogateEvaluator()
     split, plan = _trained_pieces(args)
     config = replace(config, input_shape=split.input_shape, num_classes=split.num_classes)

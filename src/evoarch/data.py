@@ -10,6 +10,8 @@ augmentation used on CIFAR training batches.
 from __future__ import annotations
 
 import gzip
+import hashlib
+import json
 import math
 import os
 import struct
@@ -70,10 +72,23 @@ class DatasetSplit:
     num_classes: int = NUM_CLASSES
     preprocessing: str = "scale"
     augment: str = "none"
+    source: dict | None = None  # load_dataset's {dataset, subset_n, seed}; None for a hand-built split
 
     @property
     def input_shape(self):
         return tuple(self.train_x.shape[1:])
+
+
+def split_sha256(split):
+    """sha256 of the training and validation arrays (dtype, shape, bytes) and the
+    preprocessing, augmentation and class count: all of a split that training reads."""
+    h = hashlib.sha256()
+    for arr in (split.train_x, split.train_y, split.val_x, split.val_y):
+        arr = np.ascontiguousarray(arr)
+        h.update(json.dumps([arr.dtype.str, arr.shape]).encode())
+        h.update(arr.data)
+    h.update(json.dumps([split.preprocessing, split.augment, split.num_classes]).encode())
+    return h.hexdigest()
 
 
 def _read_bytes(path):
@@ -213,6 +228,7 @@ def load_dataset(name, data_dir, subset_n=None, seed=0):
     normalization and pad-4 random-crop augmentation on the train side.
     VAL_FRACTION of the training records becomes the validation set.
     subset_n is as for split_train_val, and is refused before any file is read.
+    The split's source records the name, subset_n and seed.
     """
     _check_subset_n(subset_n)
     if name == "mnist":
@@ -231,4 +247,5 @@ def load_dataset(name, data_dir, subset_n=None, seed=0):
     else:
         raise ValueError(f"unknown dataset {name!r}")
     split = split_train_val(train_x, train_y, seed=seed, subset_n=subset_n)
-    return replace(split, test_x=test_x, test_y=test_y, preprocessing=preprocessing, augment=augment)
+    return replace(split, test_x=test_x, test_y=test_y, preprocessing=preprocessing, augment=augment,
+                   source={"dataset": name, "subset_n": subset_n, "seed": seed})

@@ -9,12 +9,16 @@ by less than epsilon over a trailing window.
 A RunState is the whole of a run, and what a checkpoint holds:
 initial_state builds generation 0, step_generation(state, evaluator)
 advances it by one generation in place, and run returns the final one.
+What scored a run is its evaluator's record; config.json, each
+checkpoint and a comparison's config.json store it as the config's
+"evaluator" entry.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -82,7 +86,6 @@ class EvolutionConfig:
     max_generations: int = 100
     saturation_window: int | None = 10
     seed: int = 0
-    evaluator: str = "surrogate"
     input_shape: tuple = (3, 32, 32)
     num_classes: int = 10
     workers: int = 1
@@ -111,8 +114,6 @@ class EvolutionConfig:
             raise ConfigError("need at least one generation")
         if self.saturation_window is not None and self.saturation_window < 1:
             raise ConfigError("saturation window must be positive or None")
-        if self.evaluator not in ("surrogate", "trained"):
-            raise ConfigError(f"unknown evaluator {self.evaluator!r}")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
         if self.seed < 0:
@@ -142,7 +143,7 @@ class RunState:
 
     stats holds one row per generation from 0 on; best is the
     best-so-far individual, replaced only on a strict fitness
-    improvement.
+    improvement; scored_by is the record of the evaluator that scored it.
     """
 
     config: EvolutionConfig
@@ -150,16 +151,28 @@ class RunState:
     rng: np.random.Generator
     stats: list
     best: Individual
+    scored_by: str | dict
 
     @property
     def next_generation(self):
         return len(self.stats)
 
 
+def _record_of(evaluator):
+    """What a run scored by evaluator records as having scored it: the evaluator's
+    record when it has one (a TrainedEvaluator's names its data and plan), its kind otherwise."""
+    return getattr(evaluator, "record", evaluator.kind)
+
+
+def _config_doc(config, record):
+    """A config as config.json and checkpoints store it, with what scored its run."""
+    return {**asdict(config), "evaluator": record}
+
+
 def initial_state(config, evaluator, logs=None):
     """Generation 0: seed individuals alternating the two minimal genome
-    forms, evaluated, with the rng seeded from config.seed.  logs is as
-    for step_generation."""
+    forms, evaluated, with the rng seeded from config.seed and scored_by
+    taken from the evaluator.  logs is as for step_generation."""
     start = time.perf_counter()
     population = []
     for i in range(config.population_size):
@@ -168,7 +181,7 @@ def initial_state(config, evaluator, logs=None):
     population = evaluate_batch(population, evaluator, config.seed, config.workers, (logs or {}).get("fitness"))
     best = rank(population)[0]
     stats = [_generation_stats(0, best, population, wall_seconds=time.perf_counter() - start)]
-    return RunState(config, population, np.random.default_rng(config.seed), stats, best)
+    return RunState(config, population, np.random.default_rng(config.seed), stats, best, _record_of(evaluator))
 
 
 def _select(ranked, union, config, rng):
@@ -270,17 +283,17 @@ def _saturated(stats, window):
 def run(config, out_dir=None, evaluator=None, resume_from=None):
     """Full evolution run; returns the final RunState.
 
-    A TrainedEvaluator scores the run exactly when its config names
-    "trained" fitness: with no evaluator SurrogateEvaluator() scores it,
-    and an evaluator whose kind breaks the rule raises ConfigError,
-    naming both kinds, before anything is written.  With out_dir it
-    writes logs, stats and a checkpoint every CHECKPOINT_EVERY
-    generations.  resume_from continues a checkpointed run under the
-    config stored in the checkpoint, and reproduces the uninterrupted
-    run's stats, best genome, later checkpoints and post-checkpoint log
-    rows; config may then be None, and a config that differs from the
-    stored one raises ConfigError naming the fields.  So a trained
-    checkpoint resumes only with its TrainedEvaluator.
+    evaluator scores the run, SurrogateEvaluator() when None, and its
+    record (scored_by) is what config.json and every checkpoint store as
+    the run's "evaluator".  With out_dir it writes logs, stats and a
+    checkpoint every CHECKPOINT_EVERY generations.  resume_from continues
+    a checkpointed run under the config stored in the checkpoint, and
+    reproduces the uninterrupted run's stats, best genome, later
+    checkpoints and post-checkpoint log rows; config may then be None.
+    A config that differs from the stored one, or an evaluator whose
+    record differs from the stored record, raises ConfigError naming the
+    differing fields or keys before anything is written.  So a trained
+    checkpoint resumes only on the same data and under the same plan.
     """
     state = None
     if resume_from is not None:
@@ -293,8 +306,11 @@ def run(config, out_dir=None, evaluator=None, resume_from=None):
         config = state.config
     if evaluator is None:
         evaluator = SurrogateEvaluator()
-    if (evaluator.kind == "trained") != (config.evaluator == "trained"):
-        raise ConfigError(f"a {config.evaluator} config cannot be scored by a {evaluator.kind} evaluator")
+    if state is not None:
+        stored, given = ({"kind": r} if isinstance(r, str) else r for r in (state.scored_by, _record_of(evaluator)))
+        differ = sorted({key for key, _ in stored.items() ^ given.items()})
+        if differ:
+            raise ConfigError(f"evaluator differs from checkpoint {resume_from} in {', '.join(differ)}")
     logs = {name: [] for name in LOG_NAMES} if out_dir else None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -318,7 +334,7 @@ def run(config, out_dir=None, evaluator=None, resume_from=None):
             "best_individual_id": state.best.id,
         }
         _write_texts(out_dir, {
-            "config.json": _json_text(asdict(config)),
+            "config.json": _json_text(_config_doc(config, state.scored_by)),
             "stats.csv": stats_csv_text(state.stats),
             "best_genome.json": serialize(state.best.genome),
             "run_meta.json": _json_text(meta),
@@ -405,10 +421,34 @@ def _stats_row_fault(row):
     return None
 
 
+_TRAINED_RECORD_KEYS = ("kind", "dataset", "subset_n", "split_seed", "split_sha256", "max_iters", "batch_size")
+
+
+def _scored_by_fault(record):
+    """Why a checkpoint's stored evaluator record names nothing that scores a run,
+    or None: it must be a kind, or a TrainedEvaluator's record."""
+    if isinstance(record, str):
+        return None
+    if not (isinstance(record, dict) and sorted(record) == sorted(_TRAINED_RECORD_KEYS)
+            and record["kind"] == "trained"):
+        return f"must be a string or a trained record with keys {', '.join(_TRAINED_RECORD_KEYS)}"
+    dataset, subset_n, split_seed, digest, max_iters, batch_size = (record[k] for k in _TRAINED_RECORD_KEYS[1:])
+    ok = {
+        "dataset": dataset is None or isinstance(dataset, str),
+        "subset_n": subset_n is None or (_is_int(subset_n) and subset_n >= 1),
+        "split_seed": split_seed is None or _is_count(split_seed),
+        "split_sha256": isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest) is not None,
+        "max_iters": _is_count(max_iters),
+        "batch_size": _is_count(batch_size) and batch_size >= 1,
+    }
+    bad = [name for name, good in ok.items() if not good]
+    return f"has a bad {', '.join(bad)}" if bad else None
+
+
 def checkpoint_save(state, path):
     doc = {
         "version": CHECKPOINT_VERSION,
-        "config": asdict(state.config),
+        "config": _config_doc(state.config, state.scored_by),
         "next_generation": state.next_generation,
         "rng_state": state.rng.bit_generator.state,
         "population": [_individual_doc(ind) for ind in state.population],
@@ -422,8 +462,10 @@ def checkpoint_save(state, path):
 
 def checkpoint_load(path):
     """The RunState a checkpoint file holds; CheckpointError if it cannot be
-    read or resumed from.  The config must build, every individual and
-    every stats row must pass _individual_fault and _stats_row_fault.
+    read or resumed from.  The stored config's "evaluator" entry becomes
+    scored_by and must pass _scored_by_fault; the rest of the config must
+    build, every individual and every stats row must pass
+    _individual_fault and _stats_row_fault.
     As in every state a run reaches, next_generation is the row count, at
     least 1, the rows cover generations 0 to next_generation - 1, no row's
     best_fitness falls below the previous row's, the population holds
@@ -439,7 +481,12 @@ def checkpoint_load(path):
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint {path}: version {doc.get('version')} not supported")
     try:
-        config = EvolutionConfig(**doc["config"])
+        config_doc = dict(doc["config"])
+        record = config_doc.pop("evaluator")
+        fault = _scored_by_fault(record)
+        if fault is not None:
+            raise CheckpointError(f"checkpoint {path}: evaluator {record!r} {fault}")
+        config = EvolutionConfig(**config_doc)
         population = [_individual_from_doc(d) for d in doc["population"]]
         best = _individual_from_doc(doc["best"])
         next_generation, rows = doc["next_generation"], doc["stats"]
@@ -467,7 +514,7 @@ def checkpoint_load(path):
                                   "row's best_fitness and best_params")
         rng = np.random.default_rng()
         rng.bit_generator.state = doc["rng_state"]
-        return RunState(config, population, rng, [GenerationStats(**row) for row in rows], best)
+        return RunState(config, population, rng, [GenerationStats(**row) for row in rows], best, record)
     except ConfigError as err:
         raise CheckpointError(f"checkpoint {path}: {err}") from err
     except (KeyError, TypeError, ValueError, ParseError) as err:
@@ -507,12 +554,14 @@ def k_sweep_specs(ks, config):
 
 @dataclass
 class ComparisonResult:
-    """tau, a row and a median best-fitness curve per label, and each label's first run config."""
+    """tau, a row and a median best-fitness curve per label, each label's first
+    run config, and the record of the evaluator that scored every run."""
 
     tau: float
     rows: list
     curves: dict
     configs: dict
+    scored_by: str | dict
 
 
 def _run_configs(config, spec, n_seeds):
@@ -550,6 +599,8 @@ def compare_strategies(config, specs, n_seeds, evaluator=None):
     reaches tau (censored at max_generations + 1 when it never does).
     """
     check_comparison(config, specs, n_seeds)
+    if evaluator is None:
+        evaluator = SurrogateEvaluator()
     configs = {spec.label: _run_configs(config, spec, n_seeds) for spec in specs}
     series = {label: [[st.best_fitness for st in run(cfg, evaluator=evaluator).stats] for cfg in cfgs]
               for label, cfgs in configs.items()}
@@ -572,13 +623,15 @@ def compare_strategies(config, specs, n_seeds, evaluator=None):
             }
         )
     curves = {label: np.median(np.array(runs), axis=0).tolist() for label, runs in series.items()}
-    return ComparisonResult(tau, rows, curves, {label: cfgs[0] for label, cfgs in configs.items()})
+    return ComparisonResult(tau, rows, curves, {label: cfgs[0] for label, cfgs in configs.items()},
+                            _record_of(evaluator))
 
 
 def write_comparison(result, out_dir):
     """Write comparison.csv, curves.csv and a config.json that holds the seed count
-    and each label's first run config (its other runs differ in seed alone)."""
-    configs = {label: asdict(cfg) for label, cfg in result.configs.items()}
+    and each label's first run config with what scored it (its other runs differ
+    in seed alone)."""
+    configs = {label: _config_doc(cfg, result.scored_by) for label, cfg in result.configs.items()}
     _write_texts(out_dir, {
         "comparison.csv": comparison_csv_text(result),
         "curves.csv": curves_csv_text(result),

@@ -13,9 +13,11 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
+from evoarch.data import split_sha256
 from evoarch.genome import CONCAT, CONV, MAXPOOL, SKIP, ids_by_kind
 from evoarch.trainer import DivergedTraining, train
 
@@ -77,6 +79,16 @@ class TrainedEvaluator:
     def __init__(self, split, plan):
         self.split = split
         self.plan = plan
+
+    @cached_property
+    def record(self):
+        """What scores a run under this evaluator: the split's source (nulls for a
+        hand-built split) and digest, and the plan's budget.  The plan's seed
+        stays out, since evaluate replaces it for each individual."""
+        source = self.split.source or {}
+        return {"kind": self.kind, "dataset": source.get("dataset"), "subset_n": source.get("subset_n"),
+                "split_seed": source.get("seed"), "split_sha256": split_sha256(self.split),
+                "max_iters": self.plan.max_iters, "batch_size": self.plan.batch_size}
 
     def evaluate(self, genome, run_seed, individual_id):
         plan = replace(self.plan, seed=individual_seed(run_seed, individual_id))

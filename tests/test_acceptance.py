@@ -177,7 +177,7 @@ def test_criterion_07_desk_scale_mnist():
     assert len(split.val_x) == 800
     config = EvolutionConfig(
         population_size=10, k=2, distance_threshold=1, strategy="aggressive",
-        max_generations=15, saturation_window=None, seed=0, evaluator="trained",
+        max_generations=15, saturation_window=None, seed=0,
         input_shape=(1, 28, 28), num_classes=10,
     )
     evaluator = TrainedEvaluator(split, TrainPlan.desk_scale(600))

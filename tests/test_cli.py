@@ -224,6 +224,18 @@ def test_compare_trained_mnist(tmp_path, monkeypatch, capsys):
     assert len(rows) == 5  # header plus the four default strategies
 
 
+def test_evolve_trained_records_its_data_and_plan(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
+    out = tmp_path / "run"
+    code = cli.main(["evolve", "--fitness", "trained", "--dataset", "mnist", "--subset", "40", "--iters", "2",
+                     "--generations", "1", "--out-dir", str(out)])
+    assert code == 0, capsys.readouterr().err
+    record = json.loads((out / "config.json").read_text())["evaluator"]
+    assert {key: record[key] for key in ("kind", "dataset", "subset_n", "split_seed", "max_iters", "batch_size")} == {
+        "kind": "trained", "dataset": "mnist", "subset_n": 40, "split_seed": 0, "max_iters": 2, "batch_size": 64}
+    assert re.fullmatch("[0-9a-f]{64}", record["split_sha256"])
+
+
 def test_evaluation_failure_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EVOARCH_DATA_DIR", str(build_mnist_dir(tmp_path / "mnist")))
 

@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from evoarch.data import (
     load_mnist,
     pad_and_random_crop,
     resolve_data_dir,
+    split_sha256,
     split_train_val,
 )
 from helpers import (
@@ -371,6 +373,33 @@ def test_load_dataset_outputs_pinned(tmp_path):
                 h.update(arr.tobytes())
             h.update(f"{split.preprocessing} {split.augment} {split.num_classes}".encode())
     assert h.hexdigest() == "003c2dd8b085034e2fc04213e6c939b5e16ab3063f9a6db8b102e30294a77f03"
+
+
+def test_load_dataset_records_its_source(tmp_path):
+    root = str(build_mnist_dir(tmp_path / "mnist"))
+    assert load_dataset("mnist", root, subset_n=30, seed=3).source == {"dataset": "mnist", "subset_n": 30, "seed": 3}
+    assert load_dataset("mnist", root).source == {"dataset": "mnist", "subset_n": None, "seed": 0}
+    rng = np.random.default_rng(0)
+    assert split_train_val(rng.normal(size=(20, 1, 4, 4)), rng.integers(0, 10, 20)).source is None
+
+
+SPLIT_EDITS = {
+    "train-x-value": lambda s: replace(s, train_x=s.train_x + 1),
+    "train-y-value": lambda s: replace(s, train_y=(s.train_y + 1) % 10),
+    "val-x-dtype": lambda s: replace(s, val_x=s.val_x.astype(np.float64)),
+    "val-y-shape": lambda s: replace(s, val_y=s.val_y[:, None]),
+    "preprocessing": lambda s: replace(s, preprocessing="gcn"),
+    "augment": lambda s: replace(s, augment="pad_crop4"),
+    "num-classes": lambda s: replace(s, num_classes=12),
+}
+
+
+@pytest.mark.parametrize("edit", SPLIT_EDITS.values(), ids=SPLIT_EDITS)
+def test_split_sha256_covers_what_training_reads(tmp_path, edit):
+    split = load_dataset("mnist", str(build_mnist_dir(tmp_path / "mnist")), subset_n=30)
+    digest = split_sha256(split)
+    assert split_sha256(replace(split, test_x=None, test_y=None, source=None)) == digest
+    assert split_sha256(edit(split)) != digest
 
 
 def test_load_dataset_missing_file(tmp_path):

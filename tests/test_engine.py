@@ -72,11 +72,6 @@ def test_config_rejects_unknown_strategy():
         EvolutionConfig(strategy="roulette2")
 
 
-def test_config_rejects_unknown_evaluator():
-    with pytest.raises(ConfigError, match="evaluator"):
-        EvolutionConfig(evaluator="psychic")
-
-
 def test_config_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seed must be non-negative"):
         EvolutionConfig(seed=-1)
@@ -136,15 +131,14 @@ def test_config_takes_input_shape_as_a_tuple():
 # ------------------------------------------------------- what scores a run
 
 def trained_config():
-    return EvolutionConfig(population_size=2, max_generations=7, saturation_window=None, input_shape=(1, 8, 8),
-                           evaluator="trained")
+    return EvolutionConfig(population_size=2, max_generations=7, saturation_window=None, input_shape=(1, 8, 8))
 
 
-def tiny_trained_evaluator():
-    """Trained fitness on 60 random 1x8x8 records, two iterations per individual."""
-    rng = np.random.default_rng(0)
+def tiny_trained_evaluator(plan=TrainPlan(2, batch_size=8), data_seed=0):
+    """Trained fitness on 60 random 1x8x8 records drawn from data_seed, by default two iterations per individual."""
+    rng = np.random.default_rng(data_seed)
     split = split_train_val(rng.normal(size=(60, 1, 8, 8)).astype(np.float32), rng.integers(0, 10, 60))
-    return TrainedEvaluator(split, TrainPlan(2, batch_size=8))
+    return TrainedEvaluator(split, plan)
 
 
 @pytest.fixture(scope="module")
@@ -155,31 +149,40 @@ def trained_run(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("config, make_evaluator, kinds", [
-    (surrogate_config(input_shape=(1, 8, 8)), tiny_trained_evaluator, ("surrogate", "trained")),
-    (trained_config(), lambda: None, ("trained", "surrogate")),
-    (trained_config(), SurrogateEvaluator, ("trained", "surrogate")),
-    (trained_config(), ConstantEvaluator, ("trained", "constant")),
-], ids=["surrogate-config-trained-evaluator", "trained-config-no-evaluator",
-        "trained-config-surrogate-evaluator", "trained-config-constant-evaluator"])
-def test_run_refuses_an_evaluator_its_config_does_not_name(tmp_path, config, make_evaluator, kinds):
-    out = tmp_path / "out"
-    with pytest.raises(ConfigError, match=r"a %s config cannot be scored by a %s evaluator" % kinds):
-        run(config, out_dir=str(out), evaluator=make_evaluator())
-    assert not out.exists()
-
-
 def test_a_trained_checkpoint_does_not_resume_without_its_evaluator(tmp_path, trained_run):
     out = tmp_path / "resumed"
-    with pytest.raises(ConfigError, match="a trained config cannot be scored by a surrogate evaluator"):
+    with pytest.raises(ConfigError, match=r"evaluator differs from checkpoint .* in batch_size, dataset, kind, "
+                                          r"max_iters, split_seed, split_sha256, subset_n$"):
         run(None, out_dir=str(out), resume_from=str(trained_run / "checkpoint_gen5.json"))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("evaluator, named", [
+    (tiny_trained_evaluator(TrainPlan(5, batch_size=8)), "max_iters"),
+    (tiny_trained_evaluator(data_seed=1), "split_sha256"),
+], ids=["other-plan", "other-split"])
+def test_a_trained_checkpoint_resumes_only_on_its_data_and_plan(tmp_path, trained_run, evaluator, named):
+    out = tmp_path / "resumed"
+    with pytest.raises(ConfigError, match=rf"evaluator differs from checkpoint .* in {named}$"):
+        run(None, out_dir=str(out), evaluator=evaluator, resume_from=str(trained_run / "checkpoint_gen5.json"))
+    assert not out.exists()
+
+
+def test_a_trained_checkpoint_that_names_only_its_kind_does_not_resume(tmp_path, trained_run):
+    """A trained checkpoint from before the evaluator record named data and plan."""
+    path = tmp_path / "checkpoint_gen5.json"
+    doc = json.loads((trained_run / "checkpoint_gen5.json").read_text())
+    doc["config"]["evaluator"] = "trained"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"in batch_size, dataset, max_iters, split_seed, split_sha256, subset_n$"):
+        run(None, out_dir=str(tmp_path / "resumed"), evaluator=tiny_trained_evaluator(), resume_from=str(path))
+    assert not (tmp_path / "resumed").exists()
 
 
 def test_a_surrogate_config_runs_with_an_evaluator_of_another_kind(tmp_path):
     run(surrogate_config(max_generations=2), out_dir=str(tmp_path), evaluator=ConstantEvaluator())
     assert len((tmp_path / "stats.csv").read_text().splitlines()) == 4  # a header and generations 0-2
-    assert json.loads((tmp_path / "config.json").read_text())["evaluator"] == "surrogate"
+    assert json.loads((tmp_path / "config.json").read_text())["evaluator"] == "constant"
 
 
 # -------------------------------------------------------------- population
@@ -465,6 +468,22 @@ def test_checkpoint_malformed_raises_checkpoint_error(tmp_path, edit):
     assert path in str(e.value)
 
 
+TRAINED_RECORD = tiny_trained_evaluator().record
+BAD_RECORDS = {
+    "number": 5, "null": None, "list": ["trained"], "kind-only": {"kind": "trained"},
+    "extra-key": {**TRAINED_RECORD, "lr": 0.1}, "surrogate-kind": {**TRAINED_RECORD, "kind": "surrogate"},
+    "zero-batch": {**TRAINED_RECORD, "batch_size": 0}, "float-iters": {**TRAINED_RECORD, "max_iters": 2.0},
+    "short-digest": {**TRAINED_RECORD, "split_sha256": "ab"}, "bool-subset": {**TRAINED_RECORD, "subset_n": True},
+}
+
+
+@pytest.mark.parametrize("record", BAD_RECORDS.values(), ids=BAD_RECORDS)
+def test_checkpoint_refuses_an_evaluator_record_that_names_nothing(tmp_path, record):
+    path = _broken_checkpoint(tmp_path, _set_config(evaluator=record))
+    with pytest.raises(CheckpointError, match=r"checkpoint .*: evaluator .* (must be a string|has a bad)"):
+        checkpoint_load(path)
+
+
 def test_resume_refuses_an_invalid_genome_naming_its_individual(tmp_path):
     path = _broken_checkpoint(tmp_path, _feed_the_global_pool_twice)
     with pytest.raises(CheckpointError, match=r"individual 100: node 1 \(globalpool\) needs 1 predecessors"):
@@ -639,7 +658,7 @@ def test_trained_resume_equals_straight_run(tmp_path, trained_run):
         resume_from=str(trained_run / "checkpoint_gen5.json"))
     for name in ("stats.csv", "best_genome.json", "config.json"):
         assert (trained_run / name).read_bytes() == (resumed / name).read_bytes(), name
-    assert json.loads((resumed / "config.json").read_text())["evaluator"] == "trained"
+    assert json.loads((resumed / "config.json").read_text())["evaluator"] == tiny_trained_evaluator().record
 
 
 class Float32Evaluator:

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from evoarch import fitness, trainer
-from evoarch.data import DatasetSplit
+from evoarch.data import DatasetSplit, split_sha256
 from evoarch.fitness import (
     EvaluationError,
     SurrogateEvaluator,
@@ -184,6 +185,18 @@ def test_trained_evaluator_trains_under_the_individual_seed(monkeypatch):
     g = new_seed_genome("fully_connected", (1, 8, 8), 10)
     assert ev.evaluate(g, 9, 4) == 0.5
     assert seeds == [individual_seed(9, 4)]
+
+
+def test_trained_record_names_the_split_and_the_plan_budget_but_not_its_seed(monkeypatch):
+    split = replace(tiny_split(), source={"dataset": "mnist", "subset_n": 96, "seed": 3})
+    record = TrainedEvaluator(split, TrainPlan(max_iters=20, batch_size=16, seed=1)).record
+    assert record == {"kind": "trained", "dataset": "mnist", "subset_n": 96, "split_seed": 3,
+                      "split_sha256": split_sha256(split), "max_iters": 20, "batch_size": 16}
+    assert TrainedEvaluator(split, TrainPlan(max_iters=20, batch_size=16, seed=7)).record == record
+    ev = TrainedEvaluator(tiny_split(), TrainPlan(max_iters=20))
+    assert [ev.record[key] for key in ("dataset", "subset_n", "split_seed")] == [None, None, None]
+    monkeypatch.setattr(fitness, "split_sha256", lambda split: pytest.fail("record digested twice"))
+    assert ev.record is ev.record
 
 
 def test_training_runs_through_the_traced_bindings(monkeypatch):
