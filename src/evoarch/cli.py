@@ -19,7 +19,8 @@ from dataclasses import replace
 from evoarch import data as datamod
 from evoarch import engine
 from evoarch.engine import ConfigError, EvolutionConfig
-from evoarch.fitness import EvaluationError, SurrogateEvaluator, TrainedEvaluator, evaluate_surrogate, evaluate_trained
+from evoarch.fitness import (EvaluationError, SurrogateEvaluator, TrainedEvaluator, evaluate_surrogate, evaluate_trained,
+                             split_misfit)
 from evoarch.genome import InvalidGenome, ParseError, ShapeError, deserialize, to_dot, validate
 from evoarch.trainer import TrainPlan, gradient_check_suite, set_blas_threads
 
@@ -201,11 +202,9 @@ def cmd_eval_genome(args):
         fitness = evaluate_surrogate(genome)
     else:
         split, plan = _trained_pieces(args)
-        if split.input_shape != genome.input_shape or split.num_classes != genome.num_classes:
-            raise ConfigError(
-                f"genome expects input {genome.input_shape} with {genome.num_classes} classes, "
-                f"dataset provides {split.input_shape} with {split.num_classes}"
-            )
+        misfit = split_misfit(TrainedEvaluator(split, plan), genome.input_shape, genome.num_classes)
+        if misfit is not None:
+            raise ConfigError(misfit)
         fitness = evaluate_trained(genome, split, plan)
     print(f"{fitness:.6f}")
     return 0

@@ -9,28 +9,31 @@ by less than epsilon over a trailing window.
 A RunState is the whole of a run, and what a checkpoint holds:
 initial_state builds generation 0, step_generation(state, evaluator)
 advances it by one generation in place, and run returns the final one.
-What scored a run is its evaluator's record; config.json, each
-checkpoint and a comparison's config.json store it as the config's
-"evaluator" entry.
+What scored a run is its evaluator's record, which fitness.py defines
+and checks; config.json, each checkpoint and a comparison's config.json
+store it as the config's "evaluator" entry.  run refuses an evaluator
+whose split cannot feed the config's genomes before it writes anything.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from evoarch.fitness import SurrogateEvaluator, evaluate_batch
+from evoarch.fitness import (SurrogateEvaluator, evaluate_batch, record_differences, record_fault, record_of,
+                             split_misfit)
 from evoarch.genome import (
     SEED_KINDS,
     Individual,
     InvalidGenome,
     ParseError,
+    _is_count,
     _is_int,
+    _is_shape,
     genome_doc,
     genome_from_doc,
     hamming_distance,
@@ -91,10 +94,9 @@ class EvolutionConfig:
     workers: int = 1
 
     def __post_init__(self):
-        shape = self.input_shape
-        if not (isinstance(shape, (tuple, list)) and len(shape) == 3 and all(_is_int(d) and d > 0 for d in shape)):
-            raise ConfigError(f"input shape must be three positive integers, got {shape!r}")
-        object.__setattr__(self, "input_shape", tuple(shape))
+        if not _is_shape(self.input_shape):
+            raise ConfigError(f"input shape must be three positive integers, got {self.input_shape!r}")
+        object.__setattr__(self, "input_shape", tuple(self.input_shape))
         window = () if self.saturation_window is None else ("saturation_window",)
         for name in ("population_size", "k", "distance_threshold", "max_generations", "seed", "num_classes",
                      "workers", *window):
@@ -158,12 +160,6 @@ class RunState:
         return len(self.stats)
 
 
-def _record_of(evaluator):
-    """What a run scored by evaluator records as having scored it: the evaluator's
-    record when it has one (a TrainedEvaluator's names its data and plan), its kind otherwise."""
-    return getattr(evaluator, "record", evaluator.kind)
-
-
 def _config_doc(config, record):
     """A config as config.json and checkpoints store it, with what scored its run."""
     return {**asdict(config), "evaluator": record}
@@ -181,7 +177,7 @@ def initial_state(config, evaluator, logs=None):
     population = evaluate_batch(population, evaluator, config.seed, config.workers, (logs or {}).get("fitness"))
     best = rank(population)[0]
     stats = [_generation_stats(0, best, population, wall_seconds=time.perf_counter() - start)]
-    return RunState(config, population, np.random.default_rng(config.seed), stats, best, _record_of(evaluator))
+    return RunState(config, population, np.random.default_rng(config.seed), stats, best, record_of(evaluator))
 
 
 def _select(ranked, union, config, rng):
@@ -292,8 +288,10 @@ def run(config, out_dir=None, evaluator=None, resume_from=None):
     checkpoints and post-checkpoint log rows; config may then be None.
     A config that differs from the stored one, or an evaluator whose
     record differs from the stored record, raises ConfigError naming the
-    differing fields or keys before anything is written.  So a trained
-    checkpoint resumes only on the same data and under the same plan.
+    differing fields or keys, and then an evaluator whose split cannot
+    feed the config's genomes raises one naming both shapes, each before
+    anything is written.  So a trained checkpoint resumes only on the
+    same data and under the same plan.
     """
     state = None
     if resume_from is not None:
@@ -307,10 +305,12 @@ def run(config, out_dir=None, evaluator=None, resume_from=None):
     if evaluator is None:
         evaluator = SurrogateEvaluator()
     if state is not None:
-        stored, given = ({"kind": r} if isinstance(r, str) else r for r in (state.scored_by, _record_of(evaluator)))
-        differ = sorted({key for key, _ in stored.items() ^ given.items()})
+        differ = record_differences(state.scored_by, record_of(evaluator))
         if differ:
             raise ConfigError(f"evaluator differs from checkpoint {resume_from} in {', '.join(differ)}")
+    misfit = split_misfit(evaluator, config.input_shape, config.num_classes)
+    if misfit is not None:
+        raise ConfigError(f"evaluator cannot score this config: {misfit}")
     logs = {name: [] for name in LOG_NAMES} if out_dir else None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -380,10 +380,6 @@ def _individual_from_doc(doc):
     return Individual(**{**doc, "genome": genome_from_doc(doc["genome"])})
 
 
-def _is_count(value):
-    return _is_int(value) and value >= 0
-
-
 def _is_fitness(value):  # a finite number in [0, 1]: NaN fails the range test
     return isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0
 
@@ -421,30 +417,6 @@ def _stats_row_fault(row):
     return None
 
 
-_TRAINED_RECORD_KEYS = ("kind", "dataset", "subset_n", "split_seed", "split_sha256", "max_iters", "batch_size")
-
-
-def _scored_by_fault(record):
-    """Why a checkpoint's stored evaluator record names nothing that scores a run,
-    or None: it must be a kind, or a TrainedEvaluator's record."""
-    if isinstance(record, str):
-        return None
-    if not (isinstance(record, dict) and sorted(record) == sorted(_TRAINED_RECORD_KEYS)
-            and record["kind"] == "trained"):
-        return f"must be a string or a trained record with keys {', '.join(_TRAINED_RECORD_KEYS)}"
-    dataset, subset_n, split_seed, digest, max_iters, batch_size = (record[k] for k in _TRAINED_RECORD_KEYS[1:])
-    ok = {
-        "dataset": dataset is None or isinstance(dataset, str),
-        "subset_n": subset_n is None or (_is_int(subset_n) and subset_n >= 1),
-        "split_seed": split_seed is None or _is_count(split_seed),
-        "split_sha256": isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest) is not None,
-        "max_iters": _is_count(max_iters),
-        "batch_size": _is_count(batch_size) and batch_size >= 1,
-    }
-    bad = [name for name, good in ok.items() if not good]
-    return f"has a bad {', '.join(bad)}" if bad else None
-
-
 def checkpoint_save(state, path):
     doc = {
         "version": CHECKPOINT_VERSION,
@@ -463,7 +435,7 @@ def checkpoint_save(state, path):
 def checkpoint_load(path):
     """The RunState a checkpoint file holds; CheckpointError if it cannot be
     read or resumed from.  The stored config's "evaluator" entry becomes
-    scored_by and must pass _scored_by_fault; the rest of the config must
+    scored_by and must pass fitness.record_fault; the rest of the config must
     build, every individual and every stats row must pass
     _individual_fault and _stats_row_fault.
     As in every state a run reaches, next_generation is the row count, at
@@ -483,7 +455,7 @@ def checkpoint_load(path):
     try:
         config_doc = dict(doc["config"])
         record = config_doc.pop("evaluator")
-        fault = _scored_by_fault(record)
+        fault = record_fault(record)
         if fault is not None:
             raise CheckpointError(f"checkpoint {path}: evaluator {record!r} {fault}")
         config = EvolutionConfig(**config_doc)
@@ -624,7 +596,7 @@ def compare_strategies(config, specs, n_seeds, evaluator=None):
         )
     curves = {label: np.median(np.array(runs), axis=0).tolist() for label, runs in series.items()}
     return ComparisonResult(tau, rows, curves, {label: cfgs[0] for label, cfgs in configs.items()},
-                            _record_of(evaluator))
+                            record_of(evaluator))
 
 
 def write_comparison(result, out_dir):

@@ -1,15 +1,18 @@
-"""Fitness evaluators for individuals.
+"""Fitness evaluators for individuals, and what scores a run.
 
 The surrogate scores a genome instantly from structural counts and makes
 quick search experiments possible; the trained evaluator runs the real
 training loop and reports validation accuracy.  The trained evaluator
 derives each individual's seed from the run seed and its id, so results
-never depend on evaluation order or worker count.
+never depend on evaluation order or worker count.  The rules of what
+scores a run live here too: the trained record, the check of a stored
+one, and whether an evaluator's split can feed a run's genomes.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -18,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from evoarch.data import split_sha256
-from evoarch.genome import CONCAT, CONV, MAXPOOL, SKIP, ids_by_kind
+from evoarch.genome import CONCAT, CONV, MAXPOOL, SKIP, _is_count, _is_int, ids_by_kind
 from evoarch.trainer import DivergedTraining, train
 
 
@@ -71,6 +74,18 @@ class SurrogateEvaluator:
         return evaluate_surrogate(genome)
 
 
+# the keys of a TrainedEvaluator's record, in order, each testing what a stored record may hold
+_TRAINED_RECORD = {
+    "kind": lambda v: v == "trained",
+    "dataset": lambda v: v is None or isinstance(v, str),
+    "subset_n": lambda v: v is None or (_is_int(v) and v >= 1),
+    "split_seed": lambda v: v is None or _is_count(v),
+    "split_sha256": lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v) is not None,
+    "max_iters": _is_count,
+    "batch_size": lambda v: _is_count(v) and v >= 1,
+}
+
+
 class TrainedEvaluator:
     """Trains each genome on a dataset split under a fixed plan."""
 
@@ -86,13 +101,44 @@ class TrainedEvaluator:
         hand-built split) and digest, and the plan's budget.  The plan's seed
         stays out, since evaluate replaces it for each individual."""
         source = self.split.source or {}
-        return {"kind": self.kind, "dataset": source.get("dataset"), "subset_n": source.get("subset_n"),
-                "split_seed": source.get("seed"), "split_sha256": split_sha256(self.split),
-                "max_iters": self.plan.max_iters, "batch_size": self.plan.batch_size}
+        return dict(zip(_TRAINED_RECORD, (self.kind, source.get("dataset"), source.get("subset_n"), source.get("seed"),
+                                          split_sha256(self.split), self.plan.max_iters, self.plan.batch_size)))
 
     def evaluate(self, genome, run_seed, individual_id):
         plan = replace(self.plan, seed=individual_seed(run_seed, individual_id))
         return evaluate_trained(genome, self.split, plan)
+
+
+def record_of(evaluator):
+    """What a run scored by evaluator records as having scored it: its record if it has one, else its kind."""
+    return getattr(evaluator, "record", evaluator.kind)
+
+
+def record_fault(record):
+    """Why a stored evaluator record names nothing that scores a run, or None:
+    it must be a kind, or a TrainedEvaluator's record."""
+    if isinstance(record, str):
+        return None
+    if not (isinstance(record, dict) and record.keys() == _TRAINED_RECORD.keys() and record["kind"] == "trained"):
+        return f"must be a string or a trained record with keys {', '.join(_TRAINED_RECORD)}"
+    bad = [key for key, ok in _TRAINED_RECORD.items() if not ok(record[key])]
+    return f"has a bad {', '.join(bad)}" if bad else None
+
+
+def record_differences(stored, given):
+    """The sorted keys in which two evaluator records differ; a bare kind is a record of that kind alone."""
+    stored, given = ({"kind": r} if isinstance(r, str) else r for r in (stored, given))
+    return sorted({key for key, _ in stored.items() ^ given.items()})
+
+
+def split_misfit(evaluator, input_shape, num_classes):
+    """Why evaluator's split cannot feed genomes that take input_shape and
+    num_classes, or None; an evaluator without a split feeds any genome."""
+    split = getattr(evaluator, "split", None)
+    if split is None or (split.input_shape, split.num_classes) == (input_shape, num_classes):
+        return None
+    return (f"genome expects input {input_shape} with {num_classes} classes, "
+            f"dataset provides {split.input_shape} with {split.num_classes}")
 
 
 def evaluate_batch(individuals, evaluator, run_seed=0, workers=1, audit=None):

@@ -623,7 +623,7 @@ def genome_from_doc(doc):
             raise ParseError(f"missing field {key!r}")
 
     shape = doc["input_shape"]
-    if not (isinstance(shape, list) and len(shape) == 3 and all(_is_int(d) and d > 0 for d in shape)):
+    if not _is_shape(shape):
         raise ParseError("input_shape must be three positive integers")
     if not _is_int(doc["num_classes"]) or doc["num_classes"] < 2:
         raise ParseError("num_classes must be an integer of at least 2")
@@ -668,6 +668,15 @@ def genome_from_doc(doc):
 def _is_int(value):
     """A JSON integer: bool is an int subclass, but true/false are not counts."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value):
+    return _is_int(value) and value >= 0
+
+
+def _is_shape(value):
+    """An input shape: three positive integers, as a list or tuple."""
+    return isinstance(value, (list, tuple)) and len(value) == 3 and all(_is_int(d) and d > 0 for d in value)
 
 
 def _dot_label(node, input_shape):

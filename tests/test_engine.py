@@ -179,6 +179,35 @@ def test_a_trained_checkpoint_that_names_only_its_kind_does_not_resume(tmp_path,
     assert not (tmp_path / "resumed").exists()
 
 
+def test_run_refuses_an_evaluator_whose_split_does_not_fit_its_config(tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=r"evaluator cannot score this config: genome expects input \(3, 32, 32\) "
+                                          r"with 10 classes, dataset provides \(1, 8, 8\) with 10$"):
+        run(EvolutionConfig(population_size=2, max_generations=2), out_dir=str(out), evaluator=tiny_trained_evaluator())
+    assert not out.exists()
+
+
+def test_compare_strategies_refuses_an_evaluator_whose_split_does_not_fit_before_any_run(monkeypatch):
+    evaluator, finished = tiny_trained_evaluator(), []
+    monkeypatch.setattr(evaluator, "evaluate", lambda *args: pytest.fail("an individual was evaluated"))
+    monkeypatch.setattr(engine, "run", lambda *args, **kwargs: finished.append(run(*args, **kwargs)))
+    config = EvolutionConfig(population_size=2, max_generations=2)
+    with pytest.raises(ConfigError, match=r"input \(3, 32, 32\) with 10 classes, dataset provides \(1, 8, 8\)"):
+        compare_strategies(config, default_specs(["aggressive", "tournament"], config), 2, evaluator=evaluator)
+    assert finished == []
+
+
+def test_a_resume_under_a_split_that_neither_matches_nor_fits_names_the_record(tmp_path, trained_run):
+    """The record check runs before the fit check."""
+    rng = np.random.default_rng(0)
+    split = split_train_val(rng.normal(size=(60, 1, 6, 6)).astype(np.float32), rng.integers(0, 10, 60))
+    out = tmp_path / "resumed"
+    with pytest.raises(ConfigError, match=r"evaluator differs from checkpoint .* in split_sha256$"):
+        run(None, out_dir=str(out), evaluator=TrainedEvaluator(split, TrainPlan(2, batch_size=8)),
+            resume_from=str(trained_run / "checkpoint_gen5.json"))
+    assert not out.exists()
+
+
 def test_a_surrogate_config_runs_with_an_evaluator_of_another_kind(tmp_path):
     run(surrogate_config(max_generations=2), out_dir=str(tmp_path), evaluator=ConstantEvaluator())
     assert len((tmp_path / "stats.csv").read_text().splitlines()) == 4  # a header and generations 0-2

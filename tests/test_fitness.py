@@ -14,6 +14,7 @@ from evoarch.fitness import (
     evaluate_surrogate,
     evaluate_trained,
     individual_seed,
+    split_misfit,
 )
 from evoarch.genome import (
     GLOBALPOOL,
@@ -197,6 +198,16 @@ def test_trained_record_names_the_split_and_the_plan_budget_but_not_its_seed(mon
     assert [ev.record[key] for key in ("dataset", "subset_n", "split_seed")] == [None, None, None]
     monkeypatch.setattr(fitness, "split_sha256", lambda split: pytest.fail("record digested twice"))
     assert ev.record is ev.record
+
+
+def test_split_misfit_names_both_shapes_unless_the_split_feeds_the_genomes():
+    ev = TrainedEvaluator(tiny_split(classes=4), TrainPlan(max_iters=20))
+    assert split_misfit(ev, (1, 8, 8), 4) is None
+    assert split_misfit(ev, (1, 8, 8), 10) == ("genome expects input (1, 8, 8) with 10 classes, "
+                                               "dataset provides (1, 8, 8) with 4")
+    assert split_misfit(ev, (3, 32, 32), 4) == ("genome expects input (3, 32, 32) with 4 classes, "
+                                                "dataset provides (1, 8, 8) with 4")
+    assert split_misfit(SurrogateEvaluator(), (3, 32, 32), 10) is None  # no split: feeds any genome
 
 
 def test_training_runs_through_the_traced_bindings(monkeypatch):

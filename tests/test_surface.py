@@ -11,7 +11,8 @@ call that omits the argument.  No linter runs on the package, so these
 checks do.  A genome's two memos, its edit record and the building of a
 Genome that skips `__init__` are touched only in genome.py, where
 `Genome.edit` states the rule for which derived data an edit child shares
-with its parent.  Every evoarch name the benchmark in perfbench/ reads
+with its parent.  Only fitness.py, which owns the trained record,
+spells its split keys.  Every evoarch name the benchmark in perfbench/ reads
 exists, so a rename fails here rather than in a benchmark run.
 """
 
@@ -130,6 +131,10 @@ def _modules_naming(names, strings=()):
 
 def test_only_genome_py_touches_the_memo():
     assert _modules_naming({"_memo", "_graph_memo"}, {"_memo", "_graph_memo"}) == ["genome.py"]
+
+
+def test_only_fitness_py_names_the_trained_records_split_keys():
+    assert _modules_naming(set(), {"split_seed", "split_sha256"}) == ["fitness.py"]
 
 
 def test_only_genome_py_builds_edit_children_or_reads_their_record():
