@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from evoarch import data as datamod
 from evoarch import engine
@@ -47,6 +47,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+def _add_config_flag(p, flag, field, text):
+    """Adds flag, which sets EvolutionConfig's integer field and takes its default; text is its help."""
+    p.add_argument(flag, type=int, dest=field, metavar=flag[2:].upper(), default=getattr(EvolutionConfig, field),
+                   help=text)
+
+
 def _add_run_flags(p):
     p.add_argument("--fitness", choices=("surrogate", "trained"), default="surrogate",
                    help="fitness evaluator")
@@ -54,19 +60,19 @@ def _add_run_flags(p):
                    help="dataset for trained fitness")
     p.add_argument("--subset", type=int, default=None,
                    help="cap on training records before the validation split")
-    p.add_argument("--iters", type=int, default=600,
+    p.add_argument("--iters", type=int, default=TrainPlan.max_iters,
                    help="training iterations per evaluated individual")
-    p.add_argument("--seed", type=int, default=0, help="run seed")
+    _add_config_flag(p, "--seed", "seed", "run seed")
 
 
 def _add_search_flags(p, k_help, generations_help):
-    p.add_argument("--workers", type=int, default=1, help="parallel evaluations")
+    _add_config_flag(p, "--workers", "workers", "parallel evaluations")
     p.add_argument("--out-dir", default=None,
                    help="output directory (default derives from command and seed)")
-    p.add_argument("--k", type=int, default=1, help=k_help)
-    p.add_argument("--population", type=int, default=10, help="population size")
-    p.add_argument("--threshold", type=int, default=1, help="selection distance threshold")
-    p.add_argument("--generations", type=int, default=100, help=generations_help)
+    _add_config_flag(p, "--k", "k", k_help)
+    _add_config_flag(p, "--population", "population_size", "population size")
+    _add_config_flag(p, "--threshold", "distance_threshold", "selection distance threshold")
+    _add_config_flag(p, "--generations", "max_generations", generations_help)
 
 
 def build_parser():
@@ -98,7 +104,7 @@ def build_parser():
     p.set_defaults(func=cmd_eval_genome)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")
-    p.add_argument("--seed", type=int, default=0, help="suite seed")
+    _add_config_flag(p, "--seed", "seed", "suite seed")
     p.set_defaults(func=cmd_grad_check)
     return parser
 
@@ -134,15 +140,8 @@ def _read_genome(path):
 
 
 def _run_config(args):
-    """EvolutionConfig for evolve and compare-selection, from the flags alone; ConfigError on a bad flag."""
-    return EvolutionConfig(
-        population_size=args.population,
-        k=args.k,
-        distance_threshold=args.threshold,
-        max_generations=args.generations,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    """EvolutionConfig from the flags that set its fields (evolve, compare-selection); ConfigError on a bad one."""
+    return EvolutionConfig(**{f.name: getattr(args, f.name) for f in fields(EvolutionConfig) if hasattr(args, f.name)})
 
 
 def _with_evaluator(config, args):

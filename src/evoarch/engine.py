@@ -2,9 +2,9 @@
 
 Each generation every individual produces one mutated child, children
 are evaluated, parents and children are ranked together, the survivor
-strategy picks k of the twenty, and clones refill the population.  The
-run stops at the generation cap or once the best fitness has improved
-by less than epsilon over a trailing window.
+strategy picks k of the parents and children, and clones refill the
+population.  The run stops at the generation cap or once the best
+fitness has improved by less than epsilon over a trailing window.
 
 A RunState is the whole of a run, and what a checkpoint holds:
 initial_state builds generation 0, step_generation(state, evaluator)
@@ -502,9 +502,9 @@ class SelectionSpec:
     """One competitor in a comparison: a label plus selection settings."""
 
     label: str
-    strategy: str = "aggressive"
-    k: int = 1
-    distance_threshold: int = 1
+    strategy: str
+    k: int
+    distance_threshold: int
 
 
 def default_specs(strategies, config):

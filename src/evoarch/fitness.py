@@ -119,7 +119,7 @@ def record_fault(record):
     it must be a kind, or a TrainedEvaluator's record."""
     if isinstance(record, str):
         return None
-    if not (isinstance(record, dict) and record.keys() == _TRAINED_RECORD.keys() and record["kind"] == "trained"):
+    if not (isinstance(record, dict) and record.keys() == _TRAINED_RECORD.keys()):
         return f"must be a string or a trained record with keys {', '.join(_TRAINED_RECORD)}"
     bad = [key for key, ok in _TRAINED_RECORD.items() if not ok(record[key])]
     return f"has a bad {', '.join(bad)}" if bad else None

@@ -116,7 +116,7 @@ class TrainPlan:
         return self.max_iters // 2, 3 * self.max_iters // 4
 
     @classmethod
-    def desk_scale(cls, max_iters=600, **overrides):
+    def desk_scale(cls, max_iters, **overrides):
         return cls(max_iters, **overrides)
 
 
@@ -144,7 +144,7 @@ class ModelState:
     params: dict
     buffers: dict
     velocity: dict
-    dtype: object = np.float32
+    dtype: object
 
 
 def init_model(genome, rng, dtype=np.float32):
@@ -768,7 +768,7 @@ def _composite_cases(seed):
     return cases
 
 
-def gradient_check_suite(seed=0):
+def gradient_check_suite(seed):
     """Finite-difference audit over single-kind genomes and random composites.
 
     Returns a list of (name, max_relative_error) pairs, float64 end to

@@ -10,6 +10,7 @@ import pytest
 
 import evoarch
 import evoarch.cli as cli
+from evoarch.engine import EvolutionConfig
 from evoarch.fitness import TrainedEvaluator
 from evoarch.genome import (
     chain_genome,
@@ -22,6 +23,7 @@ from evoarch.genome import (
     serialize,
 )
 from evoarch.mutation import apply_mutation
+from evoarch.trainer import TrainPlan
 from helpers import build_mnist_dir, spoil_file, write_idx_labels
 
 
@@ -284,6 +286,17 @@ def test_bad_search_flags_exit_one(tmp_path, capsys, command, flag, value, messa
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare-selection"])
+def test_search_flags_set_the_config_fields_they_name(command):
+    args = cli.build_parser().parse_args([command])
+    assert cli._run_config(args) == EvolutionConfig()
+    assert args.iters == TrainPlan().max_iters
+    args = cli.build_parser().parse_args([command, "--population", "4", "--k", "2", "--threshold", "0",
+                                          "--generations", "3", "--workers", "2", "--seed", "5"])
+    assert cli._run_config(args) == EvolutionConfig(population_size=4, k=2, distance_threshold=0, max_generations=3,
+                                                    workers=2, seed=5)
 
 
 def test_bad_k_sweep_value_exits_one(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import hashlib
 import math
+import os
 import re
+import signal
 import sys
 import threading
+import time
 import warnings
 import weakref
 from collections import Counter
@@ -865,6 +868,32 @@ def test_running_trainings_count_returns_to_zero():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert trainer_module._trainings == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_trains_on_its_own_helper_thread(monkeypatch):
+    # the parent's helper thread does not survive a fork: a child that lent
+    # work to the parent's pool would wait on it forever
+    monkeypatch.setattr(trainer_module, "_spare_cpu", lambda: True)
+    trainer_module._HELPER.submit(int).result()  # the pool starts its thread at the first submit
+    g = chain([conv_node(4), Node(GLOBALPOOL)], (1, 8, 8))
+    split = synthetic_split(n_train=16, n_val=8)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            train(g, split, TrainPlan(2, batch_size=8))
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 20
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's training did not finish within 20 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_train_learns_separable_data():
